@@ -1,8 +1,7 @@
 """Generalized Baumslag-Solitar groups over Z^n: normal forms, Bass-Serre
 trees, affine images, and Haagerup-type kernel certification."""
 
-from .arith import (ConfigurationError, IntMatrix, ResidueSystem,
-                    in_lattice, lattice_decompose, residues)
+from .arith import ConfigurationError, IntMatrix, Lattice
 from .presentation import GroupSpec, make_bs, make_matrix_group
 from .words import (NormalForm, ParseError, T, X, britton_reduce, nf_invert,
                     nf_multiply, parse_word, word_problem)

@@ -8,6 +8,7 @@ and the rewriting engine built on top of it are exact-equality algorithms.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,10 +39,6 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """A square integer matrix, stored as a tuple of row tuples."""
@@ -55,11 +52,6 @@ class IntMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ConfigurationError(f"matrix is not square: {rows!r}")
         return IntMatrix(rows)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n))
-                               for i in range(n)))
 
     @staticmethod
     def scalar(m: int) -> "IntMatrix":
@@ -97,16 +89,19 @@ class IntMatrix:
             raise ConfigurationError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"vector has {len(z)} coordinates")
-        return tuple(sum(r[j] * z[j] for j in range(self.n)) for r in self.rows)
+        return tuple(sum(map(operator.mul, r, z)) for r in self.rows)
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ConfigurationError("dimension mismatch in matrix product")
+    def adjugate(self) -> "IntMatrix":
+        """The integer matrix adj M = det M * M^-1, from cofactors."""
         n = self.n
-        return IntMatrix(tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+
+        def cofactor(i, j):
+            minor = tuple(tuple(x for c, x in enumerate(r) if c != j)
+                          for k, r in enumerate(self.rows) if k != i)
+            # the empty minor of a 1x1 matrix has determinant 1
+            return (-1) ** (i + j) * (IntMatrix(minor).det if minor else 1)
+        return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(n))
+                               for i in range(n)))
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]"
@@ -157,19 +152,6 @@ def rat_inverse(M: IntMatrix) -> QMatrix:
     return tuple(tuple(row[n:]) for row in a)
 
 
-def solve_exact(M: IntMatrix, b) -> QVector:
-    """The exact rational solution h of M h = b."""
-    return rat_apply(rat_inverse(M), b)
-
-
-def mat_apply(M: IntMatrix, z: IntVector) -> IntVector:
-    return M.apply(z)
-
-
-def mat_apply_rational(P: QMatrix, a) -> QVector:
-    return rat_apply(P, a)
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form and residue systems
 
@@ -209,37 +191,26 @@ def column_hnf(M: IntMatrix) -> IntMatrix:
                            for r in range(n)))
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
-    """Canonical coset representatives of M Z^n in Z^n, zero first."""
-
-    matrix: IntMatrix
-    representatives: tuple
-
-
 class Lattice:
     """The sublattice M Z^n of Z^n with its canonical transversal.
 
     The canonical representative of z is obtained by reducing z against
     the column Hermite form of M, pivot by pivot, into the half-open
-    box [0, pivot).  Immutable after construction.
+    box [0, pivot).  Solving is integer-only: M h = z has the unique
+    solution h = adj(M) z / det M, which is integral iff every coordinate
+    of adj(M) z is divisible by det M.  Immutable after construction.
     """
 
     def __init__(self, M: IntMatrix):
         if M.det == 0:
             raise ConfigurationError(f"singular matrix: {M}")
-        self.matrix = M
         self.n = M.n
         self.hnf = column_hnf(M)
-        self.index = abs(M.det)
-        self._inv = rat_inverse(M)
-        # fast scalar path
-        self._m1 = M.rows[0][0] if M.n == 1 else None
+        self.det = M.det
+        self.adjugate = M.adjugate()
 
     def reduce(self, z: IntVector) -> IntVector:
         """Canonical representative of z modulo M Z^n."""
-        if self._m1 is not None:
-            return (z[0] % abs(self._m1),)
         H = self.hnf.rows
         r = list(z)
         for i in range(self.n):
@@ -251,13 +222,13 @@ class Lattice:
 
     def solve(self, z: IntVector):
         """Integer h with M h = z, or None if z is outside the lattice."""
-        if self._m1 is not None:
-            q, rem = divmod(z[0], self._m1)
-            return (q,) if rem == 0 else None
-        h = rat_apply(self._inv, z)
-        if all(x.denominator == 1 for x in h):
-            return tuple(int(x) for x in h)
-        return None
+        h = []
+        for v in self.adjugate.apply(z):
+            q, rem = divmod(v, self.det)
+            if rem:
+                return None
+            h.append(q)
+        return tuple(h)
 
     def contains(self, z: IntVector) -> bool:
         return self.solve(z) is not None
@@ -269,23 +240,8 @@ class Lattice:
         assert h is not None, "HNF reduction left a non-lattice remainder"
         return r, h
 
-    def residues(self) -> ResidueSystem:
+    def residues(self) -> tuple:
+        """All |det M| canonical residues of Z^n mod M Z^n, zero first."""
         H = self.hnf.rows
-        reps = tuple(itertools.product(*(range(H[i][i])
+        return tuple(itertools.product(*(range(H[i][i])
                                          for i in range(self.n))))
-        return ResidueSystem(self.matrix, reps)
-
-
-def lattice_decompose(z: IntVector, M: IntMatrix):
-    """Split z = M h + r with r the canonical residue of z mod M Z^n."""
-    return Lattice(M).decompose(z)
-
-
-def in_lattice(z: IntVector, M: IntMatrix) -> bool:
-    """Whether M h = z has an integer solution."""
-    return Lattice(M).contains(z)
-
-
-def residues(M: IntMatrix) -> ResidueSystem:
-    """All canonical residues of Z^n mod M Z^n; |det M| of them, zero first."""
-    return Lattice(M).residues()

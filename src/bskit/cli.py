@@ -1,8 +1,8 @@
 """Command-line front end; every operation as a reproducible one-liner.
 
-Exit codes: 0 success, 1 a check ran and found violations, 2 usage or
-resource errors.  Output is byte-stable: sorted orders and 12-significant-
-digit floats.
+Exit codes: 0 success, 1 a check ran and found violations, 2 usage,
+resource or numeric-range errors.  Output is byte-stable: sorted orders
+and 12-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import click
 
 from .affine import j_affine
 from .arith import ConfigurationError
-from .embedding import (GroupBall, check_injectivity, check_stabilizer,
-                        enumerate_ball, properness_profile)
+from .embedding import (check_injectivity, check_stabilizer, enumerate_ball,
+                        properness_profile)
 from .haagerup import (UnsupportedWitnessError, c0_profile, c0_profile_csv,
                        cocycle, cocycle_identity_check, tree_gram, witness,
                        witness_gram)
 from .presentation import GroupSpec, make_bs, spec_from_dict
-from .tree import (BASE, ResourceBoundError, act, ball, distance, edges_csv,
+from .tree import (BASE, ResourceBoundError, ball, distance, edges_csv,
                    neighbors, to_dot, tree_edges, vertex_of)
 from .words import (ParseError, britton_reduce, nf_multiply, parse_word,
                     word_problem)
@@ -50,14 +50,6 @@ def _emit(text: str, out) -> None:
         click.echo(text.rstrip("\n"))
 
 
-class _Ctx:
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-
-    def word(self, text: str):
-        return parse_word(text, self.spec)
-
-
 @click.group()
 @click.option("--bs", nargs=2, type=int, default=None,
               help="BS(P, Q) datum for n = 1.")
@@ -67,14 +59,15 @@ class _Ctx:
 def main(ctx, bs, spec_file):
     """Toolkit for generalized Baumslag-Solitar groups over Z^n."""
     try:
-        ctx.obj = _Ctx(_load_spec(bs, spec_file))
+        ctx.obj = _load_spec(bs, spec_file)
     except (ConfigurationError, json.JSONDecodeError) as exc:
         raise click.UsageError(str(exc))
 
 
 def _run(ctx, fn):
+    """Run a command body on the GroupSpec; exit 1 if it returns False."""
     try:
-        fn(ctx.obj)
+        ok = fn(ctx.obj)
     except (ParseError, ConfigurationError, ValueError) as exc:
         raise click.UsageError(str(exc))
     except ResourceBoundError as exc:
@@ -83,6 +76,11 @@ def _run(ctx, fn):
     except UnsupportedWitnessError as exc:
         click.echo(f"unsupported witness regime: {exc}", err=True)
         sys.exit(2)
+    except OverflowError as exc:
+        click.echo(f"numeric range exceeded: {exc}", err=True)
+        sys.exit(2)
+    if ok is False:
+        sys.exit(1)
 
 
 @main.command()
@@ -90,7 +88,8 @@ def _run(ctx, fn):
 @click.pass_context
 def reduce(ctx, word):
     """Britton normal form of WORD."""
-    _run(ctx, lambda o: click.echo(str(britton_reduce(o.word(word), o.spec))))
+    _run(ctx, lambda spec: click.echo(
+        str(britton_reduce(parse_word(word, spec), spec))))
 
 
 @main.command()
@@ -98,8 +97,9 @@ def reduce(ctx, word):
 @click.pass_context
 def wp(ctx, word):
     """Word problem: trivial / nontrivial."""
-    _run(ctx, lambda o: click.echo(
-        "trivial" if word_problem(o.word(word), o.spec) else "nontrivial"))
+    _run(ctx, lambda spec: click.echo(
+        "trivial" if word_problem(parse_word(word, spec), spec)
+        else "nontrivial"))
 
 
 @main.command()
@@ -107,7 +107,8 @@ def wp(ctx, word):
 @click.pass_context
 def vertex(ctx, word):
     """Canonical Bass-Serre vertex of WORD * G."""
-    _run(ctx, lambda o: click.echo(str(vertex_of(o.word(word), o.spec))))
+    _run(ctx, lambda spec: click.echo(
+        str(vertex_of(parse_word(word, spec), spec))))
 
 
 @main.command()
@@ -116,9 +117,9 @@ def vertex(ctx, word):
 @click.pass_context
 def dist(ctx, word, word2):
     """Tree distance d(v, WORD v), or between two coset vertices."""
-    def go(o):
-        u = vertex_of(o.word(word), o.spec)
-        w = vertex_of(o.word(word2), o.spec) if word2 else BASE
+    def go(spec):
+        u = vertex_of(parse_word(word, spec), spec)
+        w = vertex_of(parse_word(word2, spec), spec) if word2 else BASE
         click.echo(str(distance(w, u)))
     _run(ctx, go)
 
@@ -128,9 +129,9 @@ def dist(ctx, word, word2):
 @click.pass_context
 def neighbors_cmd(ctx, word):
     """Neighbors of the vertex of WORD (default: base vertex)."""
-    def go(o):
-        u = vertex_of(o.word(word), o.spec) if word else BASE
-        for w in neighbors(u, o.spec):
+    def go(spec):
+        u = vertex_of(parse_word(word, spec), spec) if word else BASE
+        for w in neighbors(u, spec):
             click.echo(str(w))
     _run(ctx, go)
 
@@ -143,8 +144,8 @@ def neighbors_cmd(ctx, word):
 @click.pass_context
 def ball_cmd(ctx, radius, fmt, out):
     """Tree ball around the base vertex."""
-    def go(o):
-        vs = ball(BASE, radius, o.spec)
+    def go(spec):
+        vs = ball(BASE, radius, spec)
         if fmt == "text":
             _emit("\n".join(str(v) for v in vs), out)
         elif fmt == "dot":
@@ -155,29 +156,17 @@ def ball_cmd(ctx, radius, fmt, out):
 
 
 @main.command()
-@click.option("-R", "--radius", type=int, required=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def dot(ctx, radius, out):
-    """DOT export of the tree ball (shorthand for ball --format dot)."""
-    def go(o):
-        vs = ball(BASE, radius, o.spec)
-        _emit(to_dot(vs, tree_edges(vs)), out)
-    _run(ctx, go)
-
-
-@main.command()
 @click.argument("word")
 @click.option("-k", "--steps", type=int, default=5)
 @click.pass_context
 def orbit(ctx, word, steps):
     """Vertices gamma^j v for j = 0..STEPS."""
-    def go(o):
-        g = britton_reduce(o.word(word), o.spec)
-        acc = britton_reduce([], o.spec)
+    def go(spec):
+        g = britton_reduce(parse_word(word, spec), spec)
+        acc = britton_reduce([], spec)
         for _ in range(steps + 1):
-            click.echo(str(act(acc, BASE, o.spec)))
-            acc = nf_multiply(acc, g, o.spec)
+            click.echo(str(vertex_of(acc, spec)))
+            acc = nf_multiply(acc, g, spec)
     _run(ctx, go)
 
 
@@ -186,23 +175,18 @@ def orbit(ctx, word, steps):
 @click.pass_context
 def affine(ctx, word):
     """Affine image (k; a) of WORD, exact rationals."""
-    _run(ctx, lambda o: click.echo(str(j_affine(o.word(word), o.spec))))
+    _run(ctx, lambda spec: click.echo(
+        str(j_affine(parse_word(word, spec), spec))))
 
 
 def _check_command(ctx, length, checker):
-    failed = False
-
-    def go(o):
-        nonlocal failed
-        b = enumerate_ball(length, o.spec)
-        report = checker(b, o.spec)
+    def go(spec):
+        report = checker(enumerate_ball(length, spec), spec)
         click.echo(report.summary())
         for v in report.violations:
             click.echo(f"  {v}")
-        failed = not report.ok
+        return report.ok
     _run(ctx, go)
-    if failed:
-        sys.exit(1)
 
 
 @main.command("inject-check")
@@ -229,9 +213,9 @@ def stab_check(ctx, length):
 @click.pass_context
 def proper(ctx, lmax, thresholds, out):
     """Properness profile: sublevel counts and stabilization flags."""
-    def go(o):
+    def go(spec):
         grid = [int(r) for r in thresholds.split(",")]
-        profile = properness_profile(lmax, grid, o.spec)
+        profile = properness_profile(lmax, grid, spec)
         _emit(profile.to_csv(), out)
     _run(ctx, go)
 
@@ -241,8 +225,8 @@ def proper(ctx, lmax, thresholds, out):
 @click.pass_context
 def cocycle_cmd(ctx, word):
     """Signed geodesic edge set b(WORD); one edge per line."""
-    def go(o):
-        cv = cocycle(britton_reduce(o.word(word), o.spec), o.spec)
+    def go(spec):
+        cv = cocycle(parse_word(word, spec), spec)
         click.echo(f"norm_sq {cv.norm_sq()}")
         for (u, w), c in cv.coefficients:
             click.echo(f"{c:+d} [{u}] -> [{w}]")
@@ -256,24 +240,19 @@ def cocycle_cmd(ctx, word):
 @click.pass_context
 def cocycle_check(ctx, length, pairs, seed):
     """Random-pair check of the 1-cocycle law over the ball."""
-    failed = False
-
-    def go(o):
-        nonlocal failed
-        elements = enumerate_ball(length, o.spec).elements
+    def go(spec):
+        elements = enumerate_ball(length, spec).elements
         rng = random.Random(seed)
         bad = 0
         for _ in range(pairs):
             g = rng.choice(elements)
             d = rng.choice(elements)
-            if not cocycle_identity_check(g, d, o.spec):
+            if not cocycle_identity_check(g, d, spec):
                 bad += 1
         status = "OK" if bad == 0 else "FAIL"
         click.echo(f"{status}: {bad} violations / {pairs} pairs")
-        failed = bad > 0
+        return bad == 0
     _run(ctx, go)
-    if failed:
-        sys.exit(1)
 
 
 @main.command()
@@ -287,12 +266,12 @@ def cocycle_check(ctx, length, pairs, seed):
 @click.pass_context
 def gram(ctx, length, scale, size, seed, kernel, out):
     """Kernel PSD certificate on a random sample from the ball (JSON)."""
-    def go(o):
-        elements = enumerate_ball(length, o.spec).elements
+    def go(spec):
+        elements = enumerate_ball(length, spec).elements
         rng = random.Random(seed)
         sample = rng.sample(elements, min(size, len(elements)))
         fn = tree_gram if kernel == "tree" else witness_gram
-        _emit(fn(sample, scale, o.spec).to_json(), out)
+        _emit(fn(sample, scale, spec).to_json(), out)
     _run(ctx, go)
 
 
@@ -302,8 +281,8 @@ def gram(ctx, length, scale, size, seed, kernel, out):
 @click.pass_context
 def witness_cmd(ctx, word, scale):
     """Witness value psi_s(WORD)."""
-    _run(ctx, lambda o: click.echo(
-        _fmt(witness(britton_reduce(o.word(word), o.spec), scale, o.spec))))
+    _run(ctx, lambda spec: click.echo(
+        _fmt(witness(parse_word(word, spec), scale, spec))))
 
 
 @main.command()
@@ -313,8 +292,8 @@ def witness_cmd(ctx, word, scale):
 @click.pass_context
 def c0(ctx, lmax, scale, out):
     """C0 decay profile: max witness value per word-length sphere (CSV)."""
-    _run(ctx, lambda o: _emit(
-        c0_profile_csv(c0_profile(lmax, scale, o.spec)), out))
+    _run(ctx, lambda spec: _emit(
+        c0_profile_csv(c0_profile(lmax, scale, spec)), out))
 
 
 if __name__ == "__main__":

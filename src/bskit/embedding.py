@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .affine import j_affine
 from .presentation import GroupSpec
-from .tree import BASE, ResourceBoundError, act, max_ball_bound
+from .tree import BASE, bfs_spheres, vertex_of
 from .words import NormalForm, T, X, nf_append
 from .arith import zero_vector
-
-
-def default_max_length(spec: GroupSpec) -> int:
-    return 12 if spec.n == 1 else 8
 
 
 def generator_letters(spec: GroupSpec) -> list:
@@ -39,20 +36,15 @@ class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
     ``spheres[L]`` holds the elements whose minimal word length is exactly
-    L; ``elements`` is the concatenation; ``index`` maps the rendered
-    normal form back to the element.
+    L; ``elements`` is their concatenation, built on first use.
     """
 
     radius: int
     spheres: list = field(default_factory=list)
 
-    @property
-    def elements(self) -> list:
-        return [nf for sphere in self.spheres for nf in sphere]
-
-    @property
-    def index(self) -> dict:
-        return {str(nf): nf for nf in self.elements}
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(nf for sphere in self.spheres for nf in sphere)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.spheres)
@@ -61,29 +53,11 @@ class GroupBall:
 def enumerate_ball(L: int, spec: GroupSpec, *,
                    max_length: int | None = None) -> GroupBall:
     """BFS over generator letters with normal-form deduplication."""
-    if L < 0:
-        raise ValueError("ball radius must be nonnegative")
-    bound = (max_length if max_length is not None
-             else max_ball_bound(default_max_length(spec)))
-    if L > bound:
-        raise ResourceBoundError(
-            f"ball radius {L} exceeds bound {bound} (set BSK_MAX_BALL)")
     letters = generator_letters(spec)
-    identity = NormalForm(zero_vector(spec.n), ())
-    seen = {identity}
-    spheres = [[identity]]
-    frontier = [identity]
-    for _ in range(L):
-        nxt = []
-        for nf in frontier:
-            for letter in letters:
-                ext = nf_append(nf, letter, spec)
-                if ext not in seen:
-                    seen.add(ext)
-                    nxt.append(ext)
-        nxt.sort(key=str)
-        spheres.append(nxt)
-        frontier = nxt
+    spheres = bfs_spheres(
+        NormalForm(zero_vector(spec.n), ()), L,
+        lambda nf: [nf_append(nf, letter, spec) for letter in letters],
+        max_length, default=12 if spec.n == 1 else 8)
     return GroupBall(L, spheres)
 
 
@@ -116,7 +90,7 @@ def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     for nf in ball.elements:
         if nf.is_identity:
             continue
-        if act(nf, BASE, spec) != BASE:
+        if vertex_of(nf, spec) != BASE:
             continue
         if nf.t_length != 0:
             report.violations.append(
@@ -131,7 +105,7 @@ def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     """{gamma : gamma v = v} must equal {gamma : t-length 0}, elementwise."""
     report = CheckReport("stabilizer", len(ball))
     for nf in ball.elements:
-        fixes = act(nf, BASE, spec) == BASE
+        fixes = vertex_of(nf, spec) == BASE
         in_g = nf.t_length == 0
         if fixes != in_g:
             report.violations.append(

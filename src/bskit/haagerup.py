@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineElement, j_affine
+from .affine import AffineElement, aff_identity, j_affine
 from .presentation import GroupSpec
-from .tree import BASE, Vertex, act, distance, geodesic
-from .words import NormalForm, britton_reduce
+from .embedding import enumerate_ball
+from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
+from .words import britton_reduce, nf_multiply
 
 
 class UnsupportedWitnessError(RuntimeError):
@@ -77,7 +77,7 @@ def _canonical_edge(u: Vertex, w: Vertex):
 
 def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     """b(gamma): signed indicator of the geodesic from v to gamma v."""
-    path = geodesic(BASE, act(gamma, BASE, spec))
+    path = geodesic(BASE, vertex_of(gamma, spec))
     d: dict = {}
     for u, w in zip(path, path[1:]):
         edge, sign = _canonical_edge(u, w)
@@ -99,7 +99,6 @@ def translate_cocycle(gamma, cv: CocycleVector,
 
 def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:
     """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d)."""
-    from .words import nf_multiply
     g = britton_reduce(gamma, spec)
     d = britton_reduce(delta, spec)
     lhs = cocycle(nf_multiply(g, d, spec), spec)
@@ -144,8 +143,12 @@ def _gram_report(kernel: str, s: float, elements, dist_matrix) -> GramReport:
     return GramReport(kernel, s, [str(nf) for nf in elements], m, min_eig, tol)
 
 
-def _require_distinct(elements) -> list:
+def _check_sample(elements, s: float) -> list:
+    if s <= 0:
+        raise ValueError("kernel parameter s must be positive")
     elements = list(elements)
+    if not elements:
+        raise ValueError("an empty sample has no Gram report")
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate elements make the Gram report ill-posed")
     return elements
@@ -153,10 +156,8 @@ def _require_distinct(elements) -> list:
 
 def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for K_ij = exp(-s d(g_i v, g_j v)) on the tree."""
-    if s <= 0:
-        raise ValueError("kernel parameter s must be positive")
-    elements = _require_distinct(elements)
-    verts = [act(nf, BASE, spec) for nf in elements]
+    elements = _check_sample(elements, s)
+    verts = [vertex_of(nf, spec) for nf in elements]
     dm = [[distance(u, w) for w in verts] for u in verts]
     return _gram_report("tree", s, elements, dm)
 
@@ -203,8 +204,15 @@ def hyperbolic_orbit(e: AffineElement, spec: GroupSpec) -> HyperbolicPoint:
         raise UnsupportedWitnessError(
             "half-plane orbit needs n = 1 and lambda > 0; "
             "use the profile-only tools instead")
-    lam = spec.lam_scalar
-    return HyperbolicPoint(float(e.a[0]), float(lam ** e.k))
+    try:
+        x, y = float(e.a[0]), float(spec.lam_scalar ** e.k)
+    except OverflowError:
+        y = 0.0
+    if y == 0.0:
+        raise OverflowError(
+            f"the half-plane point at height k = {e.k} is outside the "
+            "float range")
+    return HyperbolicPoint(x, y)
 
 
 def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
@@ -215,17 +223,27 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
 # ---------------------------------------------------------------------------
 # Combined witness
 
-def affine_displacement(e: AffineElement, spec: GroupSpec) -> float:
-    """Displacement of the affine coordinate under the active regime."""
+def affine_distances(rows, cols, spec: GroupSpec) -> list:
+    """Distances between two lists of affine images, as a matrix, under
+    the active regime; each image is mapped to the half-plane once."""
     regime = witness_regime(spec)
     if regime == HYPERBOLIC:
-        return hyperbolic_distance(HyperbolicPoint(0.0, 1.0),
-                                   hyperbolic_orbit(e, spec))
+        ps = [hyperbolic_orbit(e, spec) for e in rows]
+        qs = [hyperbolic_orbit(f, spec) for f in cols]
+        return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
     if regime == ISOMETRIC:
-        return float(abs(e.k) + sum(abs(x) for x in e.a))
+        return [[float(abs(e.k - f.k)
+                       + sum(abs(x - y) for x, y in zip(e.a, f.a)))
+                 for f in cols] for e in rows]
     raise UnsupportedWitnessError(
         f"no explicit affine witness for this datum ({spec!r}); "
         "tree_gram and properness profiles remain available")
+
+
+def affine_displacement(e: AffineElement, spec: GroupSpec) -> float:
+    """Displacement of the affine coordinate: its distance from the
+    identity's image, whose half-plane point is exactly (0, 1)."""
+    return affine_distances([aff_identity(spec.n)], [e], spec)[0][0]
 
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:
@@ -236,29 +254,14 @@ def witness(gamma, s: float, spec: GroupSpec) -> float:
                                                        spec)))
 
 
-def _pairwise_displacement(elements, spec: GroupSpec):
-    regime = witness_regime(spec)
-    affs = [j_affine(nf, spec) for nf in elements]
-    if regime == HYPERBOLIC:
-        pts = [hyperbolic_orbit(e, spec) for e in affs]
-        return [[hyperbolic_distance(p, q) for q in pts] for p in pts]
-    if regime == ISOMETRIC:
-        return [[float(abs(e.k - f.k)
-                       + sum(abs(x - y) for x, y in zip(e.a, f.a)))
-                 for f in affs] for e in affs]
-    raise UnsupportedWitnessError(
-        "no explicit affine witness for this datum; profile-only")
-
-
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
-    if s <= 0:
-        raise ValueError("kernel parameter s must be positive")
-    elements = _require_distinct(elements)
-    verts = [act(nf, BASE, spec) for nf in elements]
-    aff = _pairwise_displacement(elements, spec)
-    dm = [[distance(verts[i], verts[j]) + aff[i][j]
-           for j in range(len(elements))] for i in range(len(elements))]
+    elements = _check_sample(elements, s)
+    verts = [vertex_of(nf, spec) for nf in elements]
+    affs = [j_affine(nf, spec) for nf in elements]
+    aff = affine_distances(affs, affs, spec)
+    dm = [[distance(u, w) + a for w, a in zip(verts, row)]
+          for u, row in zip(verts, aff)]
     return _gram_report("witness", s, elements, dm)
 
 
@@ -268,7 +271,6 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     The maxima trending to zero is the desk-scale shadow of the witness
     being a C0 function.
     """
-    from .embedding import enumerate_ball
     if ball is None:
         ball = enumerate_ball(lmax, spec)
     rows = []

@@ -92,7 +92,7 @@ def spec_from_dict(data: dict) -> GroupSpec:
         n = int(data["n"])
         A = IntMatrix.from_rows(data["A"])
         B = IntMatrix.from_rows(data["B"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad group file: {exc}") from exc
     if A.n != n:
         raise ConfigurationError(

@@ -12,22 +12,50 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .arith import IntVector
+from .arith import ConfigurationError
 from .presentation import GroupSpec
-from .words import NormalForm, T, Word, X, britton_reduce
+from .words import T, Word, X, _render_x, britton_reduce
 
 
 class ResourceBoundError(RuntimeError):
     """Requested radius exceeds the configured resource bound."""
 
 
-DEFAULT_MAX_RADIUS = 12
+def bfs_spheres(root, radius: int, step, max_radius: int | None,
+                default: int) -> list:
+    """Spheres 0..radius of the breadth-first search from ``root``.
 
-
-def max_ball_bound(default: int = DEFAULT_MAX_RADIUS) -> int:
-    """Resource bound for ball enumeration; BSK_MAX_BALL overrides."""
-    env = os.environ.get("BSK_MAX_BALL")
-    return int(env) if env else default
+    ``step(u)`` lists the successors of u.  Each sphere holds the nodes
+    first reached at that depth, deduplicated against every node seen so
+    far and sorted by ``str``.  The radius is bounded by ``max_radius`` if
+    given, else by the environment variable BSK_MAX_BALL, else by
+    ``default``; a larger radius raises ResourceBoundError.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    bound = max_radius
+    if bound is None:
+        env = os.environ.get("BSK_MAX_BALL")
+        try:
+            bound = int(env) if env else default
+        except ValueError:
+            raise ConfigurationError(
+                f"BSK_MAX_BALL must be an integer, got {env!r}") from None
+    if radius > bound:
+        raise ResourceBoundError(
+            f"radius {radius} exceeds bound {bound} (set BSK_MAX_BALL)")
+    seen = {root}
+    spheres = [[root]]
+    for _ in range(radius):
+        nxt = []
+        for u in spheres[-1]:
+            for w in step(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        nxt.sort(key=str)
+        spheres.append(nxt)
+    return spheres
 
 
 @dataclass(frozen=True)
@@ -56,14 +84,8 @@ class Vertex:
         parts = []
         for eps, r in self.syllables:
             t = "t" if eps == 1 else "t^-1"
-            parts.append(f"{_render_r(r)}·{t}" if any(r) else t)
+            parts.append(f"{_render_x(r)}·{t}" if any(r) else t)
         return " | ".join(parts)
-
-
-def _render_r(r: IntVector) -> str:
-    if len(r) == 1:
-        return f"x^{r[0]}"
-    return "v[" + ",".join(map(str, r)) + "]"
 
 
 BASE = Vertex(())
@@ -104,10 +126,10 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     """
     base = u.coset_word()
     out = []
-    for r in spec.residues_a.representatives:
+    for r in spec.residues_a:
         tail: Word = [X(r)] if any(r) else []
         out.append(vertex_of(base + tail + [T(1)], spec))
-    for r in spec.residues_b.representatives:
+    for r in spec.residues_b:
         tail = [X(r)] if any(r) else []
         out.append(vertex_of(base + tail + [T(-1)], spec))
     return out
@@ -138,26 +160,9 @@ def geodesic(u: Vertex, w: Vertex) -> EdgePath:
 def ball(center: Vertex, radius: int, spec: GroupSpec, *,
          max_radius: int | None = None) -> list:
     """All vertices within the given radius, BFS order, sorted per level."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    bound = max_radius if max_radius is not None else max_ball_bound()
-    if radius > bound:
-        raise ResourceBoundError(
-            f"radius {radius} exceeds bound {bound} (set BSK_MAX_BALL)")
-    seen = {center}
-    frontier = [center]
-    out = [center]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in neighbors(u, spec):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        nxt.sort(key=str)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    spheres = bfs_spheres(center, radius, lambda u: neighbors(u, spec),
+                          max_radius, default=12)
+    return [u for sphere in spheres for u in sphere]
 
 
 def tree_edges(vertices) -> list:

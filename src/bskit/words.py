@@ -39,7 +39,6 @@ class T:
     eps: int
 
 
-Letter = object  # X | T
 Word = list      # list of letters
 
 
@@ -241,13 +240,7 @@ def nf_multiply(u: NormalForm, w: NormalForm, spec: GroupSpec) -> NormalForm:
 
 
 def nf_invert(u: NormalForm, spec: GroupSpec) -> NormalForm:
-    b = _Builder(spec)
-    for letter in reversed(u.letters()):
-        if isinstance(letter, X):
-            b.push_x(vec_neg(letter.z))
-        else:
-            b.push_t(-letter.eps)
-    return b.normal_form()
+    return britton_reduce(invert_letters(u.letters()), spec)
 
 
 def invert_letters(w: Word) -> Word:

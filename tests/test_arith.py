@@ -2,19 +2,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bskit.arith import (ConfigurationError, IntMatrix, Lattice, column_hnf,
-                         in_lattice, lattice_decompose, mat_apply,
-                         mat_apply_rational, rat_inverse, residues, vec_sub)
+                         rat_apply, rat_inverse, vec_sub)
 
 M22 = IntMatrix.from_rows([[2, 1], [0, 2]])
 
 
 def brute_force_decompose(z, M, box=12):
     """Oracle: search all h in a box for z - M h among the canonical reps."""
-    reps = set(residues(M).representatives)
+    reps = set(Lattice(M).residues())
     hits = []
     for h in itertools.product(range(-box, box + 1), repeat=M.n):
         r = vec_sub(z, M.apply(h))
@@ -24,16 +23,16 @@ def brute_force_decompose(z, M, box=12):
 
 
 def test_decompose_zero_scalar():
-    assert lattice_decompose((0,), IntMatrix.scalar(2)) == ((0,), (0,))
+    assert Lattice(IntMatrix.scalar(2)).decompose((0,)) == ((0,), (0,))
 
 
 def test_decompose_four_mod_two():
-    assert lattice_decompose((4,), IntMatrix.scalar(2)) == ((0,), (2,))
+    assert Lattice(IntMatrix.scalar(2)).decompose((4,)) == ((0,), (2,))
 
 
 def test_decompose_2d_matches_brute_force():
     z = (5, 3)
-    r, h = lattice_decompose(z, M22)
+    r, h = Lattice(M22).decompose(z)
     hits = brute_force_decompose(z, M22)
     assert hits == [(r, h)]  # unique and identical
     # z = M h + r componentwise: 5 - r1 = 2 h1 + h2, 3 - r2 = 2 h2
@@ -42,21 +41,21 @@ def test_decompose_2d_matches_brute_force():
 
 
 def test_in_lattice_examples():
-    assert in_lattice((4, 0), M22)
+    assert Lattice(M22).contains((4, 0))
     assert Lattice(M22).solve((4, 0)) == (2, 0)
-    assert not in_lattice((1,), IntMatrix.scalar(3))
-    assert in_lattice((0, 0), M22)
+    assert not Lattice(IntMatrix.scalar(3)).contains((1,))
+    assert Lattice(M22).contains((0, 0))
 
 
 def test_residues_scalar():
-    assert residues(IntMatrix.scalar(3)).representatives == ((0,), (1,), (2,))
-    assert residues(IntMatrix.scalar(2)).representatives == ((0,), (1,))
+    assert Lattice(IntMatrix.scalar(3)).residues() == ((0,), (1,), (2,))
+    assert Lattice(IntMatrix.scalar(2)).residues() == ((0,), (1,))
     # negative entry: the lattice mZ = |m|Z
-    assert residues(IntMatrix.scalar(-3)).representatives == ((0,), (1,), (2,))
+    assert Lattice(IntMatrix.scalar(-3)).residues() == ((0,), (1,), (2,))
 
 
 def test_residues_2d_count_and_distinctness():
-    reps = residues(M22).representatives
+    reps = Lattice(M22).residues()
     assert len(reps) == 4 == abs(M22.det)
     assert reps[0] == (0, 0)
     lat = Lattice(M22)
@@ -65,23 +64,23 @@ def test_residues_2d_count_and_distinctness():
 
 
 def test_mat_apply_examples():
-    assert mat_apply(IntMatrix.scalar(2), (3,)) == (6,)
-    assert mat_apply(M22, (1, 1)) == (3, 2)
+    assert IntMatrix.scalar(2).apply((3,)) == (6,)
+    assert M22.apply((1, 1)) == (3, 2)
     inv3 = rat_inverse(IntMatrix.scalar(3))
-    assert mat_apply_rational(inv3, (2,)) == (Fraction(2, 3),)
+    assert rat_apply(inv3, (2,)) == (Fraction(2, 3),)
 
 
 def test_singular_matrix_rejected():
     sing = IntMatrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(ConfigurationError):
-        lattice_decompose((1, 1), sing)
+        Lattice(sing)
     with pytest.raises(ConfigurationError):
         rat_inverse(sing)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        mat_apply(M22, (1,))
+        M22.apply((1,))
     with pytest.raises(ConfigurationError):
         IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
@@ -111,15 +110,45 @@ def nonsingular_2x2():
 @given(st.tuples(small_int, small_int), nonsingular_2x2())
 @settings(max_examples=120, deadline=None)
 def test_decompose_reconstructs_exactly(z, M):
-    r, h = lattice_decompose(z, M)
+    lat = Lattice(M)
+    r, h = lat.decompose(z)
     assert vec_sub(z, M.apply(h)) == r
     # r is among the canonical representatives and is idempotent
-    assert r in residues(M).representatives
-    assert lattice_decompose(r, M) == (r, (0, 0))
+    assert r in lat.residues()
+    assert lat.decompose(r) == (r, (0, 0))
 
 
 @given(st.tuples(small_int, small_int), nonsingular_2x2())
 @settings(max_examples=60, deadline=None)
 def test_rational_inverse_roundtrip(z, M):
-    back = mat_apply_rational(rat_inverse(M), M.apply(z))
+    back = rat_apply(rat_inverse(M), M.apply(z))
     assert back == tuple(Fraction(c) for c in z)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    nonzero = entry.filter(lambda m: m != 0)
+    M = draw(st.one_of(nonzero.map(IntMatrix.scalar), nonsingular_2x2()))
+    return M, draw(st.tuples(*[small_int] * M.n))
+
+
+NEG_DET = IntMatrix.from_rows([[1, 1], [1, -1]])
+
+
+@given(matrix_and_vector())
+@example((IntMatrix.scalar(-3), (-6,)))
+@example((IntMatrix.scalar(-3), (7,)))
+@example((NEG_DET, (3, 1)))
+@example((NEG_DET, (1, 0)))
+@settings(max_examples=200, deadline=None)
+def test_solve_and_decompose_match_rational_reference(case):
+    M, z = case
+    lat = Lattice(M)
+    exact = rat_apply(rat_inverse(M), z)
+    if all(x.denominator == 1 for x in exact):
+        assert lat.solve(z) == tuple(int(x) for x in exact)
+    else:
+        assert lat.solve(z) is None
+    r, h = lat.decompose(z)
+    assert rat_apply(rat_inverse(M), vec_sub(z, r)) == h
+    assert r in lat.residues()

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -144,12 +146,40 @@ def test_usage_errors_exit_2(runner, tmp_path):
     both = runner.invoke(main, ["--bs", "2", "3", "--spec", str(path),
                                 "reduce", "t"])
     assert both.exit_code == 2
+    for bad in ({"n": "x", "A": [[1]], "B": [[1]]},
+                {"n": 1, "A": [["a"]], "B": [[1]]}):
+        path.write_text(json.dumps(bad))
+        result = runner.invoke(main, ["--spec", str(path), "reduce", "t"])
+        assert result.exit_code == 2 and "bad group file" in result.output
+    empty = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "2",
+                                 "--size", "0"])
+    assert empty.exit_code == 2 and "empty sample" in empty.output
 
 
 def test_resource_bound_exit_2(runner, monkeypatch):
     monkeypatch.setenv("BSK_MAX_BALL", "3")
     result = runner.invoke(main, ["--bs", "2", "3", "ball", "-R", "5"])
     assert result.exit_code == 2
+
+
+def test_numeric_range_exit_2(runner):
+    for word in ("t^1100", "t^-1100"):
+        result = runner.invoke(main, ["--bs", "1", "2", "witness", word])
+        assert result.exit_code == 2
+        assert "numeric range exceeded" in result.output
+        assert "Usage" not in result.output
+
+
+def test_readme_commands_match_cli():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = set()
+    for line in readme.read_text().splitlines():
+        if line.startswith("bsk "):
+            args = shlex.split(line, comments=True)[1:]
+            while args[0] in ("--bs", "--spec"):
+                args = args[3 if args[0] == "--bs" else 2:]
+            documented.add(args[0])
+    assert documented == set(main.commands)
 
 
 def test_unsupported_witness_exit_2(runner, tmp_path):

@@ -48,6 +48,7 @@ def test_ball_strictly_increasing(bs23, bs12):
 def test_ball_closed_under_inversion(bs23):
     b = enumerate_ball(4, bs23)
     elems = set(b.elements)
+    assert len({str(nf) for nf in elems}) == len(b)  # names are distinct
     for nf in elems:
         assert nf_invert(nf, bs23) in elems
 
@@ -55,14 +56,6 @@ def test_ball_closed_under_inversion(bs23):
 def test_ball_resource_bound(bs23):
     with pytest.raises(ResourceBoundError):
         enumerate_ball(5, bs23, max_length=4)
-
-
-def test_ball_index(bs23):
-    b = enumerate_ball(2, bs23)
-    idx = b.index
-    assert len(idx) == len(b)
-    for name, nf in idx.items():
-        assert str(nf) == name
 
 
 def test_injectivity_examples(bs23):

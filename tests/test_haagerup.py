@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from bskit.affine import AffineElement, aff_compose, j_affine
+from bskit.affine import AffineElement, aff_compose, aff_identity, j_affine
+from bskit.embedding import enumerate_ball
 from bskit.haagerup import (HyperbolicPoint, UnsupportedWitnessError,
-                            affine_displacement, c0_profile, c0_profile_csv,
+                            affine_displacement, affine_distances,
+                            c0_profile, c0_profile_csv,
                             cocycle, cocycle_identity_check,
                             hyperbolic_distance, hyperbolic_orbit, tree_gram,
                             translate_cocycle, witness, witness_gram,
                             witness_regime)
+from bskit.presentation import make_bs
 from bskit.tree import BASE, act, distance
 from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
 
@@ -106,6 +109,10 @@ def test_tree_gram_rejects_duplicates(bs23):
         tree_gram([nf("t", bs23), nf("t", bs23)], 1.0, bs23)
     with pytest.raises(ValueError):
         tree_gram([nf("t", bs23)], -1.0, bs23)
+    with pytest.raises(ValueError, match="empty"):
+        tree_gram([], 1.0, bs23)
+    with pytest.raises(ValueError, match="empty"):
+        witness_gram([], 1.0, make_bs(1, 2))
 
 
 def test_gram_report_json(bs23):
@@ -219,10 +226,31 @@ def test_witness_gram_isometric_regime():
 
 
 def test_isometric_displacement_value():
-    from bskit.presentation import make_bs
     spec = make_bs(2, -2)
     aff = j_affine(parse_word("t x", spec), spec)
     assert affine_displacement(aff, spec) == abs(aff.k) + abs(float(aff.a[0]))
+
+
+def test_displacement_is_distance_from_identity(bs12):
+    base = HyperbolicPoint(0.0, 1.0)
+    for spec in (bs12, make_bs(2, -2)):
+        one = aff_identity(1)
+        for g in enumerate_ball(4, spec).elements:
+            e = j_affine(g, spec)
+            d = affine_displacement(e, spec)
+            assert d == affine_distances([one], [e], spec)[0][0]
+            assert d == affine_distances([e], [one], spec)[0][0]
+            if spec is bs12:
+                assert d == hyperbolic_distance(base, hyperbolic_orbit(e, spec))
+            else:
+                assert d == float(abs(e.k) + sum(abs(x) for x in e.a))
+
+
+def test_witness_at_huge_heights_is_a_range_error(bs12):
+    # lambda^k leaves the float range: 2^-1100 underflows, 2^1100 overflows
+    for text, k in (("t^1100", "1100"), ("t^-1100", "-1100")):
+        with pytest.raises(OverflowError, match=f"k = {k} "):
+            witness(nf(text, bs12), 1.0, bs12)
 
 
 def test_c0_profile_decreasing(bs12, bs12_ball10):

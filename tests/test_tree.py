@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from bskit.arith import ConfigurationError
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
                         edges_csv, geodesic, neighbors, to_dot, tree_edges,
                         vertex_of)
@@ -106,9 +107,12 @@ def test_act_is_homomorphism(bs23, bs23_ball6):
         assert act(gd, u, bs23) == act(g, act(d, u, bs23), bs23)
 
 
-def test_stabilizer_law(bs23, bs23_ball6):
+def test_stabilizer_law(bs23, bs23_ball6, asc2, asc2_ball5):
     for nf in bs23_ball6.elements:
         assert (act(nf, BASE, bs23) == BASE) == (nf.t_length == 0)
+    for spec, b in ((bs23, bs23_ball6), (asc2, asc2_ball5)):
+        for nf in b.elements:
+            assert vertex_of(nf, spec) == act(nf, BASE, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,9 @@ def test_ball_respects_env_bound(bs23, monkeypatch):
     with pytest.raises(ResourceBoundError):
         ball(BASE, 4, bs23)
     assert len(ball(BASE, 3, bs23)) > 0
+    monkeypatch.setenv("BSK_MAX_BALL", "three")
+    with pytest.raises(ConfigurationError, match="BSK_MAX_BALL"):
+        ball(BASE, 1, bs23)
 
 
 def test_edge_transitivity_witness(bs23):
