@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import QVector, rat_apply
 from .presentation import GroupSpec
@@ -51,21 +52,27 @@ def aff_invert(e: AffineElement, spec: GroupSpec) -> AffineElement:
 
 
 def j_affine(w, spec: GroupSpec) -> AffineElement:
-    """Image of a word: identity on x-letters' lattice, t to the Z-generator.
+    """Image of a word or normal form: x^z -> (0, z), t^eps -> (eps, 0).
 
-    Folds x^z -> (0, z) and t^eps -> (eps, 0) through the composition law,
-    left to right, tracking the running height so each letter costs one
-    memoized Lambda-power application.
+    Folds right to left, (k, a) <- j(letter) (k, a), fraction-free: a is
+    kept as an integer vector num over one integer den.  An x-power adds
+    den z; t^{+-1} applies the integer matrix of Lambda^{+-1} = M/d and
+    multiplies den by d.  One Fraction per coordinate is built at the end.
     """
-    letters = w.letters() if isinstance(w, NormalForm) else w
-    k = 0
-    a = [Fraction(0)] * spec.n
-    for letter in letters:
-        if isinstance(letter, X):
-            lam_k = spec.lam_pow(k)
-            shift = rat_apply(lam_k, letter.z)
-            for i in range(spec.n):
-                a[i] += shift[i]
-        else:
-            k += letter.eps
-    return AffineElement(k, tuple(a))
+    if isinstance(w, NormalForm):
+        steps, head = w.syllables, w.head
+    else:  # a raw word: each letter is a step (eps, z) with one part trivial
+        head = (0,) * spec.n
+        steps = [(0, l.z) if isinstance(l, X) else (l.eps, head) for l in w]
+    lam_int = spec.lam_int
+    k, den = 0, 1
+    num = [0] * spec.n
+    for eps, z in reversed(steps):
+        num = [c + den * x for c, x in zip(num, z)]
+        if eps:
+            M, d = lam_int[eps]
+            num = [sum(map(mul, r, num)) for r in M.rows]
+            den *= d
+            k += eps
+    return AffineElement(k, tuple(Fraction(c + den * x, den)
+                                  for c, x in zip(num, head)))

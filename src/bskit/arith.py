@@ -47,7 +47,11 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
+        for x in itertools.chain.from_iterable(rows):
+            if type(x) is not int:  # no float, str or bool entries
+                raise ConfigurationError(
+                    f"matrix entry is not an integer: {x!r}")
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ConfigurationError(f"matrix is not square: {rows!r}")
@@ -55,7 +59,7 @@ class IntMatrix:
 
     @staticmethod
     def scalar(m: int) -> "IntMatrix":
-        return IntMatrix(((int(m),),))
+        return IntMatrix.from_rows(((m,),))
 
     @property
     def n(self) -> int:
@@ -103,6 +107,11 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(n))
                                for i in range(n)))
 
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        cols = tuple(zip(*other.rows))
+        return IntMatrix(tuple(tuple(sum(map(operator.mul, r, c))
+                                     for c in cols) for r in self.rows))
+
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]"
                                for r in self.rows) + "]"
@@ -110,10 +119,6 @@ class IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Rational matrices (tuples of Fraction rows)
-
-def rat_rows(M: IntMatrix) -> QMatrix:
-    return tuple(tuple(Fraction(x) for x in r) for r in M.rows)
-
 
 def rat_identity(n: int) -> QMatrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n))
@@ -131,25 +136,6 @@ def rat_apply(P: QMatrix, a) -> QVector:
     if len(a) != len(P):
         raise ConfigurationError("dimension mismatch in rational apply")
     return tuple(sum(r[j] * a[j] for j in range(len(r))) for r in P)
-
-
-def rat_inverse(M: IntMatrix) -> QMatrix:
-    """Exact inverse of a nonsingular integer matrix, by Gauss-Jordan."""
-    n = M.n
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(M.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ConfigurationError(f"singular matrix: {M}")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 # ---------------------------------------------------------------------------

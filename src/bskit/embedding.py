@@ -9,7 +9,6 @@ in for metric properness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .affine import j_affine
@@ -156,9 +155,9 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
         for nf in sphere:
             d_tree = nf.t_length
             aff = j_affine(nf, spec)
-            sup = max((abs(x) for x in aff.a), default=Fraction(0))
+            sup = max((abs(x) for x in aff.a), default=0)
             for r in r_grid:
-                if d_tree <= r and abs(aff.k) <= r and sup <= Fraction(r):
+                if d_tree <= r and abs(aff.k) <= r and sup <= r:
                     running[r] += 1
         for r in r_grid:
             counts[r].append(running[r])

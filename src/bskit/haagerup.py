@@ -16,8 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .affine import AffineElement, aff_identity, j_affine
 from .presentation import GroupSpec
 from .embedding import enumerate_ball
@@ -137,6 +135,7 @@ class GramReport:
 
 
 def _gram_report(kernel: str, s: float, elements, dist_matrix) -> GramReport:
+    import numpy as np  # only Gram reports need it; keeps `bsk` start-up fast
     m = np.exp(-s * np.asarray(dist_matrix, dtype=float))
     min_eig = float(np.linalg.eigvalsh(m)[0])
     tol = 1e-8 * len(elements)
@@ -275,18 +274,20 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
         ball = enumerate_ball(lmax, spec)
     rows = []
     for L, sphere in enumerate(ball.spheres):
-        best, best_nf = None, None
-        for nf in sphere:
-            val = witness(nf, s, spec)
-            if best is None or val > best:
-                best, best_nf = val, nf
-        rows.append((L, best, str(best_nf) if best_nf is not None else ""))
+        # one regime dispatch and one identity orbit per sphere (never
+        # empty: t^L has length L); each value is the float witness(nf, s,
+        # spec) gives, and the first maximum wins
+        dists = affine_distances([aff_identity(spec.n)],
+                                 [j_affine(nf, spec) for nf in sphere], spec)
+        vals = [math.exp(-s * (nf.t_length + d))
+                for nf, d in zip(sphere, dists[0])]
+        i = max(range(len(vals)), key=vals.__getitem__)
+        rows.append((L, vals[i], str(sphere[i])))
     return rows
 
 
 def c0_profile_csv(rows) -> str:
     lines = ["L,max_witness,argmax"]
     for L, val, name in rows:
-        v = "" if val is None else format(val, ".12g")
-        lines.append(f'{L},{v},"{name}"')
+        lines.append(f'{L},{val:.12g},"{name}"')
     return "\n".join(lines) + "\n"

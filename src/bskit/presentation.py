@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import (ConfigurationError, IntMatrix, Lattice, rat_identity,
-                    rat_inverse, rat_mul, rat_rows)
+                    rat_mul)
 
 
 class GroupSpec:
@@ -40,9 +40,14 @@ class GroupSpec:
         self.lattice_b = Lattice(B)
         self.residues_a = self.lattice_a.residues()
         self.residues_b = self.lattice_b.residues()
-        # Lambda = A B^-1 generates the Z-action on the rational span.
-        self.lam = rat_mul(rat_rows(A), rat_inverse(B))
-        self.lam_inv = rat_mul(rat_rows(B), rat_inverse(A))
+        # Lambda = A B^-1 generates the Z-action on the rational span.  As
+        # integer pairs: Lambda = M/d with M = A adj B, d = det B, and
+        # Lambda^-1 = M'/d' with M' = B adj A, d' = det A.
+        self.lam_int = {1: (A @ self.lattice_b.adjugate, self.lattice_b.det),
+                        -1: (B @ self.lattice_a.adjugate, self.lattice_a.det)}
+        self.lam, self.lam_inv = (
+            tuple(tuple(Fraction(x, d) for x in r) for r in M.rows)
+            for M, d in (self.lam_int[1], self.lam_int[-1]))
         self._lam_pows = {0: rat_identity(self.n),
                           1: self.lam, -1: self.lam_inv}
 
@@ -89,7 +94,9 @@ def make_matrix_group(A, B) -> GroupSpec:
 def spec_from_dict(data: dict) -> GroupSpec:
     """Build a GroupSpec from the {"n": ..., "A": ..., "B": ...} schema."""
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise ConfigurationError(f"n is not an integer: {n!r}")
         A = IntMatrix.from_rows(data["A"])
         B = IntMatrix.from_rows(data["B"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from bskit.affine import (AffineElement, aff_compose, aff_identity,
                           aff_invert, j_affine)
+from bskit.presentation import make_bs, make_matrix_group
 from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)
 
 
@@ -114,5 +118,52 @@ def test_denominators_divide_det_power(bs23, bs23_ball6):
             assert d == 1
 
 
+def test_image_at_large_height_is_exact(bs23):
+    # the fold keeps no Lambda^k table, so a height of 3000 needs no
+    # 3000-deep chain of powers
+    for text, k in (("t^3000 x", 3000), ("t^-3000 x", -3000)):
+        aff = j_affine(w(text, bs23), bs23)
+        assert aff == AffineElement(k, (Fraction(2, 3) ** k,))
+
+
 def test_rendering(bs23):
     assert str(j_affine(w("t x t", bs23), bs23)) == "(2; 2/3)"
+
+
+# Data for the differential test of the fraction-free fold: n = 1 with
+# lambda = 2/3, -1 and -1 (det B < 0), the non-ascending Z^2 datum with
+# det B = -2, and a non-commuting n = 3 datum with det A = -3, det B = 7.
+FOLD_DATA = {
+    "bs23": make_bs(2, 3),
+    "bs2m2": make_bs(2, -2),
+    "bs1m1": make_bs(1, -1),
+    "z2_nonasc": make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
+    "z3": make_matrix_group([[1, 1, 0], [0, 1, 1], [1, 0, -4]],
+                            [[2, 0, 1], [1, 1, 0], [0, 1, 3]]),
+}
+
+
+@st.composite
+def spec_and_word(draw):
+    """A datum and a raw word: single letters mixed with t^+-200 runs."""
+    spec = FOLD_DATA[draw(st.sampled_from(sorted(FOLD_DATA)))]
+    x = (st.tuples(*[st.integers(-5, 5)] * spec.n).filter(any)
+         .map(lambda z: [X(z)]))
+    t = st.sampled_from([[T(1)], [T(-1)]])
+    run = st.sampled_from([[T(1)] * 200, [T(-1)] * 200])
+    # single letters four times as likely as runs
+    pieces = draw(st.lists(st.one_of(x, t, x, t, run), max_size=14))
+    return spec, [letter for piece in pieces for letter in piece]
+
+
+@given(spec_and_word())
+@example((FOLD_DATA["bs23"], [T(1)] * 200 + [X((1,))] + [T(-1)] * 200))
+@example((FOLD_DATA["z3"], [T(-1)] * 200 + [X((1, 0, -1))] + [T(1)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_fold_matches_compose_fold(case):
+    spec, word = case
+    nf = britton_reduce(word, spec)
+    image = j_affine(word, spec)
+    assert image == j_affine_right_fold(word, spec)
+    assert image == j_affine(nf, spec)
+    assert j_affine(nf, spec) == j_affine_right_fold(nf.letters(), spec)

@@ -6,9 +6,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bskit.arith import (ConfigurationError, IntMatrix, Lattice, column_hnf,
-                         rat_apply, rat_inverse, vec_sub)
+                         rat_apply, vec_sub)
 
 M22 = IntMatrix.from_rows([[2, 1], [0, 2]])
+
+
+def rat_inverse(M: IntMatrix):
+    """Reference: exact inverse of a nonsingular integer matrix by
+    Gauss-Jordan over Fraction, independent of the adjugate solve."""
+    n = M.n
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(M.rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ConfigurationError(f"singular matrix: {M}")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def brute_force_decompose(z, M, box=12):

@@ -1,10 +1,13 @@
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bskit
 from bskit.cli import main
 
 
@@ -146,14 +149,30 @@ def test_usage_errors_exit_2(runner, tmp_path):
     both = runner.invoke(main, ["--bs", "2", "3", "--spec", str(path),
                                 "reduce", "t"])
     assert both.exit_code == 2
+    # non-integer entries and dimensions are refused, not truncated
     for bad in ({"n": "x", "A": [[1]], "B": [[1]]},
-                {"n": 1, "A": [["a"]], "B": [[1]]}):
+                {"n": 1, "A": [["a"]], "B": [[1]]},
+                {"n": 1, "A": [[2.7]], "B": [[3]]},
+                {"n": 1, "A": [[True]], "B": [[3]]},
+                {"n": 1, "A": [[2]], "B": [["2"]]},
+                {"n": 1.5, "A": [[2]], "B": [[3]]},
+                {"n": "1", "A": [[2]], "B": [[3]]}):
         path.write_text(json.dumps(bad))
         result = runner.invoke(main, ["--spec", str(path), "reduce", "t"])
         assert result.exit_code == 2 and "bad group file" in result.output
     empty = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "2",
                                  "--size", "0"])
     assert empty.exit_code == 2 and "empty sample" in empty.output
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the first Gram report, not by start-up
+    src = str(Path(bskit.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bskit.cli; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_resource_bound_exit_2(runner, monkeypatch):

@@ -261,3 +261,26 @@ def test_c0_profile_decreasing(bs12, bs12_ball10):
         assert b < a
     csv = c0_profile_csv(rows)
     assert csv.splitlines()[0] == "L,max_witness,argmax"
+
+
+def test_c0_profile_matches_per_element_witness(bs12, bs23):
+    # the batched profile takes, per sphere, the maximum of the very
+    # floats witness() gives, and the first element attaining it
+    for spec, L in ((bs12, 8), (bs23, 5), (make_bs(1, -1), 6)):
+        ball = enumerate_ball(L, spec)
+        for s in (1.0, 0.3):
+            rows = c0_profile(L, s, spec, ball=ball)
+            assert len(rows) == L + 1
+            for i, ((row_L, best, name), sphere) in enumerate(
+                    zip(rows, ball.spheres)):
+                vals = [witness(g, s, spec) for g in sphere]
+                assert row_L == i and best == max(vals)
+                assert name == str(sphere[vals.index(max(vals))])
+
+
+def test_c0_profile_only_raises_like_witness(asc2):
+    with pytest.raises(UnsupportedWitnessError) as per_element:
+        witness(nf("t", asc2), 1.0, asc2)
+    with pytest.raises(UnsupportedWitnessError) as batched:
+        c0_profile(2, 1.0, asc2)
+    assert str(batched.value) == str(per_element.value)

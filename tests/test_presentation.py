@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bskit.arith import ConfigurationError, IntMatrix
+from bskit.arith import ConfigurationError, IntMatrix, rat_mul
 from bskit.presentation import (GroupSpec, make_bs, make_matrix_group,
                                 spec_from_dict)
 from bskit.tree import BASE, neighbors
@@ -59,6 +59,12 @@ def test_matrix_group_rejects_bad_input():
         make_matrix_group([[1, 2], [2, 4]], [[1, 0], [0, 1]])
     with pytest.raises(ConfigurationError):
         make_matrix_group([[2]], [[1, 0], [0, 1]])
+    # entries are integers, never truncated floats or bools
+    for A, B in (([[2.7]], [[3]]), ([[2]], [[True]])):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            make_matrix_group(A, B)
+    with pytest.raises(ConfigurationError, match="not an integer"):
+        make_bs(2.0, 3)
 
 
 def test_constructor_consistency():
@@ -82,6 +88,16 @@ def test_lam_pow_memoization_consistency():
     lam = spec.lam_scalar
     for k in range(-6, 7):
         assert spec.lam_pow(k)[0][0] == lam ** k
+
+
+def test_lambda_pairs_match_a_b_inverse():
+    # Lambda = A B^-1 and Lambda^-1 = B A^-1, built from integer pairs
+    for A, B in (([[2]], [[3]]), ([[1]], [[-1]]),
+                 ([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
+                 ([[3, 1], [1, 2]], [[-2, 1], [0, 1]])):
+        spec = make_matrix_group(A, B)
+        assert rat_mul(spec.lam, spec.B.rows) == spec.A.rows
+        assert rat_mul(spec.lam_inv, spec.A.rows) == spec.B.rows
 
 
 def test_stable_relation_under_reduction_and_affine():
