@@ -28,11 +28,11 @@ def zero_vector(n: int) -> IntVector:
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_neg(u):
@@ -89,11 +89,11 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def apply(self, z: IntVector) -> IntVector:
-        if len(z) != self.n:
+        if len(z) != len(self.rows):
             raise ConfigurationError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, "
                 f"vector has {len(z)} coordinates")
-        return tuple(sum(map(operator.mul, r, z)) for r in self.rows)
+        return tuple([sum(map(operator.mul, r, z)) for r in self.rows])
 
     def adjugate(self) -> "IntMatrix":
         """The integer matrix adj M = det M * M^-1, from cofactors."""
@@ -194,37 +194,35 @@ class Lattice:
         self.hnf = column_hnf(M)
         self.det = M.det
         self.adjugate = M.adjugate()
-
-    def reduce(self, z: IntVector) -> IntVector:
-        """Canonical representative of z modulo M Z^n."""
-        H = self.hnf.rows
-        r = list(z)
-        for i in range(self.n):
-            k = r[i] // H[i][i]
-            if k:
-                for j in range(i, self.n):
-                    r[j] -= k * H[j][i]
-        return tuple(r)
+        # the unimodular U with H = M U is adj(M) H / det M
+        self.unimodular = IntMatrix(tuple(
+            tuple(x // self.det for x in r)
+            for r in (self.adjugate @ self.hnf).rows))
+        assert M @ self.unimodular == self.hnf, "H is not M times an integer U"
 
     def solve(self, z: IntVector):
         """Integer h with M h = z, or None if z is outside the lattice."""
-        h = []
-        for v in self.adjugate.apply(z):
-            q, rem = divmod(v, self.det)
-            if rem:
-                return None
-            h.append(q)
-        return tuple(h)
+        qr = [divmod(v, self.det) for v in self.adjugate.apply(z)]
+        return None if any(r for _, r in qr) else tuple(q for q, _ in qr)
 
     def contains(self, z: IntVector) -> bool:
         return self.solve(z) is not None
 
     def decompose(self, z: IntVector):
-        """The unique (r, h) with z = M h + r and r canonical."""
-        r = self.reduce(z)
-        h = self.solve(vec_sub(z, r))
-        assert h is not None, "HNF reduction left a non-lattice remainder"
-        return r, h
+        """The unique (r, h) with z = M h + r and r canonical: one pass
+        of the pivot loop gives z = H k + r, and then h = U k."""
+        if len(z) != self.n:
+            raise ConfigurationError(f"dimension mismatch: {z} in Z^{self.n}")
+        H = self.hnf.rows
+        r = list(z)
+        k = []
+        for i in range(self.n):
+            q = r[i] // H[i][i]
+            if q:
+                for j in range(i, self.n):
+                    r[j] -= q * H[j][i]
+            k.append(q)
+        return tuple(r), self.unimodular.apply(k)
 
     def residues(self) -> tuple:
         """All |det M| canonical residues of Z^n mod M Z^n, zero first."""

@@ -243,12 +243,9 @@ def cocycle_check(ctx, length, pairs, seed):
     def go(spec):
         elements = enumerate_ball(length, spec).elements
         rng = random.Random(seed)
-        bad = 0
-        for _ in range(pairs):
-            g = rng.choice(elements)
-            d = rng.choice(elements)
-            if not cocycle_identity_check(g, d, spec):
-                bad += 1
+        bad = sum(not cocycle_identity_check(rng.choice(elements),
+                                             rng.choice(elements), spec)
+                  for _ in range(pairs))
         status = "OK" if bad == 0 else "FAIL"
         click.echo(f"{status}: {bad} violations / {pairs} pairs")
         return bad == 0

@@ -87,10 +87,13 @@ def translate_cocycle(gamma, cv: CocycleVector,
                       spec: GroupSpec) -> CocycleVector:
     """gamma . b: relabel each edge (u, w) to (gamma u, gamma w)."""
     gamma_nf = britton_reduce(gamma, spec)
+    # adjacent edges share endpoints: move each distinct vertex once
+    image = dict.fromkeys(u for edge, _ in cv.coefficients for u in edge)
+    for u in image:
+        image[u] = act(gamma_nf, u, spec)
     d: dict = {}
     for (u, w), c in cv.coefficients:
-        edge, sign = _canonical_edge(act(gamma_nf, u, spec),
-                                     act(gamma_nf, w, spec))
+        edge, sign = _canonical_edge(image[u], image[w])
         d[edge] = d.get(edge, 0) + sign * c
     return CocycleVector.from_dict(d)
 
@@ -199,19 +202,27 @@ def witness_regime(spec: GroupSpec) -> str:
 
 def hyperbolic_orbit(e: AffineElement, spec: GroupSpec) -> HyperbolicPoint:
     """Orbit of the base point (0, 1) under z -> lambda^k z + a."""
+    return _hyperbolic_orbits([e], spec)[0]
+
+
+def _hyperbolic_orbits(images, spec: GroupSpec) -> list:
+    """The half-plane points of several images, with one float lambda^k
+    per distinct height k (first-seen order names the failing height)."""
     if spec.n != 1 or spec.lam_scalar <= 0:
         raise UnsupportedWitnessError(
             "half-plane orbit needs n = 1 and lambda > 0; "
             "use the profile-only tools instead")
-    try:
-        x, y = float(e.a[0]), float(spec.lam_scalar ** e.k)
-    except OverflowError:
-        y = 0.0
-    if y == 0.0:
-        raise OverflowError(
-            f"the half-plane point at height k = {e.k} is outside the "
-            "float range")
-    return HyperbolicPoint(x, y)
+    ys = {}
+    for k in dict.fromkeys(e.k for e in images):
+        try:
+            ys[k] = float(spec.lam_scalar ** k)
+        except OverflowError:
+            ys[k] = 0.0
+        if ys[k] == 0.0:
+            raise OverflowError(
+                f"the half-plane point at height k = {k} is outside the "
+                "float range")
+    return [HyperbolicPoint(float(e.a[0]), ys[e.k]) for e in images]
 
 
 def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
@@ -227,8 +238,8 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
     the active regime; each image is mapped to the half-plane once."""
     regime = witness_regime(spec)
     if regime == HYPERBOLIC:
-        ps = [hyperbolic_orbit(e, spec) for e in rows]
-        qs = [hyperbolic_orbit(f, spec) for f in cols]
+        ps = _hyperbolic_orbits(rows, spec)
+        qs = _hyperbolic_orbits(cols, spec)
         return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
     if regime == ISOMETRIC:
         return [[float(abs(e.k - f.k)

@@ -53,12 +53,13 @@ class GroupSpec:
 
     def lam_pow(self, k: int):
         """Exact rational matrix Lambda^k, memoized per exponent."""
-        cached = self._lam_pows.get(k)
-        if cached is None:
-            step = self.lam if k > 0 else self.lam_inv
-            cached = rat_mul(self.lam_pow(k - (1 if k > 0 else -1)), step)
-            self._lam_pows[k] = cached
-        return cached
+        pows = self._lam_pows  # every exponent from 0 out to its extremes
+        sign, step = (1, self.lam) if k > 0 else (-1, self.lam_inv)
+        # fill iteratively from the nearest cached exponent out to k
+        start = next((j for j in range(k, 0, -sign) if j in pows), 0)
+        for j in range(start, k, sign):
+            pows[j + sign] = rat_mul(pows[j], step)
+        return pows[k]
 
     @property
     def lam_scalar(self) -> Fraction:

@@ -50,8 +50,9 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
         nxt = []
         for u in spheres[-1]:
             for w in step(u):
-                if w not in seen:
-                    seen.add(w)
+                size = len(seen)
+                seen.add(w)  # one hash per candidate: new iff the set grew
+                if len(seen) > size:
                     nxt.append(w)
         nxt.sort(key=str)
         spheres.append(nxt)
@@ -126,12 +127,10 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     """
     base = u.coset_word()
     out = []
-    for r in spec.residues_a:
-        tail: Word = [X(r)] if any(r) else []
-        out.append(vertex_of(base + tail + [T(1)], spec))
-    for r in spec.residues_b:
-        tail = [X(r)] if any(r) else []
-        out.append(vertex_of(base + tail + [T(-1)], spec))
+    for eps, residues in ((1, spec.residues_a), (-1, spec.residues_b)):
+        for r in residues:
+            tail: Word = [X(r)] if any(r) else []
+            out.append(vertex_of(base + tail + [T(eps)], spec))
     return out
 
 

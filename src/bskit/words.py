@@ -135,9 +135,8 @@ class NormalForm:
     def __str__(self) -> str:
         parts = [_render_x(self.head)] if any(self.head) else []
         for e, z in self.syllables:
-            parts.append("t" if e == 1 else "t^-1")
-            if any(z):
-                parts.append(_render_x(z))
+            t = "t" if e == 1 else "t^-1"
+            parts.append(f"{t} {_render_x(z)}" if any(z) else t)
         return " ".join(parts) if parts else "1"
 
 
@@ -155,50 +154,45 @@ class _Builder:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.head = zero_vector(spec.n)
-        self.syl = []  # list of [eps, z]
+        self.syl = []  # list of (eps, z)
 
     @classmethod
     def from_nf(cls, nf: NormalForm, spec: GroupSpec) -> "_Builder":
         b = cls(spec)
         b.head = nf.head
-        b.syl = [[e, z] for e, z in nf.syllables]
+        b.syl = list(nf.syllables)
         return b
 
     def push_x(self, z: IntVector) -> None:
-        if self.syl:
-            self.syl[-1][1] = vec_add(self.syl[-1][1], z)
+        syl = self.syl
+        if syl:
+            eps, tail = syl[-1]
+            syl[-1] = (eps, vec_add(tail, z))
         else:
             self.head = vec_add(self.head, z)
 
     def push_t(self, eps: int) -> None:
-        if self.syl:
-            last_eps, last_z = self.syl[-1]
-            if last_eps == 1 and eps == -1:
-                h = self.spec.lattice_b.solve(last_z)
-                if h is not None:  # t x^{Bh} t^-1 -> x^{Ah}
-                    self.syl.pop()
-                    self.push_x(self.spec.A.apply(h))
-                    return
-            elif last_eps == -1 and eps == 1:
-                h = self.spec.lattice_a.solve(last_z)
-                if h is not None:  # t^-1 x^{Ah} t -> x^{Bh}
-                    self.syl.pop()
-                    self.push_x(self.spec.B.apply(h))
-                    return
-        # no pinch: split the tail x-power around the new t,
+        # split the tail x-power around the new t:
         # x^g t = x^r t x^{Bh} (g = Ah + r), x^g t^-1 = x^r t^-1 x^{Ah}
-        tail = self.syl[-1][1] if self.syl else self.head
+        # (g = Bh + r).  After a t^-eps syllable, r = 0 is exactly the
+        # pinch t^-1 x^{Ah} t -> x^{Bh} resp. t x^{Bh} t^-1 -> x^{Ah}.
+        spec, syl = self.spec, self.syl
+        tail = syl[-1][1] if syl else self.head
         if eps == 1:
-            r, h = self.spec.lattice_a.decompose(tail)
-            carry = self.spec.B.apply(h)
+            r, h = spec.lattice_a.decompose(tail)
+            carry = spec.B.apply(h)
         else:
-            r, h = self.spec.lattice_b.decompose(tail)
-            carry = self.spec.A.apply(h)
-        if self.syl:
-            self.syl[-1][1] = r
-        else:
+            r, h = spec.lattice_b.decompose(tail)
+            carry = spec.A.apply(h)
+        if not syl:
             self.head = r
-        self.syl.append([eps, carry])
+        elif syl[-1][0] == -eps and not any(r):
+            syl.pop()
+            self.push_x(carry)
+            return
+        else:
+            syl[-1] = (syl[-1][0], r)
+        syl.append((eps, carry))
 
     def push_letter(self, letter) -> None:
         if isinstance(letter, X):
@@ -207,7 +201,7 @@ class _Builder:
             self.push_t(letter.eps)
 
     def normal_form(self) -> NormalForm:
-        return NormalForm(self.head, tuple((e, z) for e, z in self.syl))
+        return NormalForm(self.head, tuple(self.syl))
 
 
 def britton_reduce(w, spec: GroupSpec) -> NormalForm:

@@ -3,6 +3,18 @@ import pytest
 from bskit.embedding import enumerate_ball
 from bskit.presentation import make_bs, make_matrix_group
 
+# Data for the differential tests beyond one ascending datum: n = 1 with
+# lambda = 2/3, -1 and -1 (det B < 0), the non-ascending Z^2 datum with
+# det B = -2, and a non-commuting n = 3 datum with det A = -3, det B = 7.
+GENERAL_DATA = {
+    "bs23": make_bs(2, 3),
+    "bs2m2": make_bs(2, -2),
+    "bs1m1": make_bs(1, -1),
+    "z2_nonasc": make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
+    "z3": make_matrix_group([[1, 1, 0], [0, 1, 1], [1, 0, -4]],
+                            [[2, 0, 1], [1, 1, 0], [0, 1, 3]]),
+}
+
 
 @pytest.fixture(scope="session")
 def bs23():

@@ -4,9 +4,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import GENERAL_DATA
+
 from bskit.affine import (AffineElement, aff_compose, aff_identity,
                           aff_invert, j_affine)
-from bskit.presentation import make_bs, make_matrix_group
 from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)
 
 
@@ -126,27 +127,26 @@ def test_image_at_large_height_is_exact(bs23):
         assert aff == AffineElement(k, (Fraction(2, 3) ** k,))
 
 
+def test_compose_with_inverse_at_large_height(bs23):
+    # aff_invert reads Lambda^k from the memoized table, which is filled
+    # iteratively: a height of 1200 must not recurse 1200 frames deep
+    identity = aff_identity(1)
+    for text in ("t^1200 x", "t^-1200 x"):
+        e = j_affine(w(text, bs23), bs23)
+        assert aff_compose(e, aff_invert(e, bs23), bs23) == identity
+        assert aff_compose(aff_invert(e, bs23), e, bs23) == identity
+    assert bs23.lam_pow(1200)[0][0] == Fraction(2, 3) ** 1200
+    assert bs23.lam_pow(-1201)[0][0] == Fraction(3, 2) ** 1201
+
+
 def test_rendering(bs23):
     assert str(j_affine(w("t x t", bs23), bs23)) == "(2; 2/3)"
-
-
-# Data for the differential test of the fraction-free fold: n = 1 with
-# lambda = 2/3, -1 and -1 (det B < 0), the non-ascending Z^2 datum with
-# det B = -2, and a non-commuting n = 3 datum with det A = -3, det B = 7.
-FOLD_DATA = {
-    "bs23": make_bs(2, 3),
-    "bs2m2": make_bs(2, -2),
-    "bs1m1": make_bs(1, -1),
-    "z2_nonasc": make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
-    "z3": make_matrix_group([[1, 1, 0], [0, 1, 1], [1, 0, -4]],
-                            [[2, 0, 1], [1, 1, 0], [0, 1, 3]]),
-}
 
 
 @st.composite
 def spec_and_word(draw):
     """A datum and a raw word: single letters mixed with t^+-200 runs."""
-    spec = FOLD_DATA[draw(st.sampled_from(sorted(FOLD_DATA)))]
+    spec = GENERAL_DATA[draw(st.sampled_from(sorted(GENERAL_DATA)))]
     x = (st.tuples(*[st.integers(-5, 5)] * spec.n).filter(any)
          .map(lambda z: [X(z)]))
     t = st.sampled_from([[T(1)], [T(-1)]])
@@ -157,8 +157,8 @@ def spec_and_word(draw):
 
 
 @given(spec_and_word())
-@example((FOLD_DATA["bs23"], [T(1)] * 200 + [X((1,))] + [T(-1)] * 200))
-@example((FOLD_DATA["z3"], [T(-1)] * 200 + [X((1, 0, -1))] + [T(1)] * 3))
+@example((GENERAL_DATA["bs23"], [T(1)] * 200 + [X((1,))] + [T(-1)] * 200))
+@example((GENERAL_DATA["z3"], [T(-1)] * 200 + [X((1, 0, -1))] + [T(1)] * 3))
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_fold_matches_compose_fold(case):
     spec, word = case

@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
+
+from conftest import GENERAL_DATA
 
 from bskit.arith import (ConfigurationError, IntMatrix, Lattice, column_hnf,
                          rat_apply, vec_sub)
@@ -172,3 +176,41 @@ def test_solve_and_decompose_match_rational_reference(case):
     r, h = lat.decompose(z)
     assert rat_apply(rat_inverse(M), vec_sub(z, r)) == h
     assert r in lat.residues()
+
+
+GENERAL_MATRICES = {f"{name}.{side}": M for name, spec in GENERAL_DATA.items()
+                    for side, M in (("A", spec.A), ("B", spec.B))}
+
+
+def test_unimodular_factor_and_decompose_on_general_data():
+    # H = M U with U unimodular, and the one-pass decompose agrees with
+    # the brute-force search, on every matrix of the general data
+    for name, M in GENERAL_MATRICES.items():
+        lat = Lattice(M)
+        assert abs(lat.unimodular.det) == 1, name
+        assert M @ lat.unimodular == lat.hnf, name
+        box = 12 if M.n < 3 else 8  # every h below is inside the box
+        for z in itertools.product((-2, 0, 1), repeat=M.n):
+            assert brute_force_decompose(z, M, box) == [lat.decompose(z)], name
+
+
+def in_column_span(S: Matrix, v) -> bool:
+    """Is v an integer combination of the columns of S? (sympy, exact)"""
+    return all(x.is_integer for x in S.LUsolve(Matrix(v)))
+
+
+@given(st.one_of(st.sampled_from(sorted(GENERAL_MATRICES.values(), key=str)),
+                 nonsingular_2x2(),
+                 st.lists(entry, min_size=9, max_size=9)
+                 .filter(lambda e: Matrix(3, 3, e).det() != 0)
+                 .map(lambda e: IntMatrix.from_rows([e[:3], e[3:6], e[6:]]))))
+@settings(max_examples=80, deadline=None)
+def test_column_hnf_matches_sympy_lattice(M):
+    # the conventions differ (sympy's is upper triangular), so compare
+    # the lattices: equal index, and each basis inside the other's span
+    ours = Matrix(column_hnf(M).rows)
+    theirs = hermite_normal_form(Matrix(M.rows))
+    assert abs(ours.det()) == abs(theirs.det()) == abs(M.det)
+    for j in range(M.n):
+        assert in_column_span(theirs, ours[:, j])
+        assert in_column_span(ours, theirs[:, j])

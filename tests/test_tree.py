@@ -1,7 +1,10 @@
 import random
 from collections import deque
 
+import networkx as nx
 import pytest
+
+from conftest import GENERAL_DATA
 
 from bskit.arith import ConfigurationError
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
@@ -208,6 +211,19 @@ def test_ball_sizes_biregular(bs23):
     for r in range(4):
         expected = 1 + d * ((d - 1) ** r - 1) // (d - 2)
         assert len(ball(BASE, r, bs23)) == expected
+
+
+def test_tree_edges_form_a_tree_networkx(bs23, asc2):
+    # independent oracle: the radius-3 ball with its parent-child edges
+    # is a connected acyclic graph (networkx), of the biregular size
+    for spec in (bs23, asc2, GENERAL_DATA["z2_nonasc"]):
+        vs = ball(BASE, 3, spec)
+        graph = nx.Graph()
+        graph.add_nodes_from(vs)
+        graph.add_edges_from(tree_edges(vs))
+        assert nx.is_tree(graph)
+        d = spec.tree_degree()
+        assert graph.number_of_nodes() == 1 + d * ((d - 1) ** 3 - 1) // (d - 2)
 
 
 def test_ball_resource_bound(bs23):

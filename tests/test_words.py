@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GENERAL_DATA
+
 from bskit.affine import j_affine
+from bskit.embedding import generator_letters
 from bskit.words import (NormalForm, ParseError, T, X, britton_reduce,
                          invert_letters, nf_append, nf_invert, nf_multiply,
                          parse_word, reduce_with_strategy, word_problem)
@@ -105,14 +108,15 @@ def test_nf_multiply_invert(bs23):
     assert inv == britton_reduce(w("x^-1 t^-1", bs23), bs23)
 
 
-def test_nf_append_matches_full_reduction(bs23):
+def test_nf_append_matches_full_reduction():
     rng = random.Random(7)
-    letters = [X((1,)), X((-1,)), T(1), T(-1)]
-    for _ in range(200):
-        word = [rng.choice(letters) for _ in range(rng.randrange(0, 10))]
-        extra = rng.choice(letters)
-        via_append = nf_append(britton_reduce(word, bs23), extra, bs23)
-        assert via_append == britton_reduce(word + [extra], bs23)
+    for spec in GENERAL_DATA.values():
+        letters = generator_letters(spec)
+        for _ in range(200):
+            word = [rng.choice(letters) for _ in range(rng.randrange(0, 10))]
+            extra = rng.choice(letters)
+            via_append = nf_append(britton_reduce(word, spec), extra, spec)
+            assert via_append == britton_reduce(word + [extra], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +126,21 @@ letters_strategy = st.lists(
     st.sampled_from([X((1,)), X((-1,)), X((2,)), T(1), T(-1)]), max_size=12)
 
 
-@given(letters_strategy)
-@settings(max_examples=200, deadline=None)
-def test_strategy_independence(word):
-    from bskit.presentation import make_bs
-    spec = make_bs(2, 3)
+@st.composite
+def spec_and_letters(draw):
+    """A datum and a word over its generators and small x-powers."""
+    spec = GENERAL_DATA[draw(st.sampled_from(sorted(GENERAL_DATA)))]
+    small = (st.tuples(*[st.integers(-3, 3)] * spec.n).filter(any).map(X))
+    letter = st.one_of(st.sampled_from(generator_letters(spec)), small)
+    return spec, draw(st.lists(letter, max_size=12))
+
+
+@given(spec_and_letters())
+@settings(max_examples=300, deadline=None)
+def test_strategy_independence(case):
+    # the oracle pinches through Lattice.solve, an independent path from
+    # the stack reducer's one decompose per t-letter
+    spec, word = case
     left = reduce_with_strategy(word, spec, "leftmost")
     right = reduce_with_strategy(word, spec, "rightmost")
     stack = britton_reduce(word, spec)
