@@ -10,11 +10,11 @@ All coordinates stay exact; floats enter only in the haagerup module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import QVector, rat_apply
 from .presentation import GroupSpec
 from .words import NormalForm, X
 
@@ -24,7 +24,7 @@ class AffineElement:
     """Element (k, a) of the semidirect product Z x Q^n."""
 
     k: int
-    a: QVector  # tuple[Fraction, ...]
+    a: tuple  # tuple[Fraction, ...]
 
     @property
     def is_identity(self) -> bool:
@@ -39,16 +39,27 @@ def aff_identity(n: int) -> AffineElement:
     return AffineElement(0, (Fraction(0),) * n)
 
 
+def _lam_apply(k: int, a, spec: GroupSpec) -> tuple:
+    """Lambda^k a: |k| steps of the integer pair (M, d) of Lambda^{+-1}
+    on a held as integers over one denominator, as in j_affine."""
+    den = math.lcm(*(x.denominator for x in a))
+    num = [x.numerator * (den // x.denominator) for x in a]
+    M, d = spec.lam_int[1 if k > 0 else -1]
+    for _ in range(abs(k)):
+        num, den = M.apply(num), den * d
+    return tuple(Fraction(c, den) for c in num)
+
+
 def aff_compose(e1: AffineElement, e2: AffineElement,
                 spec: GroupSpec) -> AffineElement:
     return AffineElement(e1.k + e2.k,
                          tuple(x + y for x, y in
-                               zip(e1.a, rat_apply(spec.lam_pow(e1.k), e2.a))))
+                               zip(e1.a, _lam_apply(e1.k, e2.a, spec))))
 
 
 def aff_invert(e: AffineElement, spec: GroupSpec) -> AffineElement:
-    neg = rat_apply(spec.lam_pow(-e.k), e.a)
-    return AffineElement(-e.k, tuple(-x for x in neg))
+    return AffineElement(-e.k,
+                         tuple(-x for x in _lam_apply(-e.k, e.a, spec)))
 
 
 def j_affine(w, spec: GroupSpec) -> AffineElement:

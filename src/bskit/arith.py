@@ -1,8 +1,8 @@
-"""Exact integer/rational linear algebra and lattice residue systems.
+"""Exact integer linear algebra and lattice residue systems.
 
-Everything in this module is exact: arbitrary-precision integers and
-``fractions.Fraction``.  No floating point anywhere; coset canonicalization
-and the rewriting engine built on top of it are exact-equality algorithms.
+Everything in this module is arbitrary-precision integer arithmetic.  No
+floating point anywhere; coset canonicalization and the rewriting engine
+built on top of it are exact-equality algorithms.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -19,8 +18,6 @@ class ConfigurationError(ValueError):
 
 
 IntVector = tuple  # tuple[int, ...]
-QVector = tuple    # tuple[Fraction, ...]
-QMatrix = tuple    # tuple[tuple[Fraction, ...], ...]
 
 
 def zero_vector(n: int) -> IntVector:
@@ -115,27 +112,6 @@ class IntMatrix:
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]"
                                for r in self.rows) + "]"
-
-
-# ---------------------------------------------------------------------------
-# Rational matrices (tuples of Fraction rows)
-
-def rat_identity(n: int) -> QMatrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                 for i in range(n))
-
-
-def rat_mul(P: QMatrix, Q: QMatrix) -> QMatrix:
-    n = len(P)
-    return tuple(tuple(sum(P[i][k] * Q[k][j] for k in range(n))
-                       for j in range(n))
-                 for i in range(n))
-
-
-def rat_apply(P: QMatrix, a) -> QVector:
-    if len(a) != len(P):
-        raise ConfigurationError("dimension mismatch in rational apply")
-    return tuple(sum(r[j] * a[j] for j in range(len(r))) for r in P)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def ball_cmd(ctx, radius, fmt, out):
 
 @main.command()
 @click.argument("word")
-@click.option("-k", "--steps", type=int, default=5)
+@click.option("-k", "--steps", type=click.IntRange(min=0), default=5)
 @click.pass_context
 def orbit(ctx, word, steps):
     """Vertices gamma^j v for j = 0..STEPS."""
@@ -235,7 +235,7 @@ def cocycle_cmd(ctx, word):
 
 @main.command("cocycle-check")
 @click.option("-L", "--length", type=int, default=4)
-@click.option("--pairs", type=int, default=200)
+@click.option("--pairs", type=click.IntRange(min=0), default=200)
 @click.option("--seed", type=int, default=0)
 @click.pass_context
 def cocycle_check(ctx, length, pairs, seed):

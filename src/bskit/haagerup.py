@@ -145,9 +145,14 @@ def _gram_report(kernel: str, s: float, elements, dist_matrix) -> GramReport:
     return GramReport(kernel, s, [str(nf) for nf in elements], m, min_eig, tol)
 
 
+def _check_scale(s: float) -> None:
+    if not 0 < s < math.inf:  # NaN fails both comparisons
+        raise ValueError(
+            f"kernel parameter s must be a positive finite number, got {s}")
+
+
 def _check_sample(elements, s: float) -> list:
-    if s <= 0:
-        raise ValueError("kernel parameter s must be positive")
+    _check_scale(s)
     elements = list(elements)
     if not elements:
         raise ValueError("an empty sample has no Gram report")
@@ -258,6 +263,7 @@ def affine_displacement(e: AffineElement, spec: GroupSpec) -> float:
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:
     """psi_s(gamma) = exp(-s (d_T(v, gamma v) + affine displacement))."""
+    _check_scale(s)
     nf = britton_reduce(gamma, spec)
     d_tree = nf.t_length
     return math.exp(-s * (d_tree + affine_displacement(j_affine(nf, spec),
@@ -281,6 +287,7 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     The maxima trending to zero is the desk-scale shadow of the witness
     being a C0 function.
     """
+    _check_scale(s)
     if ball is None:
         ball = enumerate_ball(lmax, spec)
     rows = []

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (ConfigurationError, IntMatrix, Lattice, rat_identity,
-                    rat_mul)
+from .arith import ConfigurationError, IntMatrix, Lattice
 
 
 class GroupSpec:
     """Validated HNN datum (n, A, B) and its derived constants.
 
-    Immutable after construction (the power cache is internal memoization
-    only); safe to share between tasks.
+    Immutable after construction; safe to share between tasks.
     """
 
     def __init__(self, A: IntMatrix, B: IntMatrix):
@@ -45,28 +43,14 @@ class GroupSpec:
         # Lambda^-1 = M'/d' with M' = B adj A, d' = det A.
         self.lam_int = {1: (A @ self.lattice_b.adjugate, self.lattice_b.det),
                         -1: (B @ self.lattice_a.adjugate, self.lattice_a.det)}
-        self.lam, self.lam_inv = (
-            tuple(tuple(Fraction(x, d) for x in r) for r in M.rows)
-            for M, d in (self.lam_int[1], self.lam_int[-1]))
-        self._lam_pows = {0: rat_identity(self.n),
-                          1: self.lam, -1: self.lam_inv}
-
-    def lam_pow(self, k: int):
-        """Exact rational matrix Lambda^k, memoized per exponent."""
-        pows = self._lam_pows  # every exponent from 0 out to its extremes
-        sign, step = (1, self.lam) if k > 0 else (-1, self.lam_inv)
-        # fill iteratively from the nearest cached exponent out to k
-        start = next((j for j in range(k, 0, -sign) if j in pows), 0)
-        for j in range(start, k, sign):
-            pows[j + sign] = rat_mul(pows[j], step)
-        return pows[k]
 
     @property
     def lam_scalar(self) -> Fraction:
         """Lambda as a fraction; only meaningful for n = 1."""
         if self.n != 1:
             raise ConfigurationError("lam_scalar requires n = 1")
-        return self.lam[0][0]
+        M, d = self.lam_int[1]
+        return Fraction(M.rows[0][0], d)
 
     def tree_degree(self) -> int:
         """Vertex degree of the Bass-Serre tree: |det A| + |det B|."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .arith import ConfigurationError
 from .presentation import GroupSpec
-from .words import T, Word, X, _render_x, britton_reduce
+from .words import _Builder, _render_x, britton_reduce
 
 
 class ResourceBoundError(RuntimeError):
@@ -68,14 +68,6 @@ class Vertex:
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def coset_word(self) -> Word:
-        word: Word = []
-        for eps, r in self.syllables:
-            if any(r):
-                word.append(X(r))
-            word.append(T(eps))
-        return word
-
     def prefix(self, length: int) -> "Vertex":
         return Vertex(self.syllables[:length])
 
@@ -113,25 +105,28 @@ def vertex_of(w, spec: GroupSpec) -> Vertex:
 
 
 def act(gamma, u: Vertex, spec: GroupSpec) -> Vertex:
-    """The tree action: canonical vertex of (gamma * u-word) G."""
-    gamma_nf = britton_reduce(gamma, spec)
-    return vertex_of(gamma_nf.letters() + u.coset_word(), spec)
+    """The tree action: canonical vertex of (gamma * u-word) G, pushing
+    u's syllables x^r t^eps onto the normal form of gamma."""
+    b = _Builder.from_nf(britton_reduce(gamma, spec), spec)
+    for eps, r in u.syllables:
+        b.push_x(r)
+        b.push_t(eps)
+    return vertex_of(b.normal_form(), spec)
 
 
 def neighbors(u: Vertex, spec: GroupSpec) -> list:
     """The |det A| + |det B| adjacent vertices, up-edges first.
 
     Up-neighbors are u x^r t G for r in the A-residues, down-neighbors
-    u x^r t^-1 G for r in the B-residues; exactly one of them is the
-    parent of u (reached by the pinch in vertex_of).
+    u x^r t^-1 G for r in the B-residues.  A canonical residue r splits
+    off no carry, so u x^r t^eps G is named u + (eps, r), except for the
+    one pinch: r = 0 with eps opposite to u's last letter gives the parent.
     """
-    base = u.coset_word()
-    out = []
-    for eps, residues in ((1, spec.residues_a), (-1, spec.residues_b)):
-        for r in residues:
-            tail: Word = [X(r)] if any(r) else []
-            out.append(vertex_of(base + tail + [T(eps)], spec))
-    return out
+    last = u.syllables[-1][0] if u.syllables else 0
+    return [u.prefix(len(u) - 1) if eps == -last and not any(r)
+            else Vertex(u.syllables + ((eps, r),))
+            for eps, residues in ((1, spec.residues_a), (-1, spec.residues_b))
+            for r in residues]
 
 
 def lcp_length(u: Vertex, w: Vertex) -> int:

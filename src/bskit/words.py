@@ -241,83 +241,3 @@ def invert_letters(w: Word) -> Word:
     """Formal inverse of a raw word."""
     return [X(vec_neg(l.z)) if isinstance(l, X) else T(-l.eps)
             for l in reversed(w)]
-
-
-# ---------------------------------------------------------------------------
-# Strategy oracle: naive rewriting with an explicit pinch-selection rule.
-# Independent of the stack reducer above; used to probe uniqueness of the
-# normal form under different rewriting orders.
-
-def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"
-                         ) -> NormalForm:
-    """Britton-reduce by repeatedly applying one pinch at a time.
-
-    ``strategy`` selects which applicable pinch fires: "leftmost" or
-    "rightmost".  Termination: every pinch removes two t letters.
-    """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    letters = _merge_x(list(w), spec)
-    while True:
-        sites = _pinch_sites(letters, spec)
-        if not sites:
-            break
-        i = sites[0] if strategy == "leftmost" else sites[-1]
-        letters = _apply_pinch(letters, i, spec)
-        letters = _merge_x(letters, spec)
-    return _letters_to_nf(letters, spec)
-
-
-def _merge_x(letters: Word, spec: GroupSpec) -> Word:
-    out: Word = []
-    for l in letters:
-        if isinstance(l, X) and out and isinstance(out[-1], X):
-            out[-1] = X(vec_add(out[-1].z, l.z))
-        else:
-            out.append(l)
-    return out
-
-
-def _pinch_sites(letters: Word, spec: GroupSpec) -> list:
-    """Indices i where a pinch starts: t^e [x^z] t^-e with z in the lattice."""
-    sites = []
-    for i, l in enumerate(letters):
-        if not isinstance(l, T):
-            continue
-        # adjacent t^e t^-e (possibly with an intervening X)
-        if i + 1 < len(letters) and isinstance(letters[i + 1], T):
-            if letters[i + 1].eps == -l.eps:
-                sites.append(i)
-            continue
-        if (i + 2 < len(letters) and isinstance(letters[i + 1], X)
-                and isinstance(letters[i + 2], T)
-                and letters[i + 2].eps == -l.eps):
-            lat = spec.lattice_b if l.eps == 1 else spec.lattice_a
-            if lat.contains(letters[i + 1].z):
-                sites.append(i)
-    return sites
-
-
-def _apply_pinch(letters: Word, i: int, spec: GroupSpec) -> Word:
-    l = letters[i]
-    if isinstance(letters[i + 1], T):
-        mid = zero_vector(spec.n)
-        end = i + 2
-    else:
-        mid = letters[i + 1].z
-        end = i + 3
-    if l.eps == 1:
-        h = spec.lattice_b.solve(mid)
-        repl = spec.A.apply(h)
-    else:
-        h = spec.lattice_a.solve(mid)
-        repl = spec.B.apply(h)
-    return letters[:i] + [X(repl)] + letters[end:]
-
-
-def _letters_to_nf(letters: Word, spec: GroupSpec) -> NormalForm:
-    # canonicalize the pinch-free word; the builder must find no pinch left
-    t_count = sum(1 for l in letters if isinstance(l, T))
-    nf = britton_reduce(letters, spec)
-    assert nf.t_length == t_count, "strategy oracle left an unapplied pinch"
-    return nf

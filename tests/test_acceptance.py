@@ -10,6 +10,8 @@ import random
 import time
 from collections import deque
 
+from oracles import reduce_with_strategy
+
 from bskit.affine import aff_compose, j_affine
 from bskit.embedding import enumerate_ball, check_injectivity, \
     check_stabilizer, generator_letters, properness_profile
@@ -17,7 +19,7 @@ from bskit.haagerup import (c0_profile, cocycle, cocycle_identity_check,
                             tree_gram, witness, witness_gram)
 from bskit.tree import BASE, act, ball, distance, neighbors
 from bskit.words import (T, X, britton_reduce, nf_invert, nf_multiply,
-                         parse_word, reduce_with_strategy, word_problem)
+                         parse_word, word_problem)
 
 
 def _ok(num, label, detail=""):

@@ -128,15 +128,18 @@ def test_image_at_large_height_is_exact(bs23):
 
 
 def test_compose_with_inverse_at_large_height(bs23):
-    # aff_invert reads Lambda^k from the memoized table, which is filled
-    # iteratively: a height of 1200 must not recurse 1200 frames deep
+    # aff_compose/aff_invert step through Lambda^{+-1} iteratively: a
+    # height of 1200 must not recurse 1200 frames deep
     identity = aff_identity(1)
     for text in ("t^1200 x", "t^-1200 x"):
         e = j_affine(w(text, bs23), bs23)
         assert aff_compose(e, aff_invert(e, bs23), bs23) == identity
         assert aff_compose(aff_invert(e, bs23), e, bs23) == identity
-    assert bs23.lam_pow(1200)[0][0] == Fraction(2, 3) ** 1200
-    assert bs23.lam_pow(-1201)[0][0] == Fraction(3, 2) ** 1201
+    x = j_affine(w("x", bs23), bs23)
+    for k in (1200, -1201):
+        tk = j_affine(w(f"t^{k}", bs23), bs23)
+        assert aff_compose(tk, x, bs23) == AffineElement(
+            k, (Fraction(2, 3) ** k,))
 
 
 def test_rendering(bs23):
@@ -167,3 +170,4 @@ def test_fraction_free_fold_matches_compose_fold(case):
     assert image == j_affine_right_fold(word, spec)
     assert image == j_affine(nf, spec)
     assert j_affine(nf, spec) == j_affine_right_fold(nf.letters(), spec)
+    assert aff_invert(image, spec) == j_affine(invert_letters(word), spec)

@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from conftest import GENERAL_DATA
 
 from bskit.arith import (ConfigurationError, IntMatrix, Lattice, column_hnf,
-                         rat_apply, vec_sub)
+                         vec_sub)
 
 M22 = IntMatrix.from_rows([[2, 1], [0, 2]])
 
@@ -33,6 +33,13 @@ def rat_inverse(M: IntMatrix):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def rat_apply(P, a):
+    """Reference: a rational matrix (tuple of Fraction rows) times a vector."""
+    if len(a) != len(P):
+        raise ConfigurationError("dimension mismatch in rational apply")
+    return tuple(sum(r[j] * a[j] for j in range(len(r))) for r in P)
 
 
 def brute_force_decompose(z, M, box=12):

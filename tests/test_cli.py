@@ -163,6 +163,17 @@ def test_usage_errors_exit_2(runner, tmp_path):
     empty = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "2",
                                  "--size", "0"])
     assert empty.exit_code == 2 and "empty sample" in empty.output
+    # the kernel scale is checked the same way on every path
+    for args in (["witness", "t", "-s", "-1"], ["c0", "-s", "-1"],
+                 ["witness", "t", "-s", "nan"], ["gram", "-s", "nan"]):
+        result = runner.invoke(main, ["--bs", "1", "2", *args])
+        assert result.exit_code == 2
+        assert "positive finite number" in result.output
+    # negative counts are refused, not run as empty loops
+    for args in (["cocycle-check", "--pairs", "-5"],
+                 ["orbit", "t", "-k", "-1"]):
+        result = runner.invoke(main, ["--bs", "1", "2", *args])
+        assert result.exit_code == 2 and "x>=0" in result.output
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bskit.arith import ConfigurationError, IntMatrix, rat_mul
+from bskit.affine import AffineElement, aff_compose, j_affine
+from bskit.arith import ConfigurationError, IntMatrix
 from bskit.presentation import (GroupSpec, make_bs, make_matrix_group,
                                 spec_from_dict)
 from bskit.tree import BASE, neighbors
@@ -83,25 +84,31 @@ def test_residue_sizes_match_determinants():
     assert len(spec.residues_b) == 3
 
 
-def test_lam_pow_memoization_consistency():
+def test_lambda_powers_through_compose():
+    # aff_compose applies Lambda^k from the integer pairs: j(t^k) j(x)
+    # is (k; lambda^k)
     spec = make_bs(2, 3)
-    lam = spec.lam_scalar
+    x = j_affine(parse_word("x", spec), spec)
     for k in range(-6, 7):
-        assert spec.lam_pow(k)[0][0] == lam ** k
+        tk = j_affine(parse_word(f"t^{k}", spec), spec)
+        assert aff_compose(tk, x, spec) == AffineElement(
+            k, (Fraction(2, 3) ** k,))
 
 
 def test_lambda_pairs_match_a_b_inverse():
-    # Lambda = A B^-1 and Lambda^-1 = B A^-1, built from integer pairs
+    # Lambda = A B^-1 = M/d and Lambda^-1 = B A^-1 = M'/d' as integer
+    # pairs: M B = d A and M' A = d' B
     for A, B in (([[2]], [[3]]), ([[1]], [[-1]]),
                  ([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
                  ([[3, 1], [1, 2]], [[-2, 1], [0, 1]])):
         spec = make_matrix_group(A, B)
-        assert rat_mul(spec.lam, spec.B.rows) == spec.A.rows
-        assert rat_mul(spec.lam_inv, spec.A.rows) == spec.B.rows
+        for (M, d), P, Q in ((spec.lam_int[1], spec.B, spec.A),
+                             (spec.lam_int[-1], spec.A, spec.B)):
+            assert (M @ P).rows == tuple(tuple(d * x for x in r)
+                                         for r in Q.rows)
 
 
 def test_stable_relation_under_reduction_and_affine():
-    from bskit.affine import j_affine
     from bskit.words import T, X, invert_letters
     spec = make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]])
     for z in [(1, 0), (0, 1), (3, -2), (-5, 7)]:

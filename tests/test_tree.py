@@ -7,10 +7,11 @@ import pytest
 from conftest import GENERAL_DATA
 
 from bskit.arith import ConfigurationError
+from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
                         edges_csv, geodesic, neighbors, to_dot, tree_edges,
                         vertex_of)
-from bskit.words import (britton_reduce, invert_letters, nf_invert,
+from bskit.words import (T, X, britton_reduce, invert_letters, nf_invert,
                          nf_multiply, parse_word)
 
 
@@ -67,12 +68,18 @@ def test_vertex_example_txt_inv(bs23):
 
 
 def _coset_word(vertex):
-    return vertex.coset_word()
+    """Oracle: the transversal word x^{r1} t^{e1} ... x^{rm} t^{em}."""
+    word = []
+    for eps, r in vertex.syllables:
+        if any(r):
+            word.append(X(r))
+        word.append(T(eps))
+    return word
 
 
 def test_vertex_idempotent_on_coset_words(bs23, bs23_ball6):
     for v in ball(BASE, 3, bs23):
-        assert vertex_of(v.coset_word(), bs23) == v
+        assert vertex_of(_coset_word(v), bs23) == v
 
 
 def test_vertex_right_g_invariance(bs23):
@@ -135,9 +142,30 @@ def test_neighbors_ascending_n2(asc2):
 
 
 def test_neighbors_bs11_line():
-    from bskit.presentation import make_bs
     spec = make_bs(1, 1)
     assert len(neighbors(BASE, spec)) == 2
+
+
+def test_neighbors_and_act_match_reduction_of_coset_words():
+    # oracles: the same moves by Britton reduction of whole coset words
+    data = dict(GENERAL_DATA, bs12=make_bs(1, 2), bs35=make_bs(3, 5))
+    rng = random.Random(17)
+    for spec in data.values():
+        verts = ball(BASE, 3, spec)
+        for u in verts:
+            assert neighbors(u, spec) == [
+                vertex_of(_coset_word(u) + [X(r), T(eps)], spec)
+                for eps, residues in ((1, spec.residues_a),
+                                      (-1, spec.residues_b))
+                for r in residues]
+        for _ in range(300):
+            word = [rng.choice([T(1), T(-1), X(tuple(
+                rng.randrange(-9, 10) for _ in range(spec.n)))])
+                for _ in range(rng.randrange(0, 8))]
+            gamma = britton_reduce(word, spec)
+            u = rng.choice(verts)
+            assert act(gamma, u, spec) == vertex_of(
+                gamma.letters() + _coset_word(u), spec)
 
 
 def test_neighbors_symmetric_and_distance_one(bs23):
@@ -253,9 +281,8 @@ def test_edge_transitivity_witness(bs23):
         else:
             # reverse orientation: from the child, the parent is the t-side
             source, target, res = child, parent, (0,) * bs23.n
-        gamma = source.coset_word()
+        gamma = _coset_word(source)
         if any(res):
-            from bskit.words import X
             gamma = gamma + [X(res)]
         assert act(gamma, BASE, bs23) == source
         assert act(gamma, base_up, bs23) == target

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
+from oracles import reduce_with_strategy
 
 from bskit.affine import j_affine
 from bskit.embedding import generator_letters
 from bskit.words import (NormalForm, ParseError, T, X, britton_reduce,
                          invert_letters, nf_append, nf_invert, nf_multiply,
-                         parse_word, reduce_with_strategy, word_problem)
+                         parse_word, word_problem)
 
 
 def w(text, spec):
