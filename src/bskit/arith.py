@@ -28,10 +28,6 @@ def vec_add(u, v):
     return tuple(map(operator.add, u, v))
 
 
-def vec_sub(u, v):
-    return tuple(map(operator.sub, u, v))
-
-
 def vec_neg(u):
     return tuple(-a for a in u)
 
@@ -180,9 +176,6 @@ class Lattice:
         """Integer h with M h = z, or None if z is outside the lattice."""
         qr = [divmod(v, self.det) for v in self.adjugate.apply(z)]
         return None if any(r for _, r in qr) else tuple(q for q, _ in qr)
-
-    def contains(self, z: IntVector) -> bool:
-        return self.solve(z) is not None
 
     def decompose(self, z: IntVector):
         """The unique (r, h) with z = M h + r and r canonical: one pass

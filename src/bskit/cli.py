@@ -208,7 +208,8 @@ def stab_check(ctx, length):
 @main.command()
 @click.option("--lmax", "-L", type=int, default=8)
 @click.option("-R", "--thresholds", default="1,2,4",
-              help="Comma-separated R grid.")
+              help="Comma-separated R grid of distinct nonnegative "
+              "integers.")
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
 def proper(ctx, lmax, thresholds, out):
@@ -255,7 +256,7 @@ def cocycle_check(ctx, length, pairs, seed):
 @main.command()
 @click.option("-L", "--length", type=int, default=5)
 @click.option("-s", "--scale", type=float, default=1.0)
-@click.option("--size", type=int, default=40)
+@click.option("--size", type=click.IntRange(min=0), default=40)
 @click.option("--seed", type=int, default=0)
 @click.option("--kernel", type=click.Choice(["tree", "witness"]),
               default="tree")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
-from .affine import j_affine
+from .affine import VertexImages, j_affine
 from .presentation import GroupSpec
 from .tree import BASE, bfs_spheres, vertex_of
 from .words import NormalForm, T, X, nf_append
@@ -142,22 +143,29 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
                        ball: GroupBall | None = None) -> PropernessProfile:
     """Tabulate sublevel counts over growing balls for each threshold R.
 
-    d_T(v, gamma v) equals the t-length of the normal form (distance
-    consistency is itself a tested invariant); the sup-norm of the affine
-    part is compared exactly as rationals against R.
+    The thresholds must be distinct nonnegative integers.  d_T(v, gamma v)
+    equals the t-length of the normal form (distance consistency is itself
+    a tested invariant); the affine part comes as integers num / den with
+    den > 0, so its sup-norm is compared on integers, |num| <= R den.
     """
+    given = list(r_grid)
+    r_grid = [int(r) for r in given if isinstance(r, Integral)
+              and not isinstance(r, bool) and r >= 0]
+    if len(set(r_grid)) != len(given):
+        raise ValueError(f"thresholds must be distinct nonnegative "
+                         f"integers, got {given}")
     if ball is None:
         ball = enumerate_ball(lmax, spec)
-    r_grid = list(r_grid)
+    images = VertexImages(spec)
     counts = {r: [] for r in r_grid}
     running = {r: 0 for r in r_grid}
     for sphere in ball.spheres:
         for nf in sphere:
-            d_tree = nf.t_length
-            aff = j_affine(nf, spec)
-            sup = max((abs(x) for x in aff.a), default=0)
+            k, num, den = images.scaled(nf)
+            height = max(nf.t_length, abs(k))
+            sup = max(map(abs, num))
             for r in r_grid:
-                if d_tree <= r and abs(aff.k) <= r and sup <= r:
+                if height <= r and sup <= r * den:
                     running[r] += 1
         for r in r_grid:
             counts[r].append(running[r])

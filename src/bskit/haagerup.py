@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .affine import AffineElement, aff_identity, j_affine
+from .affine import AffineElement, VertexImages, aff_identity, j_affine
 from .presentation import GroupSpec
 from .embedding import enumerate_ball
 from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
@@ -207,18 +207,26 @@ def witness_regime(spec: GroupSpec) -> str:
 
 def hyperbolic_orbit(e: AffineElement, spec: GroupSpec) -> HyperbolicPoint:
     """Orbit of the base point (0, 1) under z -> lambda^k z + a."""
-    return _hyperbolic_orbits([e], spec)[0]
+    return _hyperbolic_orbits([_scaled(e)], spec)[0]
+
+
+def _scaled(e: AffineElement):
+    """(k, num, den) with e = (k, num / den), num integers and den > 0:
+    the form VertexImages.scaled gives and the distances below read."""
+    den = math.lcm(*(x.denominator for x in e.a))
+    return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
 
 
 def _hyperbolic_orbits(images, spec: GroupSpec) -> list:
-    """The half-plane points of several images, with one float lambda^k
-    per distinct height k (first-seen order names the failing height)."""
+    """The half-plane points of several scaled images, with one float
+    lambda^k per distinct height k (first-seen order names the failing
+    height)."""
     if spec.n != 1 or spec.lam_scalar <= 0:
         raise UnsupportedWitnessError(
             "half-plane orbit needs n = 1 and lambda > 0; "
             "use the profile-only tools instead")
     ys = {}
-    for k in dict.fromkeys(e.k for e in images):
+    for k in dict.fromkeys(k for k, _, _ in images):
         try:
             ys[k] = float(spec.lam_scalar ** k)
         except OverflowError:
@@ -227,7 +235,7 @@ def _hyperbolic_orbits(images, spec: GroupSpec) -> list:
             raise OverflowError(
                 f"the half-plane point at height k = {k} is outside the "
                 "float range")
-    return [HyperbolicPoint(float(e.a[0]), ys[e.k]) for e in images]
+    return [HyperbolicPoint(num[0] / den, ys[k]) for k, num, den in images]
 
 
 def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
@@ -241,15 +249,24 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
 def affine_distances(rows, cols, spec: GroupSpec) -> list:
     """Distances between two lists of affine images, as a matrix, under
     the active regime; each image is mapped to the half-plane once."""
+    return _scaled_distances([_scaled(e) for e in rows],
+                             [_scaled(e) for e in cols], spec)
+
+
+def _scaled_distances(rows, cols, spec: GroupSpec) -> list:
+    """affine_distances of images given as (k, num, den) (see _scaled).
+    A rational becomes a float by one correctly rounded division of
+    integers, the same float that float(Fraction) gives."""
     regime = witness_regime(spec)
     if regime == HYPERBOLIC:
         ps = _hyperbolic_orbits(rows, spec)
         qs = _hyperbolic_orbits(cols, spec)
         return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
     if regime == ISOMETRIC:
-        return [[float(abs(e.k - f.k)
-                       + sum(abs(x - y) for x, y in zip(e.a, f.a)))
-                 for f in cols] for e in rows]
+        return [[(abs(k - k2) * den * den2
+                  + sum(abs(c * den2 - c2 * den) for c, c2 in zip(num, num2)))
+                 / (den * den2)
+                 for k2, num2, den2 in cols] for k, num, den in rows]
     raise UnsupportedWitnessError(
         f"no explicit affine witness for this datum ({spec!r}); "
         "tree_gram and properness profiles remain available")
@@ -290,13 +307,15 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     _check_scale(s)
     if ball is None:
         ball = enumerate_ball(lmax, spec)
+    images = VertexImages(spec)
+    identity = [_scaled(aff_identity(spec.n))]
     rows = []
     for L, sphere in enumerate(ball.spheres):
         # one regime dispatch and one identity orbit per sphere (never
         # empty: t^L has length L); each value is the float witness(nf, s,
         # spec) gives, and the first maximum wins
-        dists = affine_distances([aff_identity(spec.n)],
-                                 [j_affine(nf, spec) for nf in sphere], spec)
+        dists = _scaled_distances(identity,
+                                  [images.scaled(nf) for nf in sphere], spec)
         vals = [math.exp(-s * (nf.t_length + d))
                 for nf, d in zip(sphere, dists[0])]
         i = max(range(len(vals)), key=vals.__getitem__)

@@ -15,6 +15,17 @@ GENERAL_DATA = {
                             [[2, 0, 1], [1, 1, 0], [0, 1, 3]]),
 }
 
+# GENERAL_DATA plus lambda = 1/2, 3/5 and -2/3, with small balls: where the
+# per-vertex affine map is checked against the per-element fold.
+IMAGE_DATA = {**GENERAL_DATA, "bs12": make_bs(1, 2), "bs35": make_bs(3, 5),
+              "bsm23": make_bs(-2, 3)}
+
+
+@pytest.fixture(scope="session")
+def image_balls():
+    return {name: (spec, enumerate_ball(6 if spec.n == 1 else 3, spec))
+            for name, spec in IMAGE_DATA.items()}
+
 
 @pytest.fixture(scope="session")
 def bs23():

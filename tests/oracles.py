@@ -2,11 +2,17 @@
 
 Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
+Lattice membership, which only the tests ask about, lives here too.
 """
 
 from bskit.arith import vec_add, zero_vector
 from bskit.presentation import GroupSpec
 from bskit.words import NormalForm, T, Word, X, britton_reduce
+
+
+def in_lattice(lat, z) -> bool:
+    """Whether z lies in the sublattice of ``lat``: an integer solve exists."""
+    return lat.solve(z) is not None
 
 
 def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"
@@ -54,7 +60,7 @@ def _pinch_sites(letters: Word, spec: GroupSpec) -> list:
                 and isinstance(letters[i + 2], T)
                 and letters[i + 2].eps == -l.eps):
             lat = spec.lattice_b if l.eps == 1 else spec.lattice_a
-            if lat.contains(letters[i + 1].z):
+            if in_lattice(lat, letters[i + 1].z):
                 sites.append(i)
     return sites
 

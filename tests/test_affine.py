@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
 
-from bskit.affine import (AffineElement, aff_compose, aff_identity,
-                          aff_invert, j_affine)
+from bskit import affine
+from bskit.affine import (AffineElement, VertexImages, aff_compose,
+                          aff_identity, aff_invert, j_affine)
+from bskit.tree import vertex_of
 from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)
 
 
@@ -140,6 +142,25 @@ def test_compose_with_inverse_at_large_height(bs23):
         tk = j_affine(w(f"t^{k}", bs23), bs23)
         assert aff_compose(tk, x, bs23) == AffineElement(
             k, (Fraction(2, 3) ** k,))
+
+
+def test_vertex_images_match_j_affine(image_balls, monkeypatch):
+    # negative determinants, lambda < 0 and n = 3; each ball holds many
+    # elements per vertex, at heights of both signs
+    fold, folds = affine._fold, []
+    monkeypatch.setattr(affine, "_fold",
+                        lambda *args: folds.append(args) or fold(*args))
+    for name, (spec, ball) in image_balls.items():
+        images = VertexImages(spec)
+        folds.clear()
+        scaled = [images.scaled(nf) for nf in ball.elements]
+        # one fold per Bass-Serre vertex other than the base
+        vertices = {vertex_of(nf, spec) for nf in ball.elements}
+        assert len(folds) == len(vertices) - 1 < len(ball), name
+        for nf, (k, num, den) in zip(ball.elements, scaled):
+            assert den > 0
+            aff = AffineElement(k, tuple(Fraction(c, den) for c in num))
+            assert aff == j_affine(nf, spec), (name, str(nf))
 
 
 def test_rendering(bs23):

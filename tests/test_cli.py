@@ -163,6 +163,15 @@ def test_usage_errors_exit_2(runner, tmp_path):
     empty = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "2",
                                  "--size", "0"])
     assert empty.exit_code == 2 and "empty sample" in empty.output
+    negative = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "3",
+                                    "--size", "-1"])
+    assert negative.exit_code == 2 and "x>=0" in negative.output
+    # a repeated threshold would be counted twice, a negative one is empty
+    for grid in ("2,2", "-1"):
+        result = runner.invoke(main, ["--bs", "1", "2", "proper", "--lmax",
+                                      "3", "-R", grid])
+        assert result.exit_code == 2
+        assert "distinct nonnegative" in result.output
     # the kernel scale is checked the same way on every path
     for args in (["witness", "t", "-s", "-1"], ["c0", "-s", "-1"],
                  ["witness", "t", "-s", "nan"], ["gram", "-s", "nan"]):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bskit.affine import j_affine
 from bskit.embedding import (check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
@@ -86,6 +87,43 @@ def test_profile_r_zero_counts_identity_only(bs23):
     profile = properness_profile(4, [0], bs23)
     assert profile.counts[0] == [1, 1, 1, 1, 1]
     assert profile.stabilized[0]
+
+
+def reference_profile_counts(ball, r_grid, spec):
+    """Reference: per-element j_affine and a sup-norm over Fractions,
+    independent of the per-vertex integer images."""
+    counts = {r: [] for r in r_grid}
+    running = dict.fromkeys(r_grid, 0)
+    for sphere in ball.spheres:
+        for nf in sphere:
+            aff = j_affine(nf, spec)
+            sup = max(abs(x) for x in aff.a)
+            for r in r_grid:
+                if nf.t_length <= r and abs(aff.k) <= r and sup <= r:
+                    running[r] += 1
+        for r in r_grid:
+            counts[r].append(running[r])
+    return counts
+
+
+def test_profile_counts_match_per_element_reference(image_balls):
+    grid = [0, 1, 2, 3, 5]
+    for name, (spec, ball) in image_balls.items():
+        profile = properness_profile(ball.radius, grid, spec, ball=ball)
+        assert profile.counts == reference_profile_counts(
+            ball, grid, spec), name
+
+
+def test_profile_rejects_bad_thresholds(bs12):
+    # a repeated R would be counted twice, a negative one counts nothing
+    for grid in ([2, 2], [-1], [1, 2, 1], [1.5], [True], ["2"]):
+        with pytest.raises(ValueError, match="distinct nonnegative"):
+            properness_profile(2, grid, bs12)
+    # any integer type is a threshold, e.g. a grid from numpy
+    numpy = pytest.importorskip("numpy")
+    profile = properness_profile(2, numpy.arange(3), bs12)
+    assert profile.r_grid == [0, 1, 2]
+    assert profile.counts == properness_profile(2, [0, 1, 2], bs12).counts
 
 
 def test_profile_monotone_in_l_and_r(bs12, bs12_ball10):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,16 @@ def test_isometric_displacement_value():
     assert affine_displacement(aff, spec) == abs(aff.k) + abs(float(aff.a[0]))
 
 
+def test_isometric_distances_are_rounded_once():
+    # the exact rational |k - k'| + sum |a - a'| goes to float in one
+    # rounding, also between two images that are not integral
+    spec = make_bs(2, -2)
+    e = AffineElement(1, (Fraction(1, 3),))
+    f = AffineElement(-2, (Fraction(-5, 7),))
+    assert affine_distances([e], [f, e], spec) == [
+        [float(3 + Fraction(1, 3) + Fraction(5, 7)), 0.0]]
+
+
 def test_displacement_is_distance_from_identity(bs12):
     base = HyperbolicPoint(0.0, 1.0)
     for spec in (bs12, make_bs(2, -2)):
@@ -265,8 +276,11 @@ def test_c0_profile_decreasing(bs12, bs12_ball10):
 
 def test_c0_profile_matches_per_element_witness(bs12, bs23):
     # the batched profile takes, per sphere, the maximum of the very
-    # floats witness() gives, and the first element attaining it
-    for spec, L in ((bs12, 8), (bs23, 5), (make_bs(1, -1), 6)):
+    # floats witness() gives, and the first element attaining it; its
+    # images come per vertex, and vertices are shared across spheres
+    # (BS(3,5) hyperbolic, BS(2,-2) and BS(1,-1) isometric)
+    for spec, L in ((bs12, 8), (bs23, 5), (make_bs(1, -1), 6),
+                    (make_bs(3, 5), 5), (make_bs(2, -2), 6)):
         ball = enumerate_ball(L, spec)
         for s in (1.0, 0.3):
             rows = c0_profile(L, s, spec, ball=ball)
