@@ -63,11 +63,20 @@ def aff_invert(e: AffineElement, spec: GroupSpec) -> AffineElement:
                          tuple(-x for x in _lam_apply(-e.k, e.a, spec)))
 
 
-def _fold(steps, spec: GroupSpec):
-    """(k, num, den) of the product of the steps t^eps x^z, folded right to
-    left, (k, a) <- j(step) (k, a), fraction-free: a = num / den with num
-    an integer vector.  An x-power adds den z; t^{+-1} applies the integer
-    matrix of Lambda^{+-1} = M/d and multiplies den by d."""
+def j_affine(w, spec: GroupSpec) -> AffineElement:
+    """Image of a word or normal form: x^z -> (0, z), t^eps -> (eps, 0).
+
+    The steps t^eps x^z (a normal form's syllables after its head) fold
+    right to left, (k, a) <- j(step) (k, a), fraction-free: a = num / den
+    with num an integer vector.  An x-power adds den z; t^{+-1} applies the
+    integer matrix of Lambda^{+-1} = M/d and multiplies den by d > 0.  Then
+    one Fraction per coordinate.
+    """
+    if isinstance(w, NormalForm):
+        steps, head = w.syllables, w.head
+    else:  # a raw word: each letter is a step (eps, z) with one part trivial
+        head = (0,) * spec.n
+        steps = [(0, l.z) if isinstance(l, X) else (l.eps, head) for l in w]
     lam_int = spec.lam_int
     k, den = 0, 1
     num = [0] * spec.n
@@ -78,59 +87,46 @@ def _fold(steps, spec: GroupSpec):
             num = [sum(map(mul, r, num)) for r in M.rows]
             den *= d
             k += eps
-    return k, num, den
-
-
-def j_affine(w, spec: GroupSpec) -> AffineElement:
-    """Image of a word or normal form: x^z -> (0, z), t^eps -> (eps, 0).
-
-    One fraction-free fold over the letters (see _fold), then one
-    Fraction per coordinate.
-    """
-    if isinstance(w, NormalForm):
-        steps, head = w.syllables, w.head
-    else:  # a raw word: each letter is a step (eps, z) with one part trivial
-        head = (0,) * spec.n
-        steps = [(0, l.z) if isinstance(l, X) else (l.eps, head) for l in w]
-    k, num, den = _fold(steps, spec)
     return AffineElement(k, tuple(Fraction(c + den * x, den)
                                   for c, x in zip(num, head)))
 
 
 class VertexImages:
     """j_affine over many normal forms as integers (k, num, den), with one
-    fold per Bass-Serre vertex.
+    step along a tree edge per Bass-Serre vertex.
 
     A normal form with a t-letter is coset(u) x^z for its vertex u, named
     by (head, syllables[:-1], last eps), so j = (k_u, a_u + Lambda^{k_u} z).
-    Each vertex holds k_u and the integers N_u, Q_u, D_u > 0 with
-    a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u.  The memo grows with every
-    vertex seen: build one per computation and drop it afterwards.
+    Each vertex holds k_u, the integer vector N_u, the integer matrix Q_u
+    and D_u > 0 with a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u.  The memo
+    grows with every vertex seen: build one per computation and drop it
+    afterwards.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self._vertices = {}
-        one = IntMatrix(tuple(tuple(int(i == j) for j in range(spec.n))
-                              for i in range(spec.n)))
-        # Lambda^{+-i} = P/e as (P, e), filled in order of |i|
-        self._powers = {1: [(one, 1)], -1: [(one, 1)]}
-
-    def _lam_power(self, k: int):
-        eps = 1 if k > 0 else -1
-        M, d = self.spec.lam_int[eps]
-        table = self._powers[eps]
-        while len(table) <= abs(k):
-            P, e = table[-1]
-            table.append((M @ P, e * d))
-        return table[abs(k)]
 
     def _vertex(self, head, prefix, eps):
-        k, num, den = _fold(prefix + ((eps, (0,) * self.spec.n),), self.spec)
-        P, e = self._lam_power(k)
-        D = math.lcm(den, e)  # positive, whatever the signs of den and e
-        N = tuple((c + den * x) * (D // den) for c, x in zip(num, head))
-        Q = tuple(tuple(x * (D // e) for x in r) for r in P.rows)
+        """The entry of u = coset(parent) x^z t^eps: the parent's entry and
+        one step N <- (N + Q z) d, Q <- Q M, D <- D d with (M, d) the pair
+        of Lambda^eps.  Without a held parent, the steps run from the base:
+        x^head t^e1 x^z1 ... t^eps."""
+        parent = (self._vertices.get((head, prefix[:-1], prefix[-1][0]))
+                  if prefix else None)
+        if parent:
+            (k, N, Q, D), steps = parent, ((prefix[-1][1], eps),)
+        else:
+            n = self.spec.n
+            k, N, D = 0, (0,) * n, 1
+            Q = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                                for i in range(n)))
+            steps = zip((head, *(z for _, z in prefix)),
+                        (*(e for e, _ in prefix), eps))
+        for z, e in steps:
+            M, d = self.spec.lam_int[e]
+            N = tuple((c + x) * d for c, x in zip(N, Q.apply(z)))
+            Q, D, k = Q @ M, D * d, k + e
         return k, N, Q, D
 
     def scaled(self, nf: NormalForm):
@@ -143,5 +139,4 @@ class VertexImages:
         if v is None:
             v = self._vertices[key] = self._vertex(*key)
         k, N, Q, D = v
-        z = syl[-1][1]
-        return k, [c + sum(map(mul, r, z)) for c, r in zip(N, Q)], D
+        return k, [c + x for c, x in zip(N, Q.apply(syl[-1][1]))], D

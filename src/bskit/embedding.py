@@ -61,6 +61,17 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
     return GroupBall(L, spheres)
 
 
+def ball_spheres(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> list:
+    """Spheres 0..lmax of the given ball, or of a fresh one if none is
+    given; lmax outside 0..ball.radius raises ValueError."""
+    if ball is None:
+        return enumerate_ball(lmax, spec).spheres
+    if not 0 <= lmax <= ball.radius:
+        raise ValueError(f"lmax = {lmax} is outside 0..{ball.radius}, "
+                         "the radius of the given ball")
+    return ball.spheres[:lmax + 1]
+
+
 @dataclass
 class CheckReport:
     """Outcome of an elementwise ball check."""
@@ -154,12 +165,10 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     if len(set(r_grid)) != len(given):
         raise ValueError(f"thresholds must be distinct nonnegative "
                          f"integers, got {given}")
-    if ball is None:
-        ball = enumerate_ball(lmax, spec)
     images = VertexImages(spec)
     counts = {r: [] for r in r_grid}
     running = {r: 0 for r in r_grid}
-    for sphere in ball.spheres:
+    for sphere in ball_spheres(lmax, spec, ball):
         for nf in sphere:
             k, num, den = images.scaled(nf)
             height = max(nf.t_length, abs(k))
@@ -172,4 +181,4 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     stabilized = {
         r: len(counts[r]) >= 3 and counts[r][-1] == counts[r][-3]
         for r in r_grid}
-    return PropernessProfile(ball.radius, r_grid, counts, stabilized)
+    return PropernessProfile(lmax, r_grid, counts, stabilized)

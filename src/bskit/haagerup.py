@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .affine import AffineElement, VertexImages, aff_identity, j_affine
 from .presentation import GroupSpec
-from .embedding import enumerate_ball
+from .embedding import ball_spheres
 from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
 from .words import britton_reduce, nf_multiply
 
@@ -59,9 +59,6 @@ class CocycleVector:
         for e, c in other.coefficients:
             d[e] = d.get(e, 0) + c
         return CocycleVector.from_dict(d)
-
-    def __neg__(self) -> "CocycleVector":
-        return CocycleVector.from_dict({e: -c for e, c in self.coefficients})
 
 
 def _canonical_edge(u: Vertex, w: Vertex):
@@ -305,12 +302,10 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     being a C0 function.
     """
     _check_scale(s)
-    if ball is None:
-        ball = enumerate_ball(lmax, spec)
     images = VertexImages(spec)
     identity = [_scaled(aff_identity(spec.n))]
     rows = []
-    for L, sphere in enumerate(ball.spheres):
+    for L, sphere in enumerate(ball_spheres(lmax, spec, ball)):
         # one regime dispatch and one identity orbit per sphere (never
         # empty: t^L has length L); each value is the float witness(nf, s,
         # spec) gives, and the first maximum wins

@@ -32,17 +32,19 @@ class GroupSpec:
         self.n = A.n
         self.A = A
         self.B = B
-        self.det_a = abs(A.det)
-        self.det_b = abs(B.det)
         self.lattice_a = Lattice(A)
         self.lattice_b = Lattice(B)
         self.residues_a = self.lattice_a.residues()
         self.residues_b = self.lattice_b.residues()
         # Lambda = A B^-1 generates the Z-action on the rational span.  As
-        # integer pairs: Lambda = M/d with M = A adj B, d = det B, and
-        # Lambda^-1 = M'/d' with M' = B adj A, d' = det A.
-        self.lam_int = {1: (A @ self.lattice_b.adjugate, self.lattice_b.det),
-                        -1: (B @ self.lattice_a.adjugate, self.lattice_a.det)}
+        # integer pairs over a positive denominator: Lambda = M/d with
+        # M = s A adj B, d = |det B|, s = sign det B, and Lambda^-1 = M'/d'
+        # from B adj A and det A the same way.
+        self.lam_int = {}
+        for eps, P, lat in ((1, A, self.lattice_b), (-1, B, self.lattice_a)):
+            s = 1 if lat.det > 0 else -1
+            M = tuple(tuple(s * x for x in r) for r in (P @ lat.adjugate).rows)
+            self.lam_int[eps] = (IntMatrix(M), abs(lat.det))
 
     @property
     def lam_scalar(self) -> Fraction:
@@ -51,10 +53,6 @@ class GroupSpec:
             raise ConfigurationError("lam_scalar requires n = 1")
         M, d = self.lam_int[1]
         return Fraction(M.rows[0][0], d)
-
-    def tree_degree(self) -> int:
-        """Vertex degree of the Bass-Serre tree: |det A| + |det B|."""
-        return self.det_a + self.det_b
 
     def __repr__(self) -> str:
         return f"GroupSpec(n={self.n}, A={self.A}, B={self.B})"

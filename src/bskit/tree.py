@@ -83,8 +83,6 @@ class Vertex:
 
 BASE = Vertex(())
 
-EdgePath = list  # list[Vertex], consecutive entries adjacent
-
 
 def vertex_of(w, spec: GroupSpec) -> Vertex:
     """Canonical vertex naming the coset w G.
@@ -143,8 +141,9 @@ def distance(u: Vertex, w: Vertex) -> int:
     return len(u) + len(w) - 2 * lcp_length(u, w)
 
 
-def geodesic(u: Vertex, w: Vertex) -> EdgePath:
-    """The unique embedded path from u to w (list of vertices)."""
+def geodesic(u: Vertex, w: Vertex) -> list:
+    """The unique embedded path from u to w: a list of vertices, consecutive
+    entries adjacent."""
     k = lcp_length(u, w)
     path = [u.prefix(m) for m in range(len(u), k, -1)]
     path.extend(w.prefix(m) for m in range(k, len(w) + 1))

@@ -118,10 +118,6 @@ class NormalForm:
     def is_identity(self) -> bool:
         return not self.syllables and not any(self.head)
 
-    @property
-    def t_exponent_sum(self) -> int:
-        return sum(e for e, _ in self.syllables)
-
     def letters(self) -> Word:
         out: Word = []
         if any(self.head):

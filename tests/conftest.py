@@ -15,10 +15,11 @@ GENERAL_DATA = {
                             [[2, 0, 1], [1, 1, 0], [0, 1, 3]]),
 }
 
-# GENERAL_DATA plus lambda = 1/2, 3/5 and -2/3, with small balls: where the
-# per-vertex affine map is checked against the per-element fold.
+# GENERAL_DATA plus lambda = 1/2, 3/5, -2/3 and 3/2 (both determinants
+# negative), with small balls: where the per-vertex affine map is checked
+# against the per-element fold.
 IMAGE_DATA = {**GENERAL_DATA, "bs12": make_bs(1, 2), "bs35": make_bs(3, 5),
-              "bsm23": make_bs(-2, 3)}
+              "bsm23": make_bs(-2, 3), "bsm3m2": make_bs(-3, -2)}
 
 
 @pytest.fixture(scope="session")

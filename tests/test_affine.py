@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
 
-from bskit import affine
 from bskit.affine import (AffineElement, VertexImages, aff_compose,
                           aff_identity, aff_invert, j_affine)
+from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)
 
@@ -144,23 +144,49 @@ def test_compose_with_inverse_at_large_height(bs23):
             k, (Fraction(2, 3) ** k,))
 
 
-def test_vertex_images_match_j_affine(image_balls, monkeypatch):
+class CountingPairs(dict):
+    """lam_int that counts its lookups: one per step along a tree edge."""
+
+    lookups = 0
+
+    def __getitem__(self, eps):
+        self.lookups += 1
+        return super().__getitem__(eps)
+
+
+def counting_spec(spec):
+    fresh = make_matrix_group(spec.A, spec.B)
+    fresh.lam_int = CountingPairs(fresh.lam_int)
+    return fresh
+
+
+def assert_scaled_is_j_affine(scaled, nf, spec):
+    k, num, den = scaled
+    assert den > 0, str(nf)
+    aff = AffineElement(k, tuple(Fraction(c, den) for c in num))
+    assert aff == j_affine(nf, spec), str(nf)
+
+
+def test_vertex_images_match_j_affine(image_balls):
     # negative determinants, lambda < 0 and n = 3; each ball holds many
     # elements per vertex, at heights of both signs
-    fold, folds = affine._fold, []
-    monkeypatch.setattr(affine, "_fold",
-                        lambda *args: folds.append(args) or fold(*args))
     for name, (spec, ball) in image_balls.items():
-        images = VertexImages(spec)
-        folds.clear()
+        fresh = counting_spec(spec)
+        images = VertexImages(fresh)
         scaled = [images.scaled(nf) for nf in ball.elements]
-        # one fold per Bass-Serre vertex other than the base
+        # one step along a tree edge per Bass-Serre vertex other than the
+        # base: in ball order each vertex's parent is already held
         vertices = {vertex_of(nf, spec) for nf in ball.elements}
-        assert len(folds) == len(vertices) - 1 < len(ball), name
-        for nf, (k, num, den) in zip(ball.elements, scaled):
-            assert den > 0
-            aff = AffineElement(k, tuple(Fraction(c, den) for c in num))
-            assert aff == j_affine(nf, spec), (name, str(nf))
+        assert fresh.lam_int.lookups == len(vertices) - 1 < len(ball), name
+        for nf, image in zip(ball.elements, scaled):
+            assert_scaled_is_j_affine(image, nf, spec)
+
+
+def test_vertex_images_from_the_base_at_large_height(bs23):
+    # no parent is held, so the steps run from the base, without recursion
+    for text in ("t^3000 x", "x t^-2500 x^5 t^400 x^-7"):
+        nf = britton_reduce(w(text, bs23), bs23)
+        assert_scaled_is_j_affine(VertexImages(bs23).scaled(nf), nf, bs23)
 
 
 def test_rendering(bs23):

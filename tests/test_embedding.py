@@ -148,6 +148,18 @@ def test_profile_csv_shape(bs12, bs12_ball10):
     assert len(lines) == 1 + 2 * 11
 
 
+def test_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
+    # a larger ball gives the profile of a fresh radius-lmax ball
+    fresh = properness_profile(6, [1, 2, 4], bs12)
+    given = properness_profile(6, [1, 2, 4], bs12, ball=bs12_ball10)
+    assert given.lmax == fresh.lmax == 6
+    assert given.to_csv() == fresh.to_csv()
+    for lmax in (9, 11, -1):
+        with pytest.raises(ValueError, match="outside 0..6"):
+            properness_profile(lmax, [1, 2], bs12,
+                               ball=enumerate_ball(6, bs12))
+
+
 def test_profile_late_stabilization_r4(bs12):
     # R = 4 sublevel counts keep growing through L = 10 (elements such as
     # t^4 x^59 first appear at word length 10); the flag turns true at 12

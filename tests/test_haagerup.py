@@ -73,9 +73,10 @@ def test_cocycle_inverse_antisymmetry(bs23, bs23_ball6):
     for _ in range(100):
         g = rng.choice(bs23_ball6.elements)
         ginv = nf_invert(g, bs23)
-        lhs = cocycle(ginv, bs23)
-        rhs = -translate_cocycle(ginv, cocycle(g, bs23), bs23)
-        assert lhs == rhs
+        # b(g^-1) = -g^-1 b(g): the sum has no nonzero coefficient
+        total = cocycle(ginv, bs23) + translate_cocycle(
+            ginv, cocycle(g, bs23), bs23)
+        assert total.coefficients == ()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,15 @@ def test_c0_profile_decreasing(bs12, bs12_ball10):
         assert b < a
     csv = c0_profile_csv(rows)
     assert csv.splitlines()[0] == "L,max_witness,argmax"
+
+
+def test_c0_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
+    # a larger ball gives the rows of a fresh radius-lmax ball
+    rows = c0_profile(3, 1.0, bs12, ball=bs12_ball10)
+    assert rows == c0_profile(3, 1.0, bs12) and len(rows) == 4
+    for lmax in (7, -1):
+        with pytest.raises(ValueError, match="outside 0..6"):
+            c0_profile(lmax, 1.0, bs12, ball=enumerate_ball(6, bs12))
 
 
 def test_c0_profile_matches_per_element_witness(bs12, bs23):

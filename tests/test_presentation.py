@@ -16,19 +16,19 @@ def test_make_bs_23():
     assert spec.A.rows == ((2,),)
     assert spec.B.rows == ((3,),)
     assert spec.lam_scalar == Fraction(2, 3)
-    assert spec.tree_degree() == 5
+    assert abs(spec.A.det) + abs(spec.B.det) == 5  # tree degree
 
 
 def test_make_bs_11_accepted():
     spec = make_bs(1, 1)
     assert spec.lam_scalar == 1
-    assert spec.tree_degree() == 2
+    assert abs(spec.A.det) + abs(spec.B.det) == 2  # tree degree
 
 
 def test_make_bs_12_ascending_degrees():
     spec = make_bs(1, 2)
     assert spec.lam_scalar == Fraction(1, 2)
-    assert spec.det_a == 1 and spec.det_b == 2
+    assert abs(spec.A.det) == 1 and abs(spec.B.det) == 2
     # up-degree 1, down-degree 2 by neighbor enumeration
     nbrs = neighbors(BASE, spec)
     assert len(nbrs) == 3
@@ -44,7 +44,7 @@ def test_make_bs_zero_rejected():
 
 def test_matrix_group_ascending():
     spec = make_matrix_group([[2, 1], [0, 2]], [[1, 0], [0, 1]])
-    assert spec.tree_degree() == 5
+    assert abs(spec.A.det) + abs(spec.B.det) == 5  # tree degree
     assert len(neighbors(BASE, spec)) == 5
 
 
@@ -97,15 +97,21 @@ def test_lambda_powers_through_compose():
 
 def test_lambda_pairs_match_a_b_inverse():
     # Lambda = A B^-1 = M/d and Lambda^-1 = B A^-1 = M'/d' as integer
-    # pairs: M B = d A and M' A = d' B
-    for A, B in (([[2]], [[3]]), ([[1]], [[-1]]),
+    # pairs over positive denominators: M B = d A and M' A = d' B
+    for A, B in (([[2]], [[3]]), ([[1]], [[-1]]), ([[-2]], [[-3]]),
                  ([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
-                 ([[3, 1], [1, 2]], [[-2, 1], [0, 1]])):
+                 ([[3, 1], [1, 2]], [[-2, 1], [0, 1]]),
+                 ([[1, 2], [3, 1]], [[2, 0], [1, 1]])):  # det A = -5
         spec = make_matrix_group(A, B)
         for (M, d), P, Q in ((spec.lam_int[1], spec.B, spec.A),
                              (spec.lam_int[-1], spec.A, spec.B)):
+            assert d > 0
             assert (M @ P).rows == tuple(tuple(d * x for x in r)
                                          for r in Q.rows)
+    # the sign moves into M: lambda keeps its value
+    for (p, q), lam in (((2, -2), -1), ((1, -2), Fraction(-1, 2)),
+                        ((-2, 3), Fraction(-2, 3))):
+        assert make_bs(p, q).lam_scalar == lam
 
 
 def test_stable_relation_under_reduction_and_affine():
