@@ -12,7 +12,7 @@ from .embedding import (GroupBall, PropernessProfile, check_injectivity,
                         check_stabilizer, enumerate_ball, properness_profile)
 from .haagerup import (CocycleVector, GramReport, HyperbolicPoint,
                        UnsupportedWitnessError, c0_profile, cocycle,
-                       cocycle_identity_check, hyperbolic_distance,
-                       hyperbolic_orbit, tree_gram, witness, witness_gram)
+                       cocycle_identity_check, hyperbolic_distance, tree_gram,
+                       witness, witness_gram)
 
 __version__ = "0.1.0"

@@ -36,10 +36,6 @@ class AffineElement:
         return f"({self.k}; {coords})"
 
 
-def aff_identity(n: int) -> AffineElement:
-    return AffineElement(0, (Fraction(0),) * n)
-
-
 def _lam_apply(k: int, a, spec: GroupSpec) -> tuple:
     """Lambda^k a: |k| steps of the integer pair (M, d) of Lambda^{+-1}
     on a held as integers over one denominator, as in j_affine."""

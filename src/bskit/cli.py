@@ -1,8 +1,8 @@
 """Command-line front end; every operation as a reproducible one-liner.
 
 Exit codes: 0 success, 1 a check ran and found violations, 2 usage,
-resource or numeric-range errors.  Output is byte-stable: sorted orders
-and 12-significant-digit floats.
+unreadable or unwritable files, resource or numeric-range errors.
+Output is byte-stable: sorted orders and 12-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .words import (ParseError, britton_reduce, nf_multiply, parse_word,
                     word_problem)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _exit_2(message: str):
+    click.echo(message, err=True)
+    sys.exit(2)
 
 
 def _load_spec(bs, spec_file) -> GroupSpec:
@@ -37,15 +38,23 @@ def _load_spec(bs, spec_file) -> GroupSpec:
     if bs is not None:
         return make_bs(bs[0], bs[1])
     if spec_file is not None:
-        with open(spec_file) as fh:
-            return spec_from_dict(json.load(fh))
+        try:
+            with open(spec_file, encoding="utf-8") as fh:
+                return spec_from_dict(json.load(fh))
+        except OSError as exc:
+            _exit_2(f"cannot read {spec_file}: {exc.strerror}")
+        except UnicodeDecodeError:
+            _exit_2(f"cannot read {spec_file}: not UTF-8 text")
     raise click.UsageError("a group is required: --bs P Q or --spec FILE")
 
 
 def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            _exit_2(f"cannot write {out}: {exc.strerror}")
     else:
         click.echo(text.rstrip("\n"))
 
@@ -71,14 +80,11 @@ def _run(ctx, fn):
     except (ParseError, ConfigurationError, ValueError) as exc:
         raise click.UsageError(str(exc))
     except ResourceBoundError as exc:
-        click.echo(f"resource bound exceeded: {exc}", err=True)
-        sys.exit(2)
+        _exit_2(f"resource bound exceeded: {exc}")
     except UnsupportedWitnessError as exc:
-        click.echo(f"unsupported witness regime: {exc}", err=True)
-        sys.exit(2)
+        _exit_2(f"unsupported witness regime: {exc}")
     except OverflowError as exc:
-        click.echo(f"numeric range exceeded: {exc}", err=True)
-        sys.exit(2)
+        _exit_2(f"numeric range exceeded: {exc}")
     if ok is False:
         sys.exit(1)
 
@@ -280,7 +286,7 @@ def gram(ctx, length, scale, size, seed, kernel, out):
 def witness_cmd(ctx, word, scale):
     """Witness value psi_s(WORD)."""
     _run(ctx, lambda spec: click.echo(
-        _fmt(witness(parse_word(word, spec), scale, spec))))
+        format(witness(parse_word(word, spec), scale, spec), ".12g")))
 
 
 @main.command()

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .affine import AffineElement, VertexImages, aff_identity, j_affine
+from .affine import VertexImages
 from .presentation import GroupSpec
 from .embedding import ball_spheres
 from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
@@ -48,14 +48,11 @@ class CocycleVector:
                                                str(item[0][0]))))
         return CocycleVector(items)
 
-    def as_dict(self) -> dict:
-        return dict(self.coefficients)
-
     def norm_sq(self) -> int:
         return sum(c * c for _, c in self.coefficients)
 
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
-        d = self.as_dict()
+        d = dict(self.coefficients)
         for e, c in other.coefficients:
             d[e] = d.get(e, 0) + c
         return CocycleVector.from_dict(d)
@@ -202,26 +199,11 @@ def witness_regime(spec: GroupSpec) -> str:
     return PROFILE_ONLY
 
 
-def hyperbolic_orbit(e: AffineElement, spec: GroupSpec) -> HyperbolicPoint:
-    """Orbit of the base point (0, 1) under z -> lambda^k z + a."""
-    return _hyperbolic_orbits([_scaled(e)], spec)[0]
-
-
-def _scaled(e: AffineElement):
-    """(k, num, den) with e = (k, num / den), num integers and den > 0:
-    the form VertexImages.scaled gives and the distances below read."""
-    den = math.lcm(*(x.denominator for x in e.a))
-    return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
-
-
-def _hyperbolic_orbits(images, spec: GroupSpec) -> list:
-    """The half-plane points of several scaled images, with one float
+def _half_plane_points(images, spec: GroupSpec) -> list:
+    """The half-plane points of several images (k, num, den), the orbit of
+    the base point (0, 1) under z -> lambda^k z + num / den, with one float
     lambda^k per distinct height k (first-seen order names the failing
     height)."""
-    if spec.n != 1 or spec.lam_scalar <= 0:
-        raise UnsupportedWitnessError(
-            "half-plane orbit needs n = 1 and lambda > 0; "
-            "use the profile-only tools instead")
     ys = {}
     for k in dict.fromkeys(k for k, _, _ in images):
         try:
@@ -244,20 +226,14 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
 # Combined witness
 
 def affine_distances(rows, cols, spec: GroupSpec) -> list:
-    """Distances between two lists of affine images, as a matrix, under
-    the active regime; each image is mapped to the half-plane once."""
-    return _scaled_distances([_scaled(e) for e in rows],
-                             [_scaled(e) for e in cols], spec)
-
-
-def _scaled_distances(rows, cols, spec: GroupSpec) -> list:
-    """affine_distances of images given as (k, num, den) (see _scaled).
-    A rational becomes a float by one correctly rounded division of
-    integers, the same float that float(Fraction) gives."""
+    """Distances between two lists of affine images (k, num, den), as
+    VertexImages.scaled gives them, as a matrix under the active regime.
+    Each image is mapped to the half-plane once, and a rational becomes a
+    float by one correctly rounded division of integers."""
     regime = witness_regime(spec)
     if regime == HYPERBOLIC:
-        ps = _hyperbolic_orbits(rows, spec)
-        qs = _hyperbolic_orbits(cols, spec)
+        ps = _half_plane_points(rows, spec)
+        qs = _half_plane_points(cols, spec)
         return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
     if regime == ISOMETRIC:
         return [[(abs(k - k2) * den * den2
@@ -269,29 +245,30 @@ def _scaled_distances(rows, cols, spec: GroupSpec) -> list:
         "tree_gram and properness profiles remain available")
 
 
-def affine_displacement(e: AffineElement, spec: GroupSpec) -> float:
-    """Displacement of the affine coordinate: its distance from the
-    identity's image, whose half-plane point is exactly (0, 1)."""
-    return affine_distances([aff_identity(spec.n)], [e], spec)[0][0]
+def _witness_values(nfs, s: float, spec: GroupSpec,
+                    images: VertexImages) -> list:
+    """psi_s of each normal form: exp(-s (t-length + the distance of its
+    affine image from the identity's image (0, 0, 1)))."""
+    dists, = affine_distances([(0, (0,) * spec.n, 1)],
+                              [images.scaled(nf) for nf in nfs], spec)
+    return [math.exp(-s * (nf.t_length + d)) for nf, d in zip(nfs, dists)]
 
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:
     """psi_s(gamma) = exp(-s (d_T(v, gamma v) + affine displacement))."""
     _check_scale(s)
-    nf = britton_reduce(gamma, spec)
-    d_tree = nf.t_length
-    return math.exp(-s * (d_tree + affine_displacement(j_affine(nf, spec),
-                                                       spec)))
+    return _witness_values([britton_reduce(gamma, spec)], s, spec,
+                           VertexImages(spec))[0]
 
 
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
     elements = _check_sample(elements, s)
-    verts = [vertex_of(nf, spec) for nf in elements]
-    affs = [j_affine(nf, spec) for nf in elements]
-    aff = affine_distances(affs, affs, spec)
+    nfs = [britton_reduce(g, spec) for g in elements]
+    verts = [vertex_of(nf, spec) for nf in nfs]
+    affs = list(map(VertexImages(spec).scaled, nfs))
     dm = [[distance(u, w) + a for w, a in zip(verts, row)]
-          for u, row in zip(verts, aff)]
+          for u, row in zip(verts, affine_distances(affs, affs, spec))]
     return _gram_report("witness", s, elements, dm)
 
 
@@ -303,16 +280,12 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     """
     _check_scale(s)
     images = VertexImages(spec)
-    identity = [_scaled(aff_identity(spec.n))]
     rows = []
     for L, sphere in enumerate(ball_spheres(lmax, spec, ball)):
-        # one regime dispatch and one identity orbit per sphere (never
-        # empty: t^L has length L); each value is the float witness(nf, s,
-        # spec) gives, and the first maximum wins
-        dists = _scaled_distances(identity,
-                                  [images.scaled(nf) for nf in sphere], spec)
-        vals = [math.exp(-s * (nf.t_length + d))
-                for nf, d in zip(sphere, dists[0])]
+        # one regime dispatch per sphere (never empty: t^L has length L);
+        # each value is the float witness(nf, s, spec) gives, and the
+        # first maximum wins
+        vals = _witness_values(sphere, s, spec, images)
         i = max(range(len(vals)), key=vals.__getitem__)
         rows.append((L, vals[i], str(sphere[i])))
     return rows

@@ -34,8 +34,7 @@ class GroupSpec:
         self.B = B
         self.lattice_a = Lattice(A)
         self.lattice_b = Lattice(B)
-        self.residues_a = self.lattice_a.residues()
-        self.residues_b = self.lattice_b.residues()
+        self._residues = None
         # Lambda = A B^-1 generates the Z-action on the rational span.  As
         # integer pairs over a positive denominator: Lambda = M/d with
         # M = s A adj B, d = |det B|, s = sign det B, and Lambda^-1 = M'/d'
@@ -45,6 +44,17 @@ class GroupSpec:
             s = 1 if lat.det > 0 else -1
             M = tuple(tuple(s * x for x in r) for r in (P @ lat.adjugate).rows)
             self.lam_int[eps] = (IntMatrix(M), abs(lat.det))
+
+    @property
+    def residues(self) -> dict:
+        """Residues of A (key 1) and B (key -1), the edge labels at a tree
+        vertex; built on first read, as |det A| + |det B| can be huge.
+        (Not a cached_property: filling __dict__ directly slows every
+        later attribute read of this object.)"""
+        if self._residues is None:
+            self._residues = {1: self.lattice_a.residues(),
+                              -1: self.lattice_b.residues()}
+        return self._residues
 
     @property
     def lam_scalar(self) -> Fraction:

@@ -123,8 +123,7 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     last = u.syllables[-1][0] if u.syllables else 0
     return [u.prefix(len(u) - 1) if eps == -last and not any(r)
             else Vertex(u.syllables + ((eps, r),))
-            for eps, residues in ((1, spec.residues_a), (-1, spec.residues_b))
-            for r in residues]
+            for eps in (1, -1) for r in spec.residues[eps]]
 
 
 def lcp_length(u: Vertex, w: Vertex) -> int:

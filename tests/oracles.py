@@ -2,9 +2,14 @@
 
 Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
-Lattice membership, which only the tests ask about, lives here too.
+Lattice membership, the affine identity and the turning of a Fraction
+image into integers, which only the tests ask for, live here too.
 """
 
+import math
+from fractions import Fraction
+
+from bskit.affine import AffineElement
 from bskit.arith import vec_add, zero_vector
 from bskit.presentation import GroupSpec
 from bskit.words import NormalForm, T, Word, X, britton_reduce
@@ -13,6 +18,17 @@ from bskit.words import NormalForm, T, Word, X, britton_reduce
 def in_lattice(lat, z) -> bool:
     """Whether z lies in the sublattice of ``lat``: an integer solve exists."""
     return lat.solve(z) is not None
+
+
+def aff_identity(n: int) -> AffineElement:
+    return AffineElement(0, (Fraction(0),) * n)
+
+
+def scaled_image(e: AffineElement):
+    """(k, num, den) with e = (k, num / den), num integers and den > 0:
+    the form VertexImages.scaled gives and affine_distances reads."""
+    den = math.lcm(*(x.denominator for x in e.a))
+    return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
 
 
 def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"

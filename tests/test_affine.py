@@ -5,9 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
+from oracles import aff_identity
 
-from bskit.affine import (AffineElement, VertexImages, aff_compose,
-                          aff_identity, aff_invert, j_affine)
+from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
+                          j_affine)
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)

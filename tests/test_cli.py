@@ -183,6 +183,16 @@ def test_usage_errors_exit_2(runner, tmp_path):
                  ["orbit", "t", "-k", "-1"]):
         result = runner.invoke(main, ["--bs", "1", "2", *args])
         assert result.exit_code == 2 and "x>=0" in result.output
+    # unreadable and unwritable files: one line naming the path
+    path.write_bytes(b"\xff\xfe{")
+    for args, name in ((["--spec", str(tmp_path), "reduce", "t"], tmp_path),
+                       (["--spec", str(path), "reduce", "t"], path),
+                       (["--bs", "2", "3", "ball", "-R", "1", "--out",
+                         "/nonexistent/x.txt"], "/nonexistent/x.txt")):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.output.splitlines() == [result.output.strip()]
+        assert str(name) in result.output and "Traceback" not in result.output
 
 
 def test_cli_import_leaves_numpy_unloaded():

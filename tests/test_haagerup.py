@@ -5,22 +5,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bskit.affine import AffineElement, aff_compose, aff_identity, j_affine
+from oracles import scaled_image
+
+from bskit.affine import AffineElement, VertexImages, aff_compose, j_affine
 from bskit.embedding import enumerate_ball
 from bskit.haagerup import (HyperbolicPoint, UnsupportedWitnessError,
-                            affine_displacement, affine_distances,
-                            c0_profile, c0_profile_csv,
+                            affine_distances, c0_profile, c0_profile_csv,
                             cocycle, cocycle_identity_check,
-                            hyperbolic_distance, hyperbolic_orbit, tree_gram,
+                            hyperbolic_distance, tree_gram,
                             translate_cocycle, witness, witness_gram,
                             witness_regime)
 from bskit.presentation import make_bs
-from bskit.tree import BASE, act, distance
+from bskit.tree import BASE, act, distance, vertex_of
 from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
+
+# the identity's affine image (0, 0) as (k, num, den), n = 1
+ONE = (0, (0,), 1)
 
 
 def nf(text, spec):
     return britton_reduce(parse_word(text, spec), spec)
+
+
+def displacement(text, spec):
+    """Distance of the image of a word from the identity's image."""
+    image = VertexImages(spec).scaled(nf(text, spec))
+    return affine_distances([ONE], [image], spec)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,39 +139,45 @@ def test_gram_report_json(bs23):
 # hyperbolic witness
 
 def test_orbit_identity(bs12):
-    p = hyperbolic_orbit(j_affine([], bs12), bs12)
-    assert (p.x, p.y) == (0.0, 1.0)
+    assert VertexImages(bs12).scaled(nf("x^0", bs12)) == ONE
+    assert displacement("x^0", bs12) == 0.0
+    p = HyperbolicPoint(0.0, 1.0)
     assert hyperbolic_distance(p, p) == 0.0
 
 
 def test_orbit_of_t_bs12(bs12):
-    p = hyperbolic_orbit(j_affine(parse_word("t", bs12), bs12), bs12)
-    assert (p.x, p.y) == (0.0, 0.5)
-    d = hyperbolic_distance(HyperbolicPoint(0.0, 1.0), p)
+    # t moves the base point (0, 1) to (0, 1/2)
+    d = displacement("t", bs12)
+    assert d == hyperbolic_distance(HyperbolicPoint(0.0, 1.0),
+                                    HyperbolicPoint(0.0, 0.5))
     assert abs(d - math.log(2)) < 1e-12
 
 
 def test_orbit_of_x_bs12(bs12):
-    p = hyperbolic_orbit(j_affine(parse_word("x", bs12), bs12), bs12)
-    assert (p.x, p.y) == (1.0, 1.0)
-    d = hyperbolic_distance(HyperbolicPoint(0.0, 1.0), p)
+    # x moves the base point (0, 1) to (1, 1)
+    d = displacement("x", bs12)
+    assert d == hyperbolic_distance(HyperbolicPoint(0.0, 1.0),
+                                    HyperbolicPoint(1.0, 1.0))
     assert abs(d - math.acosh(1.5)) < 1e-12
 
 
-def test_orbit_equivariance(bs12):
+def test_affine_distances_left_invariant(bs12):
+    # the orbit map is equivariant and the group acts by isometries, so
+    # d(e f, e g) = d(f, g) in both regimes
     rng = random.Random(29)
-    lam = bs12.lam_scalar
-    from fractions import Fraction
-    for _ in range(200):
-        e = AffineElement(rng.randrange(-4, 5),
-                          (Fraction(rng.randrange(-20, 20), 4),))
-        f = AffineElement(rng.randrange(-4, 5),
-                          (Fraction(rng.randrange(-20, 20), 4),))
-        pf = hyperbolic_orbit(f, bs12)
-        pef = hyperbolic_orbit(aff_compose(e, f, bs12), bs12)
-        scale = float(lam) ** e.k
-        assert abs(pef.x - (scale * pf.x + float(e.a[0]))) < 1e-12
-        assert abs(pef.y - scale * pf.y) < 1e-12
+
+    def element():
+        return AffineElement(rng.randrange(-4, 5),
+                             (Fraction(rng.randrange(-20, 20), 4),))
+    for spec in (bs12, make_bs(2, -2)):
+        for _ in range(200):
+            e, f, g = element(), element(), element()
+            (d,), = affine_distances([scaled_image(f)], [scaled_image(g)],
+                                     spec)
+            (de,), = affine_distances(
+                [scaled_image(aff_compose(e, f, spec))],
+                [scaled_image(aff_compose(e, g, spec))], spec)
+            assert abs(de - d) < 1e-9 * max(1.0, d)
 
 
 def test_half_plane_rejects_bad_point():
@@ -230,15 +246,15 @@ def test_witness_gram_isometric_regime():
 def test_isometric_displacement_value():
     spec = make_bs(2, -2)
     aff = j_affine(parse_word("t x", spec), spec)
-    assert affine_displacement(aff, spec) == abs(aff.k) + abs(float(aff.a[0]))
+    assert displacement("t x", spec) == abs(aff.k) + abs(float(aff.a[0]))
 
 
 def test_isometric_distances_are_rounded_once():
     # the exact rational |k - k'| + sum |a - a'| goes to float in one
     # rounding, also between two images that are not integral
     spec = make_bs(2, -2)
-    e = AffineElement(1, (Fraction(1, 3),))
-    f = AffineElement(-2, (Fraction(-5, 7),))
+    e = (1, (1,), 3)
+    f = (-2, (-5,), 7)
     assert affine_distances([e], [f, e], spec) == [
         [float(3 + Fraction(1, 3) + Fraction(5, 7)), 0.0]]
 
@@ -246,16 +262,41 @@ def test_isometric_distances_are_rounded_once():
 def test_displacement_is_distance_from_identity(bs12):
     base = HyperbolicPoint(0.0, 1.0)
     for spec in (bs12, make_bs(2, -2)):
-        one = aff_identity(1)
+        images = VertexImages(spec)
         for g in enumerate_ball(4, spec).elements:
-            e = j_affine(g, spec)
-            d = affine_displacement(e, spec)
-            assert d == affine_distances([one], [e], spec)[0][0]
-            assert d == affine_distances([e], [one], spec)[0][0]
+            k, num, den = e = images.scaled(g)
+            d = affine_distances([ONE], [e], spec)[0][0]
+            assert d == affine_distances([e], [ONE], spec)[0][0]
+            assert witness(g, 1.0, spec) == math.exp(-(g.t_length + d))
             if spec is bs12:
-                assert d == hyperbolic_distance(base, hyperbolic_orbit(e, spec))
+                point = HyperbolicPoint(num[0] / den,
+                                        float(spec.lam_scalar ** k))
+                assert d == hyperbolic_distance(base, point)
             else:
-                assert d == float(abs(e.k) + sum(abs(x) for x in e.a))
+                assert d == float(abs(k) + abs(Fraction(num[0], den)))
+
+
+def test_witness_family_matches_per_element_j_affine():
+    # reference images from each element's own right-to-left fold, not
+    # from VertexImages; values and matrices agree to the last bit
+    for p, q in ((1, 2), (2, 3), (3, 5), (2, -2), (1, -1)):
+        spec = make_bs(p, q)
+        elements = enumerate_ball(4, spec).elements
+        ref = [scaled_image(j_affine(g, spec)) for g in elements]
+        disp = affine_distances([ONE], ref, spec)[0]
+        sample = random.Random(43).sample(range(len(elements)),
+                                          min(30, len(elements)))
+        gram_ref = affine_distances([ref[i] for i in sample],
+                                    [ref[i] for i in sample], spec)
+        verts = [vertex_of(elements[i], spec) for i in sample]
+        for s in (1.0, 0.3):
+            assert [witness(g, s, spec) for g in elements] == [
+                math.exp(-s * (g.t_length + d))
+                for g, d in zip(elements, disp)]
+            report = witness_gram([elements[i] for i in sample], s, spec)
+            dm = [[distance(u, w) + a for w, a in zip(verts, row)]
+                  for u, row in zip(verts, gram_ref)]
+            assert (report.matrix == np.exp(-s * np.asarray(dm))).all()
 
 
 def test_witness_at_huge_heights_is_a_range_error(bs12):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from bskit.affine import AffineElement, aff_compose, j_affine
-from bskit.arith import ConfigurationError, IntMatrix
+from bskit.arith import ConfigurationError, IntMatrix, Lattice
+from bskit.embedding import enumerate_ball, properness_profile
 from bskit.presentation import (GroupSpec, make_bs, make_matrix_group,
                                 spec_from_dict)
 from bskit.tree import BASE, neighbors
-from bskit.words import britton_reduce, parse_word
+from bskit.words import T, X, britton_reduce, parse_word
 
 
 def test_make_bs_23():
@@ -75,13 +76,34 @@ def test_constructor_consistency():
         w1 = britton_reduce(parse_word(text, s1), s1)
         w2 = britton_reduce(parse_word(text, s2), s2)
         assert w1 == w2
-    assert s1.residues_a == s2.residues_a
+    assert s1.residues == s2.residues
 
 
 def test_residue_sizes_match_determinants():
     spec = make_matrix_group([[2, 1], [0, 2]], [[3, 0], [0, 1]])
-    assert len(spec.residues_a) == 4
-    assert len(spec.residues_b) == 3
+    assert len(spec.residues[1]) == 4
+    assert len(spec.residues[-1]) == 3
+
+
+def test_residues_are_built_on_first_read(monkeypatch):
+    # |det A| + |det B| residues may not fit in memory (BS(10^8, 3)): only
+    # the tree's neighbours read them, once per datum
+    calls = []
+    original = Lattice.residues
+    monkeypatch.setattr(Lattice, "residues",
+                        lambda lat: calls.append(lat.det) or original(lat))
+    for spec in (make_bs(2, 3),
+                 make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]])):
+        word = [T(1), X((1,) * spec.n), T(-1), X((2,) * spec.n), T(1)]
+        britton_reduce(word, spec)
+        j_affine(word, spec)
+        enumerate_ball(3, spec)
+        properness_profile(3, [1, 2], spec)
+        assert calls == []
+        neighbors(BASE, spec)
+        neighbors(BASE, spec)
+        assert calls == [spec.A.det, spec.B.det]
+        calls.clear()
 
 
 def test_lambda_powers_through_compose():
