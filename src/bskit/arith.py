@@ -153,10 +153,12 @@ class Lattice:
     """The sublattice M Z^n of Z^n with its canonical transversal.
 
     The canonical representative of z is obtained by reducing z against
-    the column Hermite form of M, pivot by pivot, into the half-open
-    box [0, pivot).  Solving is integer-only: M h = z has the unique
-    solution h = adj(M) z / det M, which is integral iff every coordinate
-    of adj(M) z is divisible by det M.  Immutable after construction.
+    the column Hermite form H = M U of M, pivot by pivot, into the
+    half-open box [0, pivot); the quotients k give z = H k + r, and
+    z = M h + r for h = U k.  Solving is integer-only: M h = z has the
+    unique solution h = adj(M) z / det M, which is integral iff every
+    coordinate of adj(M) z is divisible by det M.  Immutable after
+    construction.
     """
 
     def __init__(self, M: IntMatrix):
@@ -178,8 +180,8 @@ class Lattice:
         return None if any(r for _, r in qr) else tuple(q for q, _ in qr)
 
     def decompose(self, z: IntVector):
-        """The unique (r, h) with z = M h + r and r canonical: one pass
-        of the pivot loop gives z = H k + r, and then h = U k."""
+        """The unique (r, k) with z = H k + r and r canonical, from one
+        pass of the pivot loop."""
         if len(z) != self.n:
             raise ConfigurationError(f"dimension mismatch: {z} in Z^{self.n}")
         H = self.hnf.rows
@@ -191,7 +193,7 @@ class Lattice:
                 for j in range(i, self.n):
                     r[j] -= q * H[j][i]
             k.append(q)
-        return tuple(r), self.unimodular.apply(k)
+        return tuple(r), tuple(k)
 
     def residues(self) -> tuple:
         """All |det M| canonical residues of Z^n mod M Z^n, zero first."""

@@ -145,9 +145,11 @@ def _check_scale(s: float) -> None:
             f"kernel parameter s must be a positive finite number, got {s}")
 
 
-def _check_sample(elements, s: float) -> list:
+def _check_sample(elements, s: float, spec: GroupSpec) -> list:
+    """The sample as normal forms: raw words equal in the group are
+    duplicates."""
     _check_scale(s)
-    elements = list(elements)
+    elements = [britton_reduce(g, spec) for g in elements]
     if not elements:
         raise ValueError("an empty sample has no Gram report")
     if len(set(elements)) != len(elements):
@@ -157,7 +159,7 @@ def _check_sample(elements, s: float) -> list:
 
 def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for K_ij = exp(-s d(g_i v, g_j v)) on the tree."""
-    elements = _check_sample(elements, s)
+    elements = _check_sample(elements, s, spec)
     verts = [vertex_of(nf, spec) for nf in elements]
     dm = [[distance(u, w) for w in verts] for u in verts]
     return _gram_report("tree", s, elements, dm)
@@ -263,10 +265,9 @@ def witness(gamma, s: float, spec: GroupSpec) -> float:
 
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
-    elements = _check_sample(elements, s)
-    nfs = [britton_reduce(g, spec) for g in elements]
-    verts = [vertex_of(nf, spec) for nf in nfs]
-    affs = list(map(VertexImages(spec).scaled, nfs))
+    elements = _check_sample(elements, s, spec)
+    verts = [vertex_of(nf, spec) for nf in elements]
+    affs = list(map(VertexImages(spec).scaled, elements))
     dm = [[distance(u, w) + a for w, a in zip(verts, row)]
           for u, row in zip(verts, affine_distances(affs, affs, spec))]
     return _gram_report("witness", s, elements, dm)

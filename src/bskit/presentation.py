@@ -34,6 +34,10 @@ class GroupSpec:
         self.B = B
         self.lattice_a = Lattice(A)
         self.lattice_b = Lattice(B)
+        # the carry B h (resp. A h) of a Britton split is C_eps k for the
+        # Hermite quotients k of Lattice.decompose, as h = U_A k (resp. U_B k)
+        self.carry = {1: B @ self.lattice_a.unimodular,
+                      -1: A @ self.lattice_b.unimodular}
         self._residues = None
         # Lambda = A B^-1 generates the Z-action on the rational span.  As
         # integer pairs over a positive denominator: Lambda = M/d with

@@ -38,9 +38,11 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
         env = os.environ.get("BSK_MAX_BALL")
         try:
             bound = int(env) if env else default
+            if bound < 0:
+                raise ValueError
         except ValueError:
-            raise ConfigurationError(
-                f"BSK_MAX_BALL must be an integer, got {env!r}") from None
+            raise ConfigurationError("BSK_MAX_BALL must be a nonnegative "
+                                     f"integer, got {env!r}") from None
     if radius > bound:
         raise ResourceBoundError(
             f"radius {radius} exceeds bound {bound} (set BSK_MAX_BALL)")

@@ -118,16 +118,6 @@ class NormalForm:
     def is_identity(self) -> bool:
         return not self.syllables and not any(self.head)
 
-    def letters(self) -> Word:
-        out: Word = []
-        if any(self.head):
-            out.append(X(self.head))
-        for e, z in self.syllables:
-            out.append(T(e))
-            if any(z):
-                out.append(X(z))
-        return out
-
     def __str__(self) -> str:
         parts = [_render_x(self.head)] if any(self.head) else []
         for e, z in self.syllables:
@@ -170,16 +160,13 @@ class _Builder:
     def push_t(self, eps: int) -> None:
         # split the tail x-power around the new t:
         # x^g t = x^r t x^{Bh} (g = Ah + r), x^g t^-1 = x^r t^-1 x^{Ah}
-        # (g = Bh + r).  After a t^-eps syllable, r = 0 is exactly the
-        # pinch t^-1 x^{Ah} t -> x^{Bh} resp. t x^{Bh} t^-1 -> x^{Ah}.
+        # (g = Bh + r), the carry being GroupSpec.carry[eps] k.  After a
+        # t^-eps syllable, r = 0 is exactly the pinch t^-1 x^{Ah} t -> x^{Bh}
+        # resp. t x^{Bh} t^-1 -> x^{Ah}.
         spec, syl = self.spec, self.syl
         tail = syl[-1][1] if syl else self.head
-        if eps == 1:
-            r, h = spec.lattice_a.decompose(tail)
-            carry = spec.B.apply(h)
-        else:
-            r, h = spec.lattice_b.decompose(tail)
-            carry = spec.A.apply(h)
+        r, k = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(tail)
+        carry = spec.carry[eps].apply(k)
         if not syl:
             self.head = r
         elif syl[-1][0] == -eps and not any(r):
@@ -190,31 +177,41 @@ class _Builder:
             syl[-1] = (syl[-1][0], r)
         syl.append((eps, carry))
 
-    def push_letter(self, letter) -> None:
-        if isinstance(letter, X):
-            self.push_x(letter.z)
-        else:
-            self.push_t(letter.eps)
-
     def normal_form(self) -> NormalForm:
         return NormalForm(self.head, tuple(self.syl))
 
 
 def britton_reduce(w, spec: GroupSpec) -> NormalForm:
-    """Britton normal form of a word (or of an already-reduced form)."""
+    """Britton normal form of a word (or of an already-reduced form).
+    Each run of x-letters is summed and pushed once."""
     if isinstance(w, NormalForm):
         return w
     b = _Builder(spec)
+    run = None
     for letter in w:
-        b.push_letter(letter)
+        if isinstance(letter, X):
+            run = letter.z if run is None else vec_add(run, letter.z)
+            continue
+        if run is not None:
+            b.push_x(run)
+            run = None
+        b.push_t(letter.eps)
+    if run is not None:
+        b.push_x(run)
     return b.normal_form()
 
 
 def nf_append(nf: NormalForm, letter, spec: GroupSpec) -> NormalForm:
     """The normal form of nf * letter; touches only the tail syllable."""
-    b = _Builder.from_nf(nf, spec)
-    b.push_letter(letter)
-    return b.normal_form()
+    if isinstance(letter, T):
+        b = _Builder.from_nf(nf, spec)
+        b.push_t(letter.eps)
+        return b.normal_form()
+    syl = nf.syllables
+    if not syl:
+        return NormalForm(vec_add(nf.head, letter.z), syl)
+    eps, z = syl[-1]
+    return NormalForm(nf.head, syl[:-1] + ((eps, vec_add(z, letter.z)),))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:
@@ -223,17 +220,21 @@ def word_problem(w, spec: GroupSpec) -> bool:
 
 
 def nf_multiply(u: NormalForm, w: NormalForm, spec: GroupSpec) -> NormalForm:
+    """u w, pushing w's syllables onto u's builder."""
     b = _Builder.from_nf(u, spec)
-    for letter in w.letters():
-        b.push_letter(letter)
+    b.push_x(w.head)
+    for eps, z in w.syllables:
+        b.push_t(eps)
+        b.push_x(z)
     return b.normal_form()
 
 
 def nf_invert(u: NormalForm, spec: GroupSpec) -> NormalForm:
-    return britton_reduce(invert_letters(u.letters()), spec)
-
-
-def invert_letters(w: Word) -> Word:
-    """Formal inverse of a raw word."""
-    return [X(vec_neg(l.z)) if isinstance(l, X) else T(-l.eps)
-            for l in reversed(w)]
+    """u^-1 = x^{-z_m} t^{-e_m} ... x^{-z_1} t^{-e_1} x^{-head}, pushed
+    syllable by syllable."""
+    b = _Builder(spec)
+    for eps, z in reversed(u.syllables):
+        b.push_x(vec_neg(z))
+        b.push_t(-eps)
+    b.push_x(vec_neg(u.head))
+    return b.normal_form()

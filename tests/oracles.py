@@ -2,17 +2,34 @@
 
 Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
-Lattice membership, the affine identity and the turning of a Fraction
-image into integers, which only the tests ask for, live here too.
+Lattice membership, the affine identity, the turning of a Fraction
+image into integers and the letters of a word's formal inverse or of a
+normal form, which only the tests ask for, live here too.
 """
 
 import math
 from fractions import Fraction
 
 from bskit.affine import AffineElement
-from bskit.arith import vec_add, zero_vector
+from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.presentation import GroupSpec
 from bskit.words import NormalForm, T, Word, X, britton_reduce
+
+
+def invert_letters(w: Word) -> Word:
+    """Formal inverse of a raw word."""
+    return [X(vec_neg(l.z)) if isinstance(l, X) else T(-l.eps)
+            for l in reversed(w)]
+
+
+def nf_letters(nf: NormalForm) -> Word:
+    """The letters of a normal form, trivial x-powers left out."""
+    out: Word = [X(nf.head)] if any(nf.head) else []
+    for e, z in nf.syllables:
+        out.append(T(e))
+        if any(z):
+            out.append(X(z))
+    return out
 
 
 def in_lattice(lat, z) -> bool:

@@ -5,13 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
-from oracles import aff_identity
+from oracles import aff_identity, invert_letters, nf_letters
 
 from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
                           j_affine)
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
-from bskit.words import (T, X, britton_reduce, invert_letters, parse_word)
+from bskit.words import T, X, britton_reduce, parse_word
 
 
 def w(text, spec):
@@ -217,5 +217,5 @@ def test_fraction_free_fold_matches_compose_fold(case):
     image = j_affine(word, spec)
     assert image == j_affine_right_fold(word, spec)
     assert image == j_affine(nf, spec)
-    assert j_affine(nf, spec) == j_affine_right_fold(nf.letters(), spec)
+    assert j_affine(nf, spec) == j_affine_right_fold(nf_letters(nf), spec)
     assert aff_invert(image, spec) == j_affine(invert_letters(word), spec)

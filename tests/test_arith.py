@@ -57,6 +57,13 @@ def brute_force_decompose(z, M, box=12):
     return hits
 
 
+def decompose_h(lat, z):
+    """(r, h) with z = M h + r, from decompose's (r, k) with z = H k + r,
+    as h = U k."""
+    r, k = lat.decompose(z)
+    return r, lat.unimodular.apply(k)
+
+
 def test_decompose_zero_scalar():
     assert Lattice(IntMatrix.scalar(2)).decompose((0,)) == ((0,), (0,))
 
@@ -67,7 +74,7 @@ def test_decompose_four_mod_two():
 
 def test_decompose_2d_matches_brute_force():
     z = (5, 3)
-    r, h = Lattice(M22).decompose(z)
+    r, h = decompose_h(Lattice(M22), z)
     hits = brute_force_decompose(z, M22)
     assert hits == [(r, h)]  # unique and identical
     # z = M h + r componentwise: 5 - r1 = 2 h1 + h2, 3 - r2 = 2 h2
@@ -146,8 +153,9 @@ def nonsingular_2x2():
 @settings(max_examples=120, deadline=None)
 def test_decompose_reconstructs_exactly(z, M):
     lat = Lattice(M)
-    r, h = lat.decompose(z)
-    assert vec_sub(z, M.apply(h)) == r
+    r, k = lat.decompose(z)
+    assert vec_sub(z, lat.hnf.apply(k)) == r  # z = H k + r
+    assert vec_sub(z, M.apply(lat.unimodular.apply(k))) == r  # H = M U
     # r is among the canonical representatives and is idempotent
     assert r in lat.residues()
     assert lat.decompose(r) == (r, (0, 0))
@@ -184,7 +192,7 @@ def test_solve_and_decompose_match_rational_reference(case):
         assert lat.solve(z) == tuple(int(x) for x in exact)
     else:
         assert lat.solve(z) is None
-    r, h = lat.decompose(z)
+    r, h = decompose_h(lat, z)
     assert rat_apply(rat_inverse(M), vec_sub(z, r)) == h
     assert r in lat.residues()
 
@@ -202,7 +210,8 @@ def test_unimodular_factor_and_decompose_on_general_data():
         assert M @ lat.unimodular == lat.hnf, name
         box = 12 if M.n < 3 else 8  # every h below is inside the box
         for z in itertools.product((-2, 0, 1), repeat=M.n):
-            assert brute_force_decompose(z, M, box) == [lat.decompose(z)], name
+            assert brute_force_decompose(z, M, box) == [decompose_h(lat, z)], \
+                name
 
 
 def in_column_span(S: Matrix, v) -> bool:

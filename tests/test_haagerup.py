@@ -116,9 +116,17 @@ def test_tree_gram_random_sample_psd(bs23, bs23_ball6):
         assert np.allclose(np.diag(report.matrix), 1.0)
 
 
-def test_tree_gram_rejects_duplicates(bs23):
+def test_tree_gram_rejects_duplicates(bs23, bs12):
     with pytest.raises(ValueError):
         tree_gram([nf("t", bs23), nf("t", bs23)], 1.0, bs23)
+    # raw words are compared as group elements: both are t x^2 in BS(1,2)
+    same = [parse_word("x t", bs12), parse_word("t x^2", bs12)]
+    for gram in (tree_gram, witness_gram):
+        with pytest.raises(ValueError, match="duplicate"):
+            gram(same, 1.0, bs12)
+        # raw words distinct in the group are accepted, named by their forms
+        report = gram([same[0], parse_word("t", bs12)], 1.0, bs12)
+        assert report.element_names == ["t x^2", "t"]
     with pytest.raises(ValueError):
         tree_gram([nf("t", bs23)], -1.0, bs23)
     with pytest.raises(ValueError, match="empty"):

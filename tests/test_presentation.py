@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import GENERAL_DATA
 
 from bskit.affine import AffineElement, aff_compose, j_affine
 from bskit.arith import ConfigurationError, IntMatrix, Lattice
@@ -136,8 +139,22 @@ def test_lambda_pairs_match_a_b_inverse():
         assert make_bs(p, q).lam_scalar == lam
 
 
+def test_carry_matrices_fold_the_unimodular_factor():
+    # C_1 = B U_A and C_-1 = A U_B: the carry of a split read straight
+    # off the Hermite quotients k equals B h resp. A h for h = U k
+    rng = random.Random(5)
+    for name, spec in GENERAL_DATA.items():
+        for _ in range(50):
+            k = tuple(rng.randrange(-10 ** 12, 10 ** 12)
+                      for _ in range(spec.n))
+            assert spec.carry[1].apply(k) == spec.B.apply(
+                spec.lattice_a.unimodular.apply(k)), name
+            assert spec.carry[-1].apply(k) == spec.A.apply(
+                spec.lattice_b.unimodular.apply(k)), name
+
+
 def test_stable_relation_under_reduction_and_affine():
-    from bskit.words import T, X, invert_letters
+    from oracles import invert_letters
     spec = make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]])
     for z in [(1, 0), (0, 1), (3, -2), (-5, 7)]:
         lhs = [T(1), X(spec.B.apply(z)), T(-1)]

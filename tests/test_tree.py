@@ -5,14 +5,15 @@ import networkx as nx
 import pytest
 
 from conftest import GENERAL_DATA
+from oracles import nf_letters
 
 from bskit.arith import ConfigurationError
 from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
                         edges_csv, geodesic, neighbors, to_dot, tree_edges,
                         vertex_of)
-from bskit.words import (T, X, britton_reduce, invert_letters, nf_invert,
-                         nf_multiply, parse_word)
+from bskit.words import (T, X, britton_reduce, nf_invert, nf_multiply,
+                         parse_word)
 
 
 def w(text, spec):
@@ -163,7 +164,7 @@ def test_neighbors_and_act_match_reduction_of_coset_words():
             gamma = britton_reduce(word, spec)
             u = rng.choice(verts)
             assert act(gamma, u, spec) == vertex_of(
-                gamma.letters() + _coset_word(u), spec)
+                nf_letters(gamma) + _coset_word(u), spec)
 
 
 def test_neighbors_symmetric_and_distance_one(bs23):
@@ -262,9 +263,10 @@ def test_ball_respects_env_bound(bs23, monkeypatch):
     with pytest.raises(ResourceBoundError):
         ball(BASE, 4, bs23)
     assert len(ball(BASE, 3, bs23)) > 0
-    monkeypatch.setenv("BSK_MAX_BALL", "three")
-    with pytest.raises(ConfigurationError, match="BSK_MAX_BALL"):
-        ball(BASE, 1, bs23)
+    for bad in ("three", "-1"):
+        monkeypatch.setenv("BSK_MAX_BALL", bad)
+        with pytest.raises(ConfigurationError, match="BSK_MAX_BALL"):
+            ball(BASE, 1, bs23)
 
 
 def test_edge_transitivity_witness(bs23):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
-from oracles import in_lattice, reduce_with_strategy
+from oracles import in_lattice, invert_letters, reduce_with_strategy
 
 from bskit.affine import j_affine
 from bskit.embedding import generator_letters
 from bskit.words import (NormalForm, ParseError, T, X, britton_reduce,
-                         invert_letters, nf_append, nf_invert, nf_multiply,
-                         parse_word, word_problem)
+                         nf_append, nf_invert, nf_multiply, parse_word,
+                         word_problem)
 
 
 def w(text, spec):
@@ -136,7 +136,22 @@ def spec_and_letters(draw):
     return spec, draw(st.lists(letter, max_size=12))
 
 
-@given(spec_and_letters())
+@st.composite
+def spec_and_x_runs(draw):
+    """A datum and a word whose t-letters sit between runs of up to ten
+    x-letters: generators and vector atoms with entries up to 40."""
+    spec = GENERAL_DATA[draw(st.sampled_from(sorted(GENERAL_DATA)))]
+    atom = st.tuples(*[st.integers(-40, 40)] * spec.n).filter(any).map(X)
+    gens = [l for l in generator_letters(spec) if isinstance(l, X)]
+    run = st.lists(st.one_of(st.sampled_from(gens), atom), max_size=10)
+    word = []
+    for xs, t in draw(st.lists(st.tuples(run, st.sampled_from([T(1), T(-1)])),
+                               max_size=6)):
+        word += xs + [t]
+    return spec, word + draw(run)
+
+
+@given(st.one_of(spec_and_letters(), spec_and_x_runs()))
 @settings(max_examples=300, deadline=None)
 def test_strategy_independence(case):
     # the oracle pinches through Lattice.solve, an independent path from
@@ -148,24 +163,24 @@ def test_strategy_independence(case):
     assert left == right == stack
 
 
-@given(letters_strategy, letters_strategy)
-@settings(max_examples=150, deadline=None)
-def test_reduction_is_homomorphism(u, v):
-    from bskit.presentation import make_bs
-    spec = make_bs(2, 3)
+@given(spec_and_letters(), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_reduction_is_homomorphism(case, cut):
+    spec, word = case
+    u, v = word[:cut], word[cut:]
     concat = britton_reduce(u + v, spec)
     assert concat == nf_multiply(britton_reduce(u, spec),
                                  britton_reduce(v, spec), spec)
 
 
-@given(letters_strategy)
-@settings(max_examples=150, deadline=None)
-def test_involution_and_inverse(word):
-    from bskit.presentation import make_bs
-    spec = make_bs(2, 3)
+@given(spec_and_letters())
+@settings(max_examples=300, deadline=None)
+def test_involution_and_inverse(case):
+    spec, word = case
     nf = britton_reduce(word, spec)
     assert nf_invert(nf_invert(nf, spec), spec) == nf
     assert nf_multiply(nf, nf_invert(nf, spec), spec).is_identity
+    assert nf_invert(nf, spec) == britton_reduce(invert_letters(word), spec)
     assert britton_reduce(word + invert_letters(word), spec).is_identity
 
 
