@@ -17,7 +17,7 @@ from operator import mul
 
 from .arith import IntMatrix
 from .presentation import GroupSpec
-from .words import NormalForm, X
+from .words import NormalForm, X, _wrong_size
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,9 @@ def j_affine(w, spec: GroupSpec) -> AffineElement:
     else:  # a raw word: each letter is a step (eps, z) with one part trivial
         head = (0,) * spec.n
         steps = [(0, l.z) if isinstance(l, X) else (l.eps, head) for l in w]
+        for _, z in steps:
+            if len(z) != spec.n:
+                raise _wrong_size(z, spec.n)
     lam_int = spec.lam_int
     k, den = 0, 1
     num = [0] * spec.n

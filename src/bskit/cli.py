@@ -59,6 +59,26 @@ def _emit(text: str, out) -> None:
         click.echo(text.rstrip("\n"))
 
 
+class _Command(click.Command):
+    """A bsk command, a plain function of the GroupSpec (click.pass_obj),
+    run under the exit-code policy of the module docstring: bad input is a
+    usage error of this command, and a body returning False exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            ok = super().invoke(ctx)
+        except (ParseError, ConfigurationError, ValueError) as exc:
+            raise click.UsageError(str(exc), ctx)
+        except ResourceBoundError as exc:
+            _exit_2(f"resource bound exceeded: {exc}")
+        except UnsupportedWitnessError as exc:
+            _exit_2(f"unsupported witness regime: {exc}")
+        except OverflowError as exc:
+            _exit_2(f"numeric range exceeded: {exc}")
+        if ok is False:
+            sys.exit(1)
+
+
 @click.group()
 @click.option("--bs", nargs=2, type=int, default=None,
               help="BS(P, Q) datum for n = 1.")
@@ -73,73 +93,53 @@ def main(ctx, bs, spec_file):
         raise click.UsageError(str(exc))
 
 
-def _run(ctx, fn):
-    """Run a command body on the GroupSpec; exit 1 if it returns False."""
-    try:
-        ok = fn(ctx.obj)
-    except (ParseError, ConfigurationError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    except ResourceBoundError as exc:
-        _exit_2(f"resource bound exceeded: {exc}")
-    except UnsupportedWitnessError as exc:
-        _exit_2(f"unsupported witness regime: {exc}")
-    except OverflowError as exc:
-        _exit_2(f"numeric range exceeded: {exc}")
-    if ok is False:
-        sys.exit(1)
+main.command_class = _Command
 
 
 @main.command()
 @click.argument("word")
-@click.pass_context
-def reduce(ctx, word):
+@click.pass_obj
+def reduce(spec, word):
     """Britton normal form of WORD."""
-    _run(ctx, lambda spec: click.echo(
-        str(britton_reduce(parse_word(word, spec), spec))))
+    click.echo(str(britton_reduce(parse_word(word, spec), spec)))
 
 
 @main.command()
 @click.argument("word")
-@click.pass_context
-def wp(ctx, word):
+@click.pass_obj
+def wp(spec, word):
     """Word problem: trivial / nontrivial."""
-    _run(ctx, lambda spec: click.echo(
-        "trivial" if word_problem(parse_word(word, spec), spec)
-        else "nontrivial"))
+    click.echo("trivial" if word_problem(parse_word(word, spec), spec)
+               else "nontrivial")
 
 
 @main.command()
 @click.argument("word")
-@click.pass_context
-def vertex(ctx, word):
+@click.pass_obj
+def vertex(spec, word):
     """Canonical Bass-Serre vertex of WORD * G."""
-    _run(ctx, lambda spec: click.echo(
-        str(vertex_of(parse_word(word, spec), spec))))
+    click.echo(str(vertex_of(parse_word(word, spec), spec)))
 
 
 @main.command()
 @click.argument("word")
 @click.argument("word2", required=False)
-@click.pass_context
-def dist(ctx, word, word2):
+@click.pass_obj
+def dist(spec, word, word2):
     """Tree distance d(v, WORD v), or between two coset vertices."""
-    def go(spec):
-        u = vertex_of(parse_word(word, spec), spec)
-        w = vertex_of(parse_word(word2, spec), spec) if word2 else BASE
-        click.echo(str(distance(w, u)))
-    _run(ctx, go)
+    u = vertex_of(parse_word(word, spec), spec)
+    w = vertex_of(parse_word(word2, spec), spec) if word2 else BASE
+    click.echo(str(distance(w, u)))
 
 
 @main.command("neighbors")
 @click.argument("word", required=False)
-@click.pass_context
-def neighbors_cmd(ctx, word):
+@click.pass_obj
+def neighbors_cmd(spec, word):
     """Neighbors of the vertex of WORD (default: base vertex)."""
-    def go(spec):
-        u = vertex_of(parse_word(word, spec), spec) if word else BASE
-        for w in neighbors(u, spec):
-            click.echo(str(w))
-    _run(ctx, go)
+    u = vertex_of(parse_word(word, spec), spec) if word else BASE
+    for w in neighbors(u, spec):
+        click.echo(str(w))
 
 
 @main.command("ball")
@@ -147,68 +147,61 @@ def neighbors_cmd(ctx, word):
 @click.option("--format", "fmt", type=click.Choice(["text", "dot", "csv"]),
               default="text")
 @click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def ball_cmd(ctx, radius, fmt, out):
+@click.pass_obj
+def ball_cmd(spec, radius, fmt, out):
     """Tree ball around the base vertex."""
-    def go(spec):
-        vs = ball(BASE, radius, spec)
-        if fmt == "text":
-            _emit("\n".join(str(v) for v in vs), out)
-        elif fmt == "dot":
-            _emit(to_dot(vs, tree_edges(vs)), out)
-        else:
-            _emit(edges_csv(tree_edges(vs)), out)
-    _run(ctx, go)
+    vs = ball(BASE, radius, spec)
+    if fmt == "text":
+        _emit("\n".join(str(v) for v in vs), out)
+    elif fmt == "dot":
+        _emit(to_dot(vs, tree_edges(vs)), out)
+    else:
+        _emit(edges_csv(tree_edges(vs)), out)
 
 
 @main.command()
 @click.argument("word")
 @click.option("-k", "--steps", type=click.IntRange(min=0), default=5)
-@click.pass_context
-def orbit(ctx, word, steps):
+@click.pass_obj
+def orbit(spec, word, steps):
     """Vertices gamma^j v for j = 0..STEPS."""
-    def go(spec):
-        g = britton_reduce(parse_word(word, spec), spec)
-        acc = britton_reduce([], spec)
-        for _ in range(steps + 1):
-            click.echo(str(vertex_of(acc, spec)))
-            acc = nf_multiply(acc, g, spec)
-    _run(ctx, go)
+    g = britton_reduce(parse_word(word, spec), spec)
+    acc = britton_reduce([], spec)
+    for _ in range(steps + 1):
+        click.echo(str(vertex_of(acc, spec)))
+        acc = nf_multiply(acc, g, spec)
 
 
 @main.command()
 @click.argument("word")
-@click.pass_context
-def affine(ctx, word):
+@click.pass_obj
+def affine(spec, word):
     """Affine image (k; a) of WORD, exact rationals."""
-    _run(ctx, lambda spec: click.echo(
-        str(j_affine(parse_word(word, spec), spec))))
+    click.echo(str(j_affine(parse_word(word, spec), spec)))
 
 
-def _check_command(ctx, length, checker):
-    def go(spec):
-        report = checker(enumerate_ball(length, spec), spec)
-        click.echo(report.summary())
-        for v in report.violations:
-            click.echo(f"  {v}")
-        return report.ok
-    _run(ctx, go)
+def _check(checker, length, spec) -> bool:
+    report = checker(enumerate_ball(length, spec), spec)
+    click.echo(report.summary())
+    for v in report.violations:
+        click.echo(f"  {v}")
+    return report.ok
 
 
 @main.command("inject-check")
 @click.option("-L", "--length", type=int, default=4)
-@click.pass_context
-def inject_check(ctx, length):
+@click.pass_obj
+def inject_check(spec, length):
     """Injectivity shadow of the embedding over the word-length ball."""
-    _check_command(ctx, length, check_injectivity)
+    return _check(check_injectivity, length, spec)
 
 
 @main.command("stab-check")
 @click.option("-L", "--length", type=int, default=4)
-@click.pass_context
-def stab_check(ctx, length):
+@click.pass_obj
+def stab_check(spec, length):
     """Stabilizer identity over the word-length ball."""
-    _check_command(ctx, length, check_stabilizer)
+    return _check(check_stabilizer, length, spec)
 
 
 @main.command()
@@ -217,46 +210,40 @@ def stab_check(ctx, length):
               help="Comma-separated R grid of distinct nonnegative "
               "integers.")
 @click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def proper(ctx, lmax, thresholds, out):
+@click.pass_obj
+def proper(spec, lmax, thresholds, out):
     """Properness profile: sublevel counts and stabilization flags."""
-    def go(spec):
-        grid = [int(r) for r in thresholds.split(",")]
-        profile = properness_profile(lmax, grid, spec)
-        _emit(profile.to_csv(), out)
-    _run(ctx, go)
+    grid = [int(r) for r in thresholds.split(",")]
+    profile = properness_profile(lmax, grid, spec)
+    _emit(profile.to_csv(), out)
 
 
 @main.command("cocycle")
 @click.argument("word")
-@click.pass_context
-def cocycle_cmd(ctx, word):
+@click.pass_obj
+def cocycle_cmd(spec, word):
     """Signed geodesic edge set b(WORD); one edge per line."""
-    def go(spec):
-        cv = cocycle(parse_word(word, spec), spec)
-        click.echo(f"norm_sq {cv.norm_sq()}")
-        for (u, w), c in cv.coefficients:
-            click.echo(f"{c:+d} [{u}] -> [{w}]")
-    _run(ctx, go)
+    cv = cocycle(parse_word(word, spec), spec)
+    click.echo(f"norm_sq {cv.norm_sq()}")
+    for (u, w), c in cv.coefficients:
+        click.echo(f"{c:+d} [{u}] -> [{w}]")
 
 
 @main.command("cocycle-check")
 @click.option("-L", "--length", type=int, default=4)
 @click.option("--pairs", type=click.IntRange(min=0), default=200)
 @click.option("--seed", type=int, default=0)
-@click.pass_context
-def cocycle_check(ctx, length, pairs, seed):
+@click.pass_obj
+def cocycle_check(spec, length, pairs, seed):
     """Random-pair check of the 1-cocycle law over the ball."""
-    def go(spec):
-        elements = enumerate_ball(length, spec).elements
-        rng = random.Random(seed)
-        bad = sum(not cocycle_identity_check(rng.choice(elements),
-                                             rng.choice(elements), spec)
-                  for _ in range(pairs))
-        status = "OK" if bad == 0 else "FAIL"
-        click.echo(f"{status}: {bad} violations / {pairs} pairs")
-        return bad == 0
-    _run(ctx, go)
+    elements = enumerate_ball(length, spec).elements
+    rng = random.Random(seed)
+    bad = sum(not cocycle_identity_check(rng.choice(elements),
+                                         rng.choice(elements), spec)
+              for _ in range(pairs))
+    status = "OK" if bad == 0 else "FAIL"
+    click.echo(f"{status}: {bad} violations / {pairs} pairs")
+    return bad == 0
 
 
 @main.command()
@@ -267,37 +254,33 @@ def cocycle_check(ctx, length, pairs, seed):
 @click.option("--kernel", type=click.Choice(["tree", "witness"]),
               default="tree")
 @click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def gram(ctx, length, scale, size, seed, kernel, out):
+@click.pass_obj
+def gram(spec, length, scale, size, seed, kernel, out):
     """Kernel PSD certificate on a random sample from the ball (JSON)."""
-    def go(spec):
-        elements = enumerate_ball(length, spec).elements
-        rng = random.Random(seed)
-        sample = rng.sample(elements, min(size, len(elements)))
-        fn = tree_gram if kernel == "tree" else witness_gram
-        _emit(fn(sample, scale, spec).to_json(), out)
-    _run(ctx, go)
+    elements = enumerate_ball(length, spec).elements
+    rng = random.Random(seed)
+    sample = rng.sample(elements, min(size, len(elements)))
+    fn = tree_gram if kernel == "tree" else witness_gram
+    _emit(fn(sample, scale, spec).to_json(), out)
 
 
 @main.command("witness")
 @click.argument("word")
 @click.option("-s", "--scale", type=float, default=1.0)
-@click.pass_context
-def witness_cmd(ctx, word, scale):
+@click.pass_obj
+def witness_cmd(spec, word, scale):
     """Witness value psi_s(WORD)."""
-    _run(ctx, lambda spec: click.echo(
-        format(witness(parse_word(word, spec), scale, spec), ".12g")))
+    click.echo(format(witness(parse_word(word, spec), scale, spec), ".12g"))
 
 
 @main.command()
 @click.option("--lmax", "-L", type=int, default=8)
 @click.option("-s", "--scale", type=float, default=1.0)
 @click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def c0(ctx, lmax, scale, out):
+@click.pass_obj
+def c0(spec, lmax, scale, out):
     """C0 decay profile: max witness value per word-length sphere (CSV)."""
-    _run(ctx, lambda spec: _emit(
-        c0_profile_csv(c0_profile(lmax, scale, spec)), out))
+    _emit(c0_profile_csv(c0_profile(lmax, scale, spec)), out)
 
 
 if __name__ == "__main__":

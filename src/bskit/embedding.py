@@ -138,15 +138,11 @@ class PropernessProfile:
     counts: dict
     stabilized: dict
 
-    def rows(self):
-        for r in self.r_grid:
-            for L, c in enumerate(self.counts[r]):
-                yield L, r, c, self.stabilized[r]
-
     def to_csv(self) -> str:
         lines = ["L,R,count,stabilized"]
-        for L, r, c, stab in self.rows():
-            lines.append(f"{L},{r},{c},{str(stab).lower()}")
+        for r in self.r_grid:
+            for L, c in enumerate(self.counts[r]):
+                lines.append(f"{L},{r},{c},{str(self.stabilized[r]).lower()}")
         return "\n".join(lines) + "\n"
 
 

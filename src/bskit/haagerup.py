@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .affine import VertexImages
 from .presentation import GroupSpec
 from .embedding import ball_spheres
-from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
+from .tree import Vertex, act, distance, vertex_of
 from .words import britton_reduce, nf_multiply
 
 
@@ -68,13 +68,11 @@ def _canonical_edge(u: Vertex, w: Vertex):
 
 
 def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
-    """b(gamma): signed indicator of the geodesic from v to gamma v."""
-    path = geodesic(BASE, vertex_of(gamma, spec))
-    d: dict = {}
-    for u, w in zip(path, path[1:]):
-        edge, sign = _canonical_edge(u, w)
-        d[edge] = d.get(edge, 0) + sign
-    return CocycleVector.from_dict(d)
+    """b(gamma): signed indicator of the geodesic from v to gamma v.  The
+    path runs down the prefixes of gamma v, each edge parent -> child."""
+    u = vertex_of(gamma, spec)
+    return CocycleVector.from_dict({(u.prefix(i - 1), u.prefix(i)): 1
+                                    for i in range(1, len(u) + 1)})
 
 
 def translate_cocycle(gamma, cv: CocycleVector,

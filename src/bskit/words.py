@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .arith import IntVector, vec_add, vec_neg, zero_vector
+from .arith import (ConfigurationError, IntVector, vec_add, vec_neg,
+                    zero_vector)
 from .presentation import GroupSpec
 
 
@@ -181,15 +182,23 @@ class _Builder:
         return NormalForm(self.head, tuple(self.syl))
 
 
+def _wrong_size(z: IntVector, n: int) -> ConfigurationError:
+    """The error for an x-letter whose vector is not in Z^n."""
+    return ConfigurationError(f"dimension mismatch: {z} in Z^{n}")
+
+
 def britton_reduce(w, spec: GroupSpec) -> NormalForm:
     """Britton normal form of a word (or of an already-reduced form).
     Each run of x-letters is summed and pushed once."""
     if isinstance(w, NormalForm):
         return w
     b = _Builder(spec)
+    n = spec.n
     run = None
     for letter in w:
         if isinstance(letter, X):
+            if len(letter.z) != n:
+                raise _wrong_size(letter.z, n)
             run = letter.z if run is None else vec_add(run, letter.z)
             continue
         if run is not None:
@@ -207,6 +216,8 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec) -> NormalForm:
         b = _Builder.from_nf(nf, spec)
         b.push_t(letter.eps)
         return b.normal_form()
+    if len(letter.z) != spec.n:
+        raise _wrong_size(letter.z, spec.n)
     syl = nf.syllables
     if not syl:
         return NormalForm(vec_add(nf.head, letter.z), syl)

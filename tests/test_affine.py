@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from oracles import aff_identity, invert_letters, nf_letters
 
 from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
                           j_affine)
+from bskit.arith import ConfigurationError
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import T, X, britton_reduce, parse_word
@@ -188,6 +190,13 @@ def test_vertex_images_from_the_base_at_large_height(bs23):
     for text in ("t^3000 x", "x t^-2500 x^5 t^400 x^-7"):
         nf = britton_reduce(w(text, bs23), bs23)
         assert_scaled_is_j_affine(VertexImages(bs23).scaled(nf), nf, bs23)
+
+
+def test_wrong_size_x_letter_is_refused(bs23, asc2):
+    for spec, z in ((bs23, (1, 2)), (asc2, (3,))):
+        for word in ([X(z)], [T(1), X(z)], [X(z), T(-1), X(z)]):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                j_affine(word, spec)
 
 
 def test_rendering(bs23):

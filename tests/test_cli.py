@@ -8,7 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import bskit
+from bskit import cli
 from bskit.cli import main
+from bskit.embedding import CheckReport
 
 
 @pytest.fixture
@@ -193,6 +195,40 @@ def test_usage_errors_exit_2(runner, tmp_path):
         assert result.exit_code == 2, args
         assert result.output.splitlines() == [result.output.strip()]
         assert str(name) in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["reduce", "wp", "vertex", "dist",
+                                     "neighbors", "orbit", "affine",
+                                     "cocycle", "witness"])
+def test_bad_word_is_a_usage_error_of_its_command(runner, command):
+    # the usage line names the subcommand, not the group
+    result = runner.invoke(main, ["--bs", "2", "3", command, "y"],
+                           prog_name="bsk")
+    assert result.exit_code == 2
+    assert result.output.splitlines()[0].startswith(f"Usage: bsk {command} ")
+    assert "Error: bad atom 'y' (at offset 0)" in result.output
+
+
+def test_failed_checks_exit_1(runner, monkeypatch):
+    def planted(name):
+        def checker(ball, spec):
+            return CheckReport(name, len(ball), ["planted violation"])
+        return checker
+    monkeypatch.setattr(cli, "check_injectivity", planted("injectivity"))
+    monkeypatch.setattr(cli, "check_stabilizer", planted("stabilizer"))
+    monkeypatch.setattr(cli, "cocycle_identity_check",
+                        lambda gamma, delta, spec: False)
+    for args, first in (
+            (["inject-check", "-L", "2"],
+             "FAIL: 1 violations / 17 elements [injectivity]"),
+            (["stab-check", "-L", "2"],
+             "FAIL: 1 violations / 17 elements [stabilizer]"),
+            (["cocycle-check", "-L", "2", "--pairs", "5"],
+             "FAIL: 5 violations / 5 pairs")):
+        result = runner.invoke(main, ["--bs", "2", "3", *args])
+        assert result.exit_code == 1, args
+        assert result.output.splitlines()[0] == first
+        assert "Traceback" not in result.output
 
 
 def test_cli_import_leaves_numpy_unloaded():

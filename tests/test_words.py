@@ -9,6 +9,7 @@ from conftest import GENERAL_DATA
 from oracles import in_lattice, invert_letters, reduce_with_strategy
 
 from bskit.affine import j_affine
+from bskit.arith import ConfigurationError
 from bskit.embedding import generator_letters
 from bskit.words import (NormalForm, ParseError, T, X, britton_reduce,
                          nf_append, nf_invert, nf_multiply, parse_word,
@@ -235,3 +236,14 @@ def test_pinch_freeness_of_stored_forms(bs23):
                 assert not in_lattice(bs23.lattice_b, z1)
             if e1 == -1 and e2 == 1:
                 assert not in_lattice(bs23.lattice_a, z1)
+
+
+def test_wrong_size_x_letter_is_refused(bs23, asc2):
+    # refused where the letter enters, not truncated or kept until a t-letter
+    for spec, z in ((bs23, (1, 2)), (asc2, (3,))):
+        for word in ([X(z)], [T(1), X(z)], [X(z), T(1)]):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                britton_reduce(word, spec)
+        for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                nf_append(nf, X(z), spec)
