@@ -32,20 +32,26 @@ def _exit_2(message: str):
     sys.exit(2)
 
 
-def _load_spec(bs, spec_file) -> GroupSpec:
+def _load_spec(ctx) -> GroupSpec:
+    """The group of the --bs/--spec options in the group's context ctx; a
+    bad or missing group is a usage error of bsk itself."""
+    bs, spec_file = ctx.params["bs"], ctx.params["spec_file"]
     if bs is not None and spec_file is not None:
-        raise click.UsageError("give exactly one of --bs and --spec")
-    if bs is not None:
-        return make_bs(bs[0], bs[1])
-    if spec_file is not None:
-        try:
-            with open(spec_file, encoding="utf-8") as fh:
-                return spec_from_dict(json.load(fh))
-        except OSError as exc:
-            _exit_2(f"cannot read {spec_file}: {exc.strerror}")
-        except UnicodeDecodeError:
-            _exit_2(f"cannot read {spec_file}: not UTF-8 text")
-    raise click.UsageError("a group is required: --bs P Q or --spec FILE")
+        raise click.UsageError("give exactly one of --bs and --spec", ctx)
+    if bs is None and spec_file is None:
+        raise click.UsageError("a group is required: --bs P Q or --spec FILE",
+                               ctx)
+    try:
+        if bs is not None:
+            return make_bs(bs[0], bs[1])
+        with open(spec_file, encoding="utf-8") as fh:
+            return spec_from_dict(json.load(fh))
+    except OSError as exc:
+        _exit_2(f"cannot read {spec_file}: {exc.strerror}")
+    except UnicodeDecodeError:
+        _exit_2(f"cannot read {spec_file}: not UTF-8 text")
+    except (ConfigurationError, json.JSONDecodeError) as exc:
+        raise click.UsageError(str(exc), ctx)
 
 
 def _emit(text: str, out) -> None:
@@ -62,9 +68,12 @@ def _emit(text: str, out) -> None:
 class _Command(click.Command):
     """A bsk command, a plain function of the GroupSpec (click.pass_obj),
     run under the exit-code policy of the module docstring: bad input is a
-    usage error of this command, and a body returning False exits 1."""
+    usage error of this command, and a body returning False exits 1.  The
+    group is loaded here, once the command line has parsed, so that
+    `bsk CMD --help` needs none."""
 
     def invoke(self, ctx):
+        ctx.obj = _load_spec(ctx.parent)
         try:
             ok = super().invoke(ctx)
         except (ParseError, ConfigurationError, ValueError) as exc:
@@ -84,13 +93,8 @@ class _Command(click.Command):
               help="BS(P, Q) datum for n = 1.")
 @click.option("--spec", "spec_file", type=click.Path(exists=True),
               default=None, help='Group file {"n":..,"A":..,"B":..}.')
-@click.pass_context
-def main(ctx, bs, spec_file):
+def main(bs, spec_file):
     """Toolkit for generalized Baumslag-Solitar groups over Z^n."""
-    try:
-        ctx.obj = _load_spec(bs, spec_file)
-    except (ConfigurationError, json.JSONDecodeError) as exc:
-        raise click.UsageError(str(exc))
 
 
 main.command_class = _Command

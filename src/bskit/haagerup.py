@@ -32,38 +32,44 @@ class UnsupportedWitnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class CocycleVector:
-    """Finite signed edge set, keyed by canonical parent-to-child edges.
+    """Finite signed edge set: a map from child vertex to coefficient.
 
-    Reversing an edge negates its coefficient; the canonical orientation
-    is parent -> child in the rooted tree, so a map comparison decides
-    equality of cocycle values.
+    An edge of the rooted tree is named by its child and oriented parent
+    -> child; reversing an edge negates its coefficient.  No coefficient
+    is zero, so a map comparison decides equality of cocycle values.
     """
 
-    coefficients: tuple  # sorted tuple of ((parent, child), coeff)
+    edges: dict  # child Vertex -> nonzero int
 
     @staticmethod
     def from_dict(d: dict) -> "CocycleVector":
-        items = tuple(sorted(((e, c) for e, c in d.items() if c != 0),
-                             key=lambda item: (len(item[0][1]), str(item[0][1]),
-                                               str(item[0][0]))))
-        return CocycleVector(items)
+        return CocycleVector({w: c for w, c in d.items() if c != 0})
+
+    @property
+    def coefficients(self) -> tuple:
+        """Display order: ((parent, child), coeff) by depth, then name."""
+        return tuple(sorted((((w.prefix(len(w) - 1), w), c)
+                             for w, c in self.edges.items()),
+                            key=lambda item: (len(item[0][1]), str(item[0][1]),
+                                              str(item[0][0]))))
 
     def norm_sq(self) -> int:
-        return sum(c * c for _, c in self.coefficients)
+        return sum(c * c for c in self.edges.values())
 
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
-        d = dict(self.coefficients)
-        for e, c in other.coefficients:
-            d[e] = d.get(e, 0) + c
+        d = dict(self.edges)
+        for w, c in other.edges.items():
+            d[w] = d.get(w, 0) + c
         return CocycleVector.from_dict(d)
 
 
 def _canonical_edge(u: Vertex, w: Vertex):
-    """Orient an adjacent pair as (parent, child), returning the sign."""
+    """The child of an adjacent pair, with the sign of u -> w against
+    parent -> child."""
     if len(w) == len(u) + 1:
-        return (u, w), 1
+        return w, 1
     if len(u) == len(w) + 1:
-        return (w, u), -1
+        return u, -1
     raise ValueError(f"vertices are not adjacent: {u} / {w}")
 
 
@@ -71,23 +77,23 @@ def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     """b(gamma): signed indicator of the geodesic from v to gamma v.  The
     path runs down the prefixes of gamma v, each edge parent -> child."""
     u = vertex_of(gamma, spec)
-    return CocycleVector.from_dict({(u.prefix(i - 1), u.prefix(i)): 1
-                                    for i in range(1, len(u) + 1)})
+    return CocycleVector({u.prefix(i): 1 for i in range(1, len(u) + 1)})
 
 
 def translate_cocycle(gamma, cv: CocycleVector,
                       spec: GroupSpec) -> CocycleVector:
     """gamma . b: relabel each edge (u, w) to (gamma u, gamma w)."""
     gamma_nf = britton_reduce(gamma, spec)
+    edges = [(w.prefix(len(w) - 1), w, c) for w, c in cv.edges.items()]
     # adjacent edges share endpoints: move each distinct vertex once
-    image = dict.fromkeys(u for edge, _ in cv.coefficients for u in edge)
+    image = dict.fromkeys(u for p, w, _ in edges for u in (p, w))
     for u in image:
         image[u] = act(gamma_nf, u, spec)
     d: dict = {}
-    for (u, w), c in cv.coefficients:
-        edge, sign = _canonical_edge(image[u], image[w])
-        d[edge] = d.get(edge, 0) + sign * c
-    return CocycleVector.from_dict(d)
+    for p, w, c in edges:
+        child, sign = _canonical_edge(image[p], image[w])
+        d[child] = sign * c  # gamma moves distinct edges to distinct edges
+    return CocycleVector(d)
 
 
 def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:

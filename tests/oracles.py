@@ -3,8 +3,9 @@
 Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
-image into integers and the letters of a word's formal inverse or of a
-normal form, which only the tests ask for, live here too.
+image into integers, the letters of a word's formal inverse or of a
+normal form and the translation of a cocycle on (parent, child) pairs,
+which only the tests ask for, live here too.
 """
 
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 from bskit.affine import AffineElement
 from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.presentation import GroupSpec
+from bskit.tree import act
 from bskit.words import NormalForm, T, Word, X, britton_reduce
 
 
@@ -46,6 +48,25 @@ def scaled_image(e: AffineElement):
     the form VertexImages.scaled gives and affine_distances reads."""
     den = math.lcm(*(x.denominator for x in e.a))
     return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
+
+
+def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:
+    """gamma . b on edges keyed by (parent, child) pairs: each edge (u, w)
+    of b goes to (gamma u, gamma w), turned parent -> child with its
+    coefficient negated if needed; zero sums are dropped and the result
+    is sorted in display order, the form of ``CocycleVector.coefficients``."""
+    d: dict = {}
+    for (u, w), c in cv.coefficients:
+        gu, gw = act(gamma, u, spec), act(gamma, w, spec)
+        if len(gw) == len(gu) + 1:
+            edge, sign = (gu, gw), 1
+        else:
+            assert len(gu) == len(gw) + 1, "translated edge is not an edge"
+            edge, sign = (gw, gu), -1
+        d[edge] = d.get(edge, 0) + sign * c
+    return tuple(sorted(((e, c) for e, c in d.items() if c != 0),
+                        key=lambda item: (len(item[0][1]), str(item[0][1]),
+                                          str(item[0][0]))))
 
 
 def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"

@@ -99,9 +99,45 @@ def test_proper_csv(runner):
     assert len(lines) == 1 + 2 * 7
 
 
-def test_cocycle(runner):
-    result = runner.invoke(main, ["--bs", "2", "3", "cocycle", "t x t"])
-    assert result.output.splitlines()[0] == "norm_sq 2"
+Z2_NONASC = {"n": 2, "A": [[2, 1], [0, 2]], "B": [[1, 1], [1, -1]]}
+
+
+# bsk cocycle output, every line: the edge order lives only in
+# `coefficients`
+COCYCLE_OUTPUTS = [
+    (None, "t x t",
+     ["norm_sq 2",
+      "+1 [G] -> [t]",
+      "+1 [t] -> [t | x^1·t]"]),
+    (None, "x t x^2 t^-1 x t t x^-1 t",
+     ["norm_sq 5",
+      "+1 [G] -> [x^1·t]",
+      "+1 [x^1·t] -> [x^1·t | x^2·t^-1]",
+      "+1 [x^1·t | x^2·t^-1] -> [x^1·t | x^2·t^-1 | x^1·t]",
+      "+1 [x^1·t | x^2·t^-1 | x^1·t] -> [x^1·t | x^2·t^-1 | x^1·t | t]",
+      "+1 [x^1·t | x^2·t^-1 | x^1·t | t] -> "
+      "[x^1·t | x^2·t^-1 | x^1·t | t | x^1·t]"]),
+    (Z2_NONASC, "t v[1,0] t^-1 v[0,1] t v[1,1] t",
+     ["norm_sq 4",
+      "+1 [G] -> [t]",
+      "+1 [t] -> [t | v[0,1]·t^-1]",
+      "+1 [t | v[0,1]·t^-1] -> [t | v[0,1]·t^-1 | v[0,1]·t]",
+      "+1 [t | v[0,1]·t^-1 | v[0,1]·t] -> "
+      "[t | v[0,1]·t^-1 | v[0,1]·t | t]"]),
+]
+
+
+def test_cocycle(runner, tmp_path):
+    for group, word, lines in COCYCLE_OUTPUTS:
+        if group is None:
+            args = ["--bs", "2", "3"]
+        else:
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps(group))
+            args = ["--spec", str(path)]
+        result = runner.invoke(main, [*args, "cocycle", word])
+        assert result.exit_code == 0, word
+        assert result.output.splitlines() == lines, word
 
 
 def test_cocycle_check(runner):
@@ -142,8 +178,20 @@ def test_spec_file(runner, tmp_path):
     assert len(result.output.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("command", ["reduce", "cocycle"])
+def test_command_help_needs_no_group(runner, command):
+    result = runner.invoke(main, [command, "--help"], prog_name="bsk")
+    assert result.exit_code == 0
+    assert result.output.startswith(f"Usage: bsk {command} [OPTIONS] WORD\n")
+
+
 def test_usage_errors_exit_2(runner, tmp_path):
-    assert runner.invoke(main, ["reduce", "t"]).exit_code == 2  # no group
+    no_group = runner.invoke(main, ["reduce", "t"], prog_name="bsk")
+    assert no_group.exit_code == 2
+    assert no_group.output == (
+        "Usage: bsk [OPTIONS] COMMAND [ARGS]...\n"
+        "Try 'bsk --help' for help.\n\n"
+        "Error: a group is required: --bs P Q or --spec FILE\n")
     assert runner.invoke(main, ["--bs", "0", "3", "reduce", "t"]).exit_code == 2
     assert runner.invoke(main, ["--bs", "2", "3", "reduce", "y"]).exit_code == 2
     path = tmp_path / "group.json"
@@ -255,16 +303,29 @@ def test_numeric_range_exit_2(runner):
         assert "Usage" not in result.output
 
 
-def test_readme_commands_match_cli():
+# README comments that are a command's literal first line of output; the
+# other comments describe the output
+README_OUTPUTS = {"x^2", "trivial", "x^1·t", "2", "(2; 2/3)",
+                  "0.183939720586"}
+
+
+def test_readme_commands_match_cli(runner):
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    documented = set()
+    documented, checked = set(), set()
     for line in readme.read_text().splitlines():
         if line.startswith("bsk "):
             args = shlex.split(line, comments=True)[1:]
+            result = runner.invoke(main, args, prog_name="bsk")
+            assert result.exit_code == 0, line
+            comment = line.partition("#")[2].strip()
+            if comment in README_OUTPUTS:
+                assert result.stdout.splitlines()[0] == comment, line
+                checked.add(comment)
             while args[0] in ("--bs", "--spec"):
                 args = args[3 if args[0] == "--bs" else 2:]
             documented.add(args[0])
     assert documented == set(main.commands)
+    assert checked == README_OUTPUTS
 
 
 def test_unsupported_witness_exit_2(runner, tmp_path):

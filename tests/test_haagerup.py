@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import scaled_image
+from conftest import GENERAL_DATA
+from oracles import scaled_image, translate_reference
 
 from bskit.affine import AffineElement, VertexImages, aff_compose, j_affine
 from bskit.embedding import enumerate_ball
-from bskit.haagerup import (HyperbolicPoint, UnsupportedWitnessError,
+from bskit.haagerup import (CocycleVector, HyperbolicPoint, UnsupportedWitnessError,
                             affine_distances, c0_profile, c0_profile_csv,
                             cocycle, cocycle_identity_check,
                             hyperbolic_distance, tree_gram,
@@ -87,6 +88,36 @@ def test_cocycle_inverse_antisymmetry(bs23, bs23_ball6):
         total = cocycle(ginv, bs23) + translate_cocycle(
             ginv, cocycle(g, bs23), bs23)
         assert total.coefficients == ()
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_DATA))
+def test_translate_cocycle_matches_pair_reference(name):
+    spec = GENERAL_DATA[name]
+    elements = enumerate_ball(4, spec).elements
+    rng = random.Random(29)
+    down = cancelled = siblings = False
+    for i in range(40):
+        g, d1, d2, gamma = (rng.choice(elements) for _ in range(4))
+        ginv = nf_invert(g, spec)
+        # b(d1) + g^-1.b(d2): two geodesics, the second one anywhere; on
+        # odd draws g^-1.b(g) runs up from g^-1 v to v, against b(g^-1 d1)
+        if i % 2:
+            d1, d2 = nf_multiply(ginv, d1, spec), g
+        a = cocycle(d1, spec)
+        b = translate_cocycle(ginv, cocycle(d2, spec), spec)
+        cv = a + b
+        assert cv == b + a
+        assert (translate_cocycle(gamma, cv, spec).coefficients
+                == translate_reference(gamma, cv, spec))
+        down |= any(c < 0 for c in cv.edges.values())
+        cancelled |= any(b.edges.get(w) == -c for w, c in a.edges.items())
+        depths = [len(w) for w in cv.edges]
+        siblings |= len(set(depths)) < len(depths)
+        zero = cocycle(ginv, spec) + translate_cocycle(
+            ginv, cocycle(g, spec), spec)
+        assert zero == CocycleVector.from_dict({})
+    # the draws reach the cases a single geodesic never has
+    assert down and cancelled and siblings
 
 
 # ---------------------------------------------------------------------------
