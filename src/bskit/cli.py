@@ -217,7 +217,10 @@ def stab_check(spec, length):
 @click.pass_obj
 def proper(spec, lmax, thresholds, out):
     """Properness profile: sublevel counts and stabilization flags."""
-    grid = [int(r) for r in thresholds.split(",")]
+    try:
+        grid = [int(r) for r in thresholds.split(",")]
+    except ValueError:  # properness_profile names the grid in its error
+        grid = thresholds.split(",")
     profile = properness_profile(lmax, grid, spec)
     _emit(profile.to_csv(), out)
 

@@ -9,13 +9,13 @@ in for metric properness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Integral
 
 from .affine import VertexImages, j_affine
 from .presentation import GroupSpec
 from .tree import BASE, bfs_spheres, vertex_of
-from .words import NormalForm, T, X, nf_append
+from .words import NormalForm, T, X, XTokens, nf_append, render_nf
 from .arith import zero_vector
 
 
@@ -52,12 +52,16 @@ class GroupBall:
 
 def enumerate_ball(L: int, spec: GroupSpec, *,
                    max_length: int | None = None) -> GroupBall:
-    """BFS over generator letters with normal-form deduplication."""
-    letters = generator_letters(spec)
+    """BFS over generator letters, deduplicated by normal form; letter i ^ 1
+    inverts letter i, so it is never appended where letter i led."""
+    moves = [(1 << i, letter, 1 << (i ^ 1))
+             for i, letter in enumerate(generator_letters(spec))]
     spheres = bfs_spheres(
         NormalForm(zero_vector(spec.n), ()), L,
-        lambda nf: [nf_append(nf, letter, spec) for letter in letters],
-        max_length, default=12 if spec.n == 1 else 8)
+        lambda nf, skip: [(nf_append(nf, letter, spec), back)
+                          for bit, letter, back in moves if not skip & bit],
+        max_length, default=12 if spec.n == 1 else 8,
+        key=partial(render_nf, render_x=XTokens().__getitem__))
     return GroupBall(L, spheres)
 
 

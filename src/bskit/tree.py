@@ -22,14 +22,17 @@ class ResourceBoundError(RuntimeError):
 
 
 def bfs_spheres(root, radius: int, step, max_radius: int | None,
-                default: int) -> list:
+                default: int, key=str) -> list:
     """Spheres 0..radius of the breadth-first search from ``root``.
 
-    ``step(u)`` lists the successors of u.  Each sphere holds the nodes
-    first reached at that depth, deduplicated against every node seen so
-    far and sorted by ``str``.  The radius is bounded by ``max_radius`` if
-    given, else by the environment variable BSK_MAX_BALL, else by
-    ``default``; a larger radius raises ResourceBoundError.
+    ``step(u, skip)`` lists (w, back) for each move from u to w whose bit
+    is not in ``skip``, the bits of the moves known to lead from u to a
+    seen node; ``back`` must be 0 or the bit of a move from w back to u.
+    Each sphere holds the nodes first reached at that depth, deduplicated
+    against every node seen so far and sorted by ``key``.  The radius is
+    bounded by ``max_radius`` if given, else by the environment variable
+    BSK_MAX_BALL, else by ``default``; a larger radius raises
+    ResourceBoundError.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -46,17 +49,19 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
     if radius > bound:
         raise ResourceBoundError(
             f"radius {radius} exceeds bound {bound} (set BSK_MAX_BALL)")
-    seen = {root}
+    seen = {root: 0}  # node -> bits of the moves known to lead back
     spheres = [[root]]
     for _ in range(radius):
         nxt = []
         for u in spheres[-1]:
-            for w in step(u):
+            for w, back in step(u, seen[u]):
                 size = len(seen)
-                seen.add(w)  # one hash per candidate: new iff the set grew
+                mask = seen.setdefault(w, back)  # one hash per candidate
                 if len(seen) > size:
                     nxt.append(w)
-        nxt.sort(key=str)
+                elif back & ~mask:
+                    seen[w] = mask | back
+        nxt.sort(key=key)
         spheres.append(nxt)
     return spheres
 
@@ -154,7 +159,8 @@ def geodesic(u: Vertex, w: Vertex) -> list:
 def ball(center: Vertex, radius: int, spec: GroupSpec, *,
          max_radius: int | None = None) -> list:
     """All vertices within the given radius, BFS order, sorted per level."""
-    spheres = bfs_spheres(center, radius, lambda u: neighbors(u, spec),
+    spheres = bfs_spheres(center, radius,
+                          lambda u, skip: [(w, 0) for w in neighbors(u, spec)],
                           max_radius, default=12)
     return [u for sphere in spheres for u in sphere]
 

@@ -120,17 +120,29 @@ class NormalForm:
         return not self.syllables and not any(self.head)
 
     def __str__(self) -> str:
-        parts = [_render_x(self.head)] if any(self.head) else []
-        for e, z in self.syllables:
-            t = "t" if e == 1 else "t^-1"
-            parts.append(f"{t} {_render_x(z)}" if any(z) else t)
-        return " ".join(parts) if parts else "1"
+        return render_nf(self, _render_x)
 
 
 def _render_x(z: IntVector) -> str:
     if len(z) == 1:
         return f"x^{z[0]}"
     return "v[" + ",".join(map(str, z)) + "]"
+
+
+def render_nf(nf: NormalForm, render_x) -> str:
+    """``str(nf)``, each nonzero x-vector z written ``render_x(z)``."""
+    parts = [render_x(nf.head)] if any(nf.head) else []
+    for e, z in nf.syllables:
+        t = "t" if e == 1 else "t^-1"
+        parts.append(f"{t} {render_x(z)}" if any(z) else t)
+    return " ".join(parts) if parts else "1"
+
+
+class XTokens(dict):
+    """A memo of ``_render_x`` keyed by the x-vector: render each once."""
+
+    def __missing__(self, z: IntVector) -> str:
+        return self.setdefault(z, _render_x(z))
 
 
 class _Builder:

@@ -4,8 +4,9 @@ Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
-normal form and the translation of a cocycle on (parent, child) pairs,
-which only the tests ask for, live here too.
+normal form, the translation of a cocycle on (parent, child) pairs and
+the plain breadth-first search of a word-length ball, which only the
+tests ask for, live here too.
 """
 
 import math
@@ -13,9 +14,10 @@ from fractions import Fraction
 
 from bskit.affine import AffineElement
 from bskit.arith import vec_add, vec_neg, zero_vector
+from bskit.embedding import generator_letters
 from bskit.presentation import GroupSpec
 from bskit.tree import act
-from bskit.words import NormalForm, T, Word, X, britton_reduce
+from bskit.words import NormalForm, T, Word, X, britton_reduce, nf_append
 
 
 def invert_letters(w: Word) -> Word:
@@ -67,6 +69,27 @@ def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:
     return tuple(sorted(((e, c) for e, c in d.items() if c != 0),
                         key=lambda item: (len(item[0][1]), str(item[0][1]),
                                           str(item[0][0]))))
+
+
+def reference_spheres(L: int, spec: GroupSpec) -> list:
+    """Spheres 0..L of the word-length ball by the plain breadth-first
+    search: every generator letter appended to every element of the last
+    sphere, new forms kept by a seen set, each sphere sorted by str."""
+    letters = generator_letters(spec)
+    root = NormalForm(zero_vector(spec.n), ())
+    seen = {root}
+    spheres = [[root]]
+    for _ in range(L):
+        nxt = []
+        for nf in spheres[-1]:
+            for letter in letters:
+                w = nf_append(nf, letter, spec)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        nxt.sort(key=str)
+        spheres.append(nxt)
+    return spheres
 
 
 def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"

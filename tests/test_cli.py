@@ -216,8 +216,9 @@ def test_usage_errors_exit_2(runner, tmp_path):
     negative = runner.invoke(main, ["--bs", "2", "3", "gram", "-L", "3",
                                     "--size", "-1"])
     assert negative.exit_code == 2 and "x>=0" in negative.output
-    # a repeated threshold would be counted twice, a negative one is empty
-    for grid in ("2,2", "-1"):
+    # a repeated threshold would be counted twice, a negative one is empty;
+    # a non-integer entry gets the same wording
+    for grid in ("2,2", "-1", "a", "", "1,,2", "1.5"):
         result = runner.invoke(main, ["--bs", "1", "2", "proper", "--lmax",
                                       "3", "-R", grid])
         assert result.exit_code == 2

@@ -2,12 +2,16 @@ import itertools
 
 import pytest
 
+import bskit.embedding
 from bskit.affine import j_affine
 from bskit.embedding import (check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
 from bskit.tree import ResourceBoundError
-from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
+from bskit.words import (britton_reduce, nf_append, nf_invert, nf_multiply,
+                         parse_word)
+from conftest import GENERAL_DATA, IMAGE_DATA
+from oracles import reference_spheres
 
 
 def test_ball_radius_zero(bs23):
@@ -38,6 +42,42 @@ def pairwise_ball_oracle(L, spec):
 def test_ball_matches_pairwise_oracle_small(bs23):
     for L in range(4):
         assert len(enumerate_ball(L, bs23)) == len(pairwise_ball_oracle(L, bs23))
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+def test_ball_spheres_match_plain_bfs_in_order(name):
+    # skipping the moves back and the per-call rendering memo leave every
+    # sphere's content and str order as the plain search makes them
+    spec = IMAGE_DATA[name]
+    L = 6 if spec.n == 1 else 4
+    assert enumerate_ball(L, spec).spheres == reference_spheres(L, spec)
+
+
+def test_ball_never_appends_the_inverse_of_the_letter_that_led_there(
+        bs12, monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return nf_append(*args)
+
+    monkeypatch.setattr(bskit.embedding, "nf_append", counting)
+    ball = enumerate_ball(10, bs12)
+    expanded = sum(len(s) for s in ball.spheres[:10])
+    # 4 letters from each expanded element, less at least one skipped move
+    # from each element but the root
+    assert calls <= 4 * expanded - (expanded - 1)
+
+
+@pytest.mark.parametrize("name", ["bs23", "z2_nonasc", "z3"])
+def test_letter_i_xor_1_inverts_letter_i(name):
+    spec = GENERAL_DATA[name]
+    letters = generator_letters(spec)
+    for g in enumerate_ball(3, spec).elements:
+        for i, letter in enumerate(letters):
+            there = nf_append(g, letter, spec)
+            assert nf_append(there, letters[i ^ 1], spec) == g
 
 
 def test_ball_strictly_increasing(bs23, bs12):
