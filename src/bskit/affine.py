@@ -62,80 +62,75 @@ def aff_invert(e: AffineElement, spec: GroupSpec) -> AffineElement:
 def j_affine(w, spec: GroupSpec) -> AffineElement:
     """Image of a word or normal form: x^z -> (0, z), t^eps -> (eps, 0).
 
-    The steps t^eps x^z (a normal form's syllables after its head) fold
-    right to left, (k, a) <- j(step) (k, a), fraction-free: a = num / den
-    with num an integer vector.  An x-power adds den z; t^{+-1} applies the
-    integer matrix of Lambda^{+-1} = M/d and multiplies den by d > 0.  Then
-    one Fraction per coordinate.
+    Starting from the tail, the steps x^r t^eps (a normal form's vertex
+    pairs (eps, r)) fold right to left, (k, a) <- j(step) (k, a),
+    fraction-free: a = num / den with num an integer vector.  t^{+-1}
+    applies the integer matrix of Lambda^{+-1} = M/d and multiplies den by
+    d > 0; then x^r adds den r.  Then one Fraction per coordinate.
     """
     if isinstance(w, NormalForm):
-        steps, head = w.syllables, w.head
-    else:  # a raw word: each letter is a step (eps, z) with one part trivial
-        head = (0,) * spec.n
-        steps = [(0, l.z) if isinstance(l, X) else (l.eps, head) for l in w]
-        for _, z in steps:
-            if len(z) != spec.n:
-                raise _wrong_size(z, spec.n)
+        steps, tail = w.vertex, w.tail
+    else:  # a raw word: each letter is a step (eps, r) with one part trivial
+        tail = (0,) * spec.n
+        steps = [(0, l.z) if isinstance(l, X) else (l.eps, tail) for l in w]
+        for _, r in steps:
+            if len(r) != spec.n:
+                raise _wrong_size(r, spec.n)
     lam_int = spec.lam_int
     k, den = 0, 1
-    num = [0] * spec.n
-    for eps, z in reversed(steps):
-        num = [c + den * x for c, x in zip(num, z)]
+    num = list(tail)
+    for eps, r in reversed(steps):
         if eps:
             M, d = lam_int[eps]
-            num = [sum(map(mul, r, num)) for r in M.rows]
+            num = [sum(map(mul, row, num)) for row in M.rows]
             den *= d
             k += eps
-    return AffineElement(k, tuple(Fraction(c + den * x, den)
-                                  for c, x in zip(num, head)))
+        num = [c + den * x for c, x in zip(num, r)]
+    return AffineElement(k, tuple(Fraction(c, den) for c in num))
 
 
 class VertexImages:
     """j_affine over many normal forms as integers (k, num, den), with one
     step along a tree edge per Bass-Serre vertex.
 
-    A normal form with a t-letter is coset(u) x^z for its vertex u, named
-    by (head, syllables[:-1], last eps), so j = (k_u, a_u + Lambda^{k_u} z).
-    Each vertex holds k_u, the integer vector N_u, the integer matrix Q_u
-    and D_u > 0 with a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u.  The memo
-    grows with every vertex seen: build one per computation and drop it
-    afterwards.
+    A normal form is coset(u) x^tail for its vertex u = nf.vertex, so
+    j = (k_u, a_u + Lambda^{k_u} tail).  Each vertex holds k_u, the
+    integer vector N_u, the integer matrix Q_u and D_u > 0 with
+    a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u, keyed by u itself.  The
+    memo grows with every vertex seen: build one per computation and drop
+    it afterwards.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self._vertices = {}
+        n = spec.n
+        identity = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                                   for i in range(n)))
+        self._vertices = {(): (0, (0,) * n, identity, 1)}
 
-    def _vertex(self, head, prefix, eps):
-        """The entry of u = coset(parent) x^z t^eps: the parent's entry and
-        one step N <- (N + Q z) d, Q <- Q M, D <- D d with (M, d) the pair
-        of Lambda^eps.  Without a held parent, the steps run from the base:
-        x^head t^e1 x^z1 ... t^eps."""
-        parent = (self._vertices.get((head, prefix[:-1], prefix[-1][0]))
-                  if prefix else None)
+    def _vertex(self, u):
+        """The entry of u = parent + (eps, r): the parent's entry and one
+        step N <- (N + Q r) d, Q <- Q M, D <- D d with (M, d) the pair of
+        Lambda^eps.  Without a held parent, the steps run from the base
+        over all of u, holding no entry in between."""
+        parent = self._vertices.get(u[:-1])
         if parent:
-            (k, N, Q, D), steps = parent, ((prefix[-1][1], eps),)
+            (k, N, Q, D), steps = parent, u[-1:]
         else:
-            n = self.spec.n
-            k, N, D = 0, (0,) * n, 1
-            Q = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
-                                for i in range(n)))
-            steps = zip((head, *(z for _, z in prefix)),
-                        (*(e for e, _ in prefix), eps))
-        for z, e in steps:
+            (k, N, Q, D), steps = self._vertices[()], u
+        for e, r in steps:
             M, d = self.spec.lam_int[e]
-            N = tuple((c + x) * d for c, x in zip(N, Q.apply(z)))
+            N = tuple((c + x) * d for c, x in zip(N, Q.apply(r)))
             Q, D, k = Q @ M, D * d, k + e
         return k, N, Q, D
 
     def scaled(self, nf: NormalForm):
         """(k, num, den) with j_affine(nf) = (k, num / den) and den > 0."""
-        syl = nf.syllables
-        if not syl:
-            return 0, nf.head, 1
-        key = (nf.head, syl[:-1], syl[-1][0])
-        v = self._vertices.get(key)
+        u = nf.vertex
+        if not u:
+            return 0, nf.tail, 1
+        v = self._vertices.get(u)
         if v is None:
-            v = self._vertices[key] = self._vertex(*key)
+            v = self._vertices[u] = self._vertex(u)
         k, N, Q, D = v
-        return k, [c + x for c, x in zip(N, Q.apply(syl[-1][1]))], D
+        return k, [c + x for c, x in zip(N, Q.apply(nf.tail))], D

@@ -57,7 +57,7 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
     moves = [(1 << i, letter, 1 << (i ^ 1))
              for i, letter in enumerate(generator_letters(spec))]
     spheres = bfs_spheres(
-        NormalForm(zero_vector(spec.n), ()), L,
+        NormalForm((), zero_vector(spec.n)), L,
         lambda nf, skip: [(nf_append(nf, letter, spec), back)
                           for bit, letter, back in moves if not skip & bit],
         max_length, default=12 if spec.n == 1 else 8,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from .affine import VertexImages
 from .presentation import GroupSpec
@@ -115,7 +116,7 @@ class GramReport:
     kernel: str
     s: float
     element_names: list
-    matrix: np.ndarray
+    matrix: Any  # a numpy.ndarray; numpy is imported with the first report
     min_eigenvalue: float
     tolerance: float
 

@@ -92,21 +92,10 @@ BASE = Vertex(())
 
 
 def vertex_of(w, spec: GroupSpec) -> Vertex:
-    """Canonical vertex naming the coset w G.
-
-    The canonical Britton form already carries each x-power rewritten as
-    x^g t = x^r t x^{Bh} (g = A h + r) or x^g t^-1 = x^r t^-1 x^{Ah}
-    (g = B h + r) with the carry pushed rightward; dropping the final
-    x-power (absorbed into G) reads the vertex name straight off.
-    """
-    nf = britton_reduce(w, spec)
-    if not nf.syllables:
-        return BASE
-    # the canonical form is x^{r1} t^{e1} x^{r2} t^{e2} ... x^{rm} t^{em} x^z,
-    # so the residues r_i sit in head and in the z of the preceding syllable
-    residues = [nf.head] + [z for _, z in nf.syllables[:-1]]
-    return Vertex(tuple((eps, r) for (eps, _), r
-                        in zip(nf.syllables, residues)))
+    """Canonical vertex naming the coset w G: the canonical Britton form
+    x^{r1} t^{e1} ... x^{rm} t^{em} x^z is coset(u) x^z with x^z absorbed
+    into G, and carries u's name as its ``vertex``."""
+    return Vertex(britton_reduce(w, spec).vertex)
 
 
 def act(gamma, u: Vertex, spec: GroupSpec) -> Vertex:

@@ -98,26 +98,28 @@ def parse_word(text: str, spec: GroupSpec) -> Word:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Canonical Britton form x^{head} t^{e1} x^{z1} ... t^{em} x^{zm}.
+    """Canonical Britton form x^{r1} t^{e1} ... x^{rm} t^{em} x^{tail}.
 
-    ``syllables`` holds the pairs (e_i, z_i).  Beyond pinch-freeness, the
-    form is fully canonical: the x-power in front of each t is a canonical
-    lattice residue (of A before t, of B before t^-1), every carry having
-    been pushed to the rightmost x-part, which alone is unconstrained.
+    ``vertex`` holds the pairs (e_i, r_i), each t-letter with the x-power
+    in front of it: exactly the name of the Bass-Serre vertex of the form
+    (``tree.Vertex.syllables``), so the form is coset(vertex) x^{tail}.
+    Beyond pinch-freeness, the form is fully canonical: each r_i is a
+    canonical lattice residue (of A before t, of B before t^-1), every
+    carry having been pushed to the tail, which alone is unconstrained.
     Two words are equal in the group iff they reduce to the identical
     NormalForm, so instances serve as dedup keys.
     """
 
-    head: IntVector
-    syllables: tuple  # tuple[(eps, IntVector), ...]
+    vertex: tuple  # tuple[(eps, IntVector), ...]
+    tail: IntVector
 
     @property
     def t_length(self) -> int:
-        return len(self.syllables)
+        return len(self.vertex)
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables and not any(self.head)
+        return not self.vertex and not any(self.tail)
 
     def __str__(self) -> str:
         return render_nf(self, _render_x)
@@ -131,10 +133,12 @@ def _render_x(z: IntVector) -> str:
 
 def render_nf(nf: NormalForm, render_x) -> str:
     """``str(nf)``, each nonzero x-vector z written ``render_x(z)``."""
-    parts = [render_x(nf.head)] if any(nf.head) else []
-    for e, z in nf.syllables:
+    parts = []
+    for e, r in nf.vertex:
         t = "t" if e == 1 else "t^-1"
-        parts.append(f"{t} {render_x(z)}" if any(z) else t)
+        parts.append(f"{render_x(r)} {t}" if any(r) else t)
+    if any(nf.tail):
+        parts.append(render_x(nf.tail))
     return " ".join(parts) if parts else "1"
 
 
@@ -146,52 +150,46 @@ class XTokens(dict):
 
 
 class _Builder:
-    """Mutable Britton-reduction stack; push letters, read off the form."""
+    """Mutable Britton-reduction stack; push letters, read off the form.
+    ``syl`` is the vertex stack of (eps, residue) pairs, ``tail`` the
+    x-power after the last t-letter."""
 
-    __slots__ = ("spec", "head", "syl")
+    __slots__ = ("spec", "syl", "tail")
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.head = zero_vector(spec.n)
-        self.syl = []  # list of (eps, z)
+        self.syl = []  # list of (eps, r)
+        self.tail = zero_vector(spec.n)
 
     @classmethod
     def from_nf(cls, nf: NormalForm, spec: GroupSpec) -> "_Builder":
         b = cls(spec)
-        b.head = nf.head
-        b.syl = list(nf.syllables)
+        b.syl = list(nf.vertex)
+        b.tail = nf.tail
         return b
 
     def push_x(self, z: IntVector) -> None:
-        syl = self.syl
-        if syl:
-            eps, tail = syl[-1]
-            syl[-1] = (eps, vec_add(tail, z))
-        else:
-            self.head = vec_add(self.head, z)
+        self.tail = vec_add(self.tail, z)
 
     def push_t(self, eps: int) -> None:
         # split the tail x-power around the new t:
         # x^g t = x^r t x^{Bh} (g = Ah + r), x^g t^-1 = x^r t^-1 x^{Ah}
         # (g = Bh + r), the carry being GroupSpec.carry[eps] k.  After a
-        # t^-eps syllable, r = 0 is exactly the pinch t^-1 x^{Ah} t -> x^{Bh}
-        # resp. t x^{Bh} t^-1 -> x^{Ah}.
+        # t^-eps letter, r = 0 is exactly the pinch t^-1 x^{Ah} t -> x^{Bh}
+        # resp. t x^{Bh} t^-1 -> x^{Ah}: the residue in front of that
+        # letter absorbs the carry.
         spec, syl = self.spec, self.syl
-        tail = syl[-1][1] if syl else self.head
-        r, k = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(tail)
+        r, k = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(
+            self.tail)
         carry = spec.carry[eps].apply(k)
-        if not syl:
-            self.head = r
-        elif syl[-1][0] == -eps and not any(r):
-            syl.pop()
-            self.push_x(carry)
-            return
+        if syl and syl[-1][0] == -eps and not any(r):
+            self.tail = vec_add(syl.pop()[1], carry)
         else:
-            syl[-1] = (syl[-1][0], r)
-        syl.append((eps, carry))
+            syl.append((eps, r))
+            self.tail = carry
 
     def normal_form(self) -> NormalForm:
-        return NormalForm(self.head, tuple(self.syl))
+        return NormalForm(tuple(self.syl), self.tail)
 
 
 def _wrong_size(z: IntVector, n: int) -> ConfigurationError:
@@ -223,18 +221,14 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
 
 
 def nf_append(nf: NormalForm, letter, spec: GroupSpec) -> NormalForm:
-    """The normal form of nf * letter; touches only the tail syllable."""
+    """The normal form of nf * letter: an x-letter only moves the tail."""
     if isinstance(letter, T):
         b = _Builder.from_nf(nf, spec)
         b.push_t(letter.eps)
         return b.normal_form()
     if len(letter.z) != spec.n:
         raise _wrong_size(letter.z, spec.n)
-    syl = nf.syllables
-    if not syl:
-        return NormalForm(vec_add(nf.head, letter.z), syl)
-    eps, z = syl[-1]
-    return NormalForm(nf.head, syl[:-1] + ((eps, vec_add(z, letter.z)),))
+    return NormalForm(nf.vertex, vec_add(nf.tail, letter.z))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:
@@ -243,21 +237,21 @@ def word_problem(w, spec: GroupSpec) -> bool:
 
 
 def nf_multiply(u: NormalForm, w: NormalForm, spec: GroupSpec) -> NormalForm:
-    """u w, pushing w's syllables onto u's builder."""
+    """u w, pushing w's pairs onto u's builder."""
     b = _Builder.from_nf(u, spec)
-    b.push_x(w.head)
-    for eps, z in w.syllables:
+    for eps, r in w.vertex:
+        b.push_x(r)
         b.push_t(eps)
-        b.push_x(z)
+    b.push_x(w.tail)
     return b.normal_form()
 
 
 def nf_invert(u: NormalForm, spec: GroupSpec) -> NormalForm:
-    """u^-1 = x^{-z_m} t^{-e_m} ... x^{-z_1} t^{-e_1} x^{-head}, pushed
-    syllable by syllable."""
+    """u^-1 = x^{-tail} t^{-e_m} x^{-r_m} ... t^{-e_1} x^{-r_1}, pushed
+    pair by pair."""
     b = _Builder(spec)
-    for eps, z in reversed(u.syllables):
-        b.push_x(vec_neg(z))
+    b.push_x(vec_neg(u.tail))
+    for eps, r in reversed(u.vertex):
         b.push_t(-eps)
-    b.push_x(vec_neg(u.head))
+        b.push_x(vec_neg(r))
     return b.normal_form()

@@ -28,11 +28,13 @@ def invert_letters(w: Word) -> Word:
 
 def nf_letters(nf: NormalForm) -> Word:
     """The letters of a normal form, trivial x-powers left out."""
-    out: Word = [X(nf.head)] if any(nf.head) else []
-    for e, z in nf.syllables:
+    out: Word = []
+    for e, r in nf.vertex:
+        if any(r):
+            out.append(X(r))
         out.append(T(e))
-        if any(z):
-            out.append(X(z))
+    if any(nf.tail):
+        out.append(X(nf.tail))
     return out
 
 
@@ -76,7 +78,7 @@ def reference_spheres(L: int, spec: GroupSpec) -> list:
     search: every generator letter appended to every element of the last
     sphere, new forms kept by a seen set, each sphere sorted by str."""
     letters = generator_letters(spec)
-    root = NormalForm(zero_vector(spec.n), ())
+    root = NormalForm((), zero_vector(spec.n))
     seen = {root}
     spheres = [[root]]
     for _ in range(L):

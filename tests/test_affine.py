@@ -10,7 +10,7 @@ from oracles import aff_identity, invert_letters, nf_letters
 
 from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
                           j_affine)
-from bskit.arith import ConfigurationError
+from bskit.arith import ConfigurationError, IntMatrix
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import T, X, britton_reduce, parse_word
@@ -190,6 +190,25 @@ def test_vertex_images_from_the_base_at_large_height(bs23):
     for text in ("t^3000 x", "x t^-2500 x^5 t^400 x^-7"):
         nf = britton_reduce(w(text, bs23), bs23)
         assert_scaled_is_j_affine(VertexImages(bs23).scaled(nf), nf, bs23)
+
+
+def test_vertex_images_fold_a_deep_vertex_once(bs12, monkeypatch):
+    # with no parent held, one pass from the base: one matrix product per
+    # t-letter, whatever the depth
+    nf = britton_reduce(w("x t^3000 x", bs12), bs12)
+    assert nf.t_length == 3000
+    expected = j_affine(nf, bs12)
+    matmul, calls = IntMatrix.__matmul__, 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    scaled = VertexImages(bs12).scaled(nf)
+    assert calls == 3000
+    assert_scaled_is_j_affine(scaled, nf, bs12)
 
 
 def test_wrong_size_x_letter_is_refused(bs23, asc2):

@@ -1,17 +1,18 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 import bskit.embedding
-from bskit.affine import j_affine
+from bskit.affine import AffineElement, VertexImages, j_affine
 from bskit.embedding import (check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
-from bskit.tree import ResourceBoundError
+from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word)
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import reference_spheres
+from oracles import nf_letters, reference_spheres
 
 
 def test_ball_radius_zero(bs23):
@@ -51,6 +52,20 @@ def test_ball_spheres_match_plain_bfs_in_order(name):
     spec = IMAGE_DATA[name]
     L = 6 if spec.n == 1 else 4
     assert enumerate_ball(L, spec).spheres == reference_spheres(L, spec)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+def test_ball_elements_round_trip_through_vertex_letters_and_image(name):
+    # the vertex is read off the form, the letters reduce back to it, and
+    # the per-vertex image from the base is the letters' own image
+    spec = IMAGE_DATA[name]
+    for nf in enumerate_ball(6 if spec.n == 1 else 4, spec).elements:
+        assert vertex_of(nf, spec).syllables == nf.vertex
+        letters = nf_letters(nf)
+        assert britton_reduce(letters, spec) == nf
+        k, num, den = VertexImages(spec).scaled(nf)
+        assert (AffineElement(k, tuple(Fraction(c, den) for c in num))
+                == j_affine(letters, spec)), str(nf)
 
 
 def test_ball_never_appends_the_inverse_of_the_letter_that_led_there(

@@ -1,5 +1,9 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 import random
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from conftest import GENERAL_DATA
 from oracles import scaled_image, translate_reference
 
+import bskit
 from bskit.affine import AffineElement, VertexImages, aff_compose, j_affine
 from bskit.embedding import enumerate_ball
 from bskit.haagerup import (CocycleVector, HyperbolicPoint, UnsupportedWitnessError,
@@ -172,6 +177,22 @@ def test_gram_report_json(bs23):
     data = json.loads(report.to_json())
     assert data["kernel"] == "tree" and data["psd"] is True
     assert data["dimension"] == 2
+
+
+def test_public_dataclass_annotations_resolve():
+    # every annotation names something importable at module level, so
+    # typing.get_type_hints (and the tools that call it) can read them
+    seen = []
+    for info in pkgutil.iter_modules(bskit.__path__):
+        module = importlib.import_module(f"bskit.{info.name}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and isinstance(obj, type)
+                    and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                typing.get_type_hints(obj)
+                seen.append(name)
+    assert {"AffineElement", "GramReport", "IntMatrix", "NormalForm",
+            "Vertex"} <= set(seen)
 
 
 # ---------------------------------------------------------------------------

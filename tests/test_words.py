@@ -11,9 +11,9 @@ from oracles import in_lattice, invert_letters, reduce_with_strategy
 from bskit.affine import j_affine
 from bskit.arith import ConfigurationError
 from bskit.embedding import generator_letters
-from bskit.words import (NormalForm, ParseError, T, X, britton_reduce,
-                         nf_append, nf_invert, nf_multiply, parse_word,
-                         word_problem)
+from bskit.words import (NormalForm, ParseError, T, X, _Builder,
+                         britton_reduce, nf_append, nf_invert, nf_multiply,
+                         parse_word, word_problem)
 
 
 def w(text, spec):
@@ -65,7 +65,7 @@ def test_parse_errors(bs23, asc2):
 
 def test_reduce_paper_relation(bs23):
     nf = britton_reduce(w("t x^3 t^-1", bs23), bs23)
-    assert nf == NormalForm((2,), ())
+    assert nf == NormalForm((), (2,))
 
 
 def test_reduce_no_pinch(bs23):
@@ -76,7 +76,7 @@ def test_reduce_no_pinch(bs23):
 def test_reduce_inverse_direction_with_affine_oracle(bs23):
     word = w("t^-1 x^4 t", bs23)
     nf = britton_reduce(word, bs23)
-    assert nf == NormalForm((6,), ())
+    assert nf == NormalForm((), (6,))
     # independent oracle: the affine image of the raw word
     aff = j_affine(word, bs23)
     assert aff.k == 0 and aff.a == (6,)
@@ -97,7 +97,7 @@ def test_exponent_blowup_exact(bs12):
     # t^-10 x t^10 in BS(1,2): conjugation doubles the exponent each level
     word = w("t^-10 x t^10", bs12)
     nf = britton_reduce(word, bs12)
-    assert nf == NormalForm((2 ** 10,), ())
+    assert nf == NormalForm((), (2 ** 10,))
 
 
 def test_nf_multiply_invert(bs23):
@@ -191,7 +191,7 @@ def test_t_exponent_sum_preserved(word):
     from bskit.presentation import make_bs
     spec = make_bs(2, 3)
     raw = sum(l.eps for l in word if isinstance(l, T))
-    assert sum(e for e, _ in britton_reduce(word, spec).syllables) == raw
+    assert sum(e for e, _ in britton_reduce(word, spec).vertex) == raw
 
 
 def test_relator_insertion_invariance(bs23):
@@ -230,12 +230,40 @@ def test_pinch_freeness_of_stored_forms(bs23):
     for _ in range(300):
         word = [rng.choice(letters) for _ in range(rng.randrange(0, 12))]
         nf = britton_reduce(word, bs23)
-        syl = nf.syllables
-        for (e1, z1), (e2, _) in zip(syl, syl[1:]):
+        u = nf.vertex
+        for (e1, _), (e2, r2) in zip(u, u[1:]):
             if e1 == 1 and e2 == -1:
-                assert not in_lattice(bs23.lattice_b, z1)
+                assert not in_lattice(bs23.lattice_b, r2)
             if e1 == -1 and e2 == 1:
-                assert not in_lattice(bs23.lattice_a, z1)
+                assert not in_lattice(bs23.lattice_a, r2)
+
+
+@pytest.mark.parametrize("name", ["bs23", "z2_nonasc"])
+def test_push_t_grows_the_vertex_stack_by_a_split_and_pops_it_by_a_pinch(name):
+    # the benchmark's tracer counts a pinch as len(builder.syl) falling; a
+    # pinch is exactly a tail in the lattice after a t-letter of the
+    # opposite sign (A before t, B before t^-1)
+    spec = GENERAL_DATA[name]
+    rng = random.Random(23)
+    letters = generator_letters(spec)
+    splits = pinches = 0
+    for _ in range(300):
+        b = _Builder(spec)
+        for _ in range(rng.randrange(14)):
+            letter = rng.choice(letters)
+            if isinstance(letter, X):
+                b.push_x(letter.z)
+                continue
+            eps = letter.eps
+            lattice = spec.lattice_a if eps == 1 else spec.lattice_b
+            pinch = (bool(b.syl) and b.syl[-1][0] == -eps
+                     and in_lattice(lattice, b.tail))
+            before = len(b.syl)
+            b.push_t(eps)
+            assert len(b.syl) == before + (-1 if pinch else 1)
+            pinches += pinch
+            splits += not pinch
+    assert pinches and splits
 
 
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
