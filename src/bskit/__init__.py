@@ -10,9 +10,8 @@ from .tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
 from .affine import AffineElement, aff_compose, aff_invert, j_affine
 from .embedding import (GroupBall, PropernessProfile, check_injectivity,
                         check_stabilizer, enumerate_ball, properness_profile)
-from .haagerup import (CocycleVector, GramReport, HyperbolicPoint,
-                       UnsupportedWitnessError, c0_profile, cocycle,
-                       cocycle_identity_check, hyperbolic_distance, tree_gram,
-                       witness, witness_gram)
+from .haagerup import (CocycleVector, GramReport, UnsupportedWitnessError,
+                       c0_profile, cocycle, cocycle_identity_check,
+                       hyperbolic_distance, tree_gram, witness, witness_gram)
 
 __version__ = "0.1.0"

@@ -133,4 +133,8 @@ class VertexImages:
         if v is None:
             v = self._vertices[u] = self._vertex(u)
         k, N, Q, D = v
-        return k, [c + x for c, x in zip(N, Q.apply(nf.tail))], D
+        tail = nf.tail
+        if len(tail) != len(N):
+            raise _wrong_size(tail, len(N))
+        return k, [c + sum(map(mul, row, tail))
+                   for c, row in zip(N, Q.rows)], D

@@ -49,7 +49,7 @@ class CocycleVector:
     @property
     def coefficients(self) -> tuple:
         """Display order: ((parent, child), coeff) by depth, then name."""
-        return tuple(sorted((((w.prefix(len(w) - 1), w), c)
+        return tuple(sorted((((Vertex(w[:-1]), w), c)
                              for w, c in self.edges.items()),
                             key=lambda item: (len(item[0][1]), str(item[0][1]),
                                               str(item[0][0]))))
@@ -78,14 +78,14 @@ def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     """b(gamma): signed indicator of the geodesic from v to gamma v.  The
     path runs down the prefixes of gamma v, each edge parent -> child."""
     u = vertex_of(gamma, spec)
-    return CocycleVector({u.prefix(i): 1 for i in range(1, len(u) + 1)})
+    return CocycleVector({Vertex(u[:i]): 1 for i in range(1, len(u) + 1)})
 
 
 def translate_cocycle(gamma, cv: CocycleVector,
                       spec: GroupSpec) -> CocycleVector:
     """gamma . b: relabel each edge (u, w) to (gamma u, gamma w)."""
     gamma_nf = britton_reduce(gamma, spec)
-    edges = [(w.prefix(len(w) - 1), w, c) for w, c in cv.edges.items()]
+    edges = [(Vertex(w[:-1]), w, c) for w, c in cv.edges.items()]
     # adjacent edges share endpoints: move each distinct vertex once
     image = dict.fromkeys(u for p, w, _ in edges for u in (p, w))
     for u in image:
@@ -173,18 +173,6 @@ def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
 # ---------------------------------------------------------------------------
 # Hyperbolic witness (n = 1, lambda > 0)
 
-@dataclass(frozen=True)
-class HyperbolicPoint:
-    """Upper half-plane point; y > 0."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"not in the upper half-plane: y = {self.y}")
-
-
 HYPERBOLIC = "hyperbolic"
 ISOMETRIC = "isometric"
 PROFILE_ONLY = "profile-only"
@@ -221,11 +209,15 @@ def _half_plane_points(images, spec: GroupSpec) -> list:
             raise OverflowError(
                 f"the half-plane point at height k = {k} is outside the "
                 "float range")
-    return [HyperbolicPoint(num[0] / den, ys[k]) for k, num, den in images]
+    return [(num[0] / den, ys[k]) for k, num, den in images]
 
 
-def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
-    arg = 1.0 + ((q.x - p.x) ** 2 + (q.y - p.y) ** 2) / (2.0 * p.y * q.y)
+def hyperbolic_distance(p, q) -> float:
+    """Distance of two upper half-plane points (x, y), each with y > 0."""
+    (px, py), (qx, qy) = p, q
+    if not (py > 0 and qy > 0):  # NaN fails the comparison
+        raise ValueError(f"not both in the upper half-plane: {p}, {q}")
+    arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / (2.0 * py * qy)
     return math.acosh(max(arg, 1.0))
 
 

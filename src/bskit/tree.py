@@ -10,7 +10,6 @@ globally; balls are materialized lazily by radius.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .arith import ConfigurationError
 from .presentation import GroupSpec
@@ -66,29 +65,23 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
     return spheres
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Canonical coset name: tuple of syllables (eps, residue)."""
+class Vertex(tuple):
+    """Canonical coset name: the tuple of its (eps, residue) pairs, equal
+    to (and hashed as) a normal form's ``vertex``; prints as the name."""
 
-    syllables: tuple  # tuple[(eps, IntVector), ...]
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def prefix(self, length: int) -> "Vertex":
-        return Vertex(self.syllables[:length])
+    __slots__ = ()
 
     def __str__(self) -> str:
-        if not self.syllables:
+        if not self:
             return "G"
         parts = []
-        for eps, r in self.syllables:
+        for eps, r in self:
             t = "t" if eps == 1 else "t^-1"
             parts.append(f"{_render_x(r)}·{t}" if any(r) else t)
         return " | ".join(parts)
 
 
-BASE = Vertex(())
+BASE = Vertex()
 
 
 def vertex_of(w, spec: GroupSpec) -> Vertex:
@@ -100,9 +93,9 @@ def vertex_of(w, spec: GroupSpec) -> Vertex:
 
 def act(gamma, u: Vertex, spec: GroupSpec) -> Vertex:
     """The tree action: canonical vertex of (gamma * u-word) G, pushing
-    u's syllables x^r t^eps onto the normal form of gamma."""
+    each pair (eps, r) of u as x^r t^eps onto the normal form of gamma."""
     b = _Builder.from_nf(britton_reduce(gamma, spec), spec)
-    for eps, r in u.syllables:
+    for eps, r in u:
         b.push_x(r)
         b.push_t(eps)
     return vertex_of(b.normal_form(), spec)
@@ -116,15 +109,15 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     off no carry, so u x^r t^eps G is named u + (eps, r), except for the
     one pinch: r = 0 with eps opposite to u's last letter gives the parent.
     """
-    last = u.syllables[-1][0] if u.syllables else 0
-    return [u.prefix(len(u) - 1) if eps == -last and not any(r)
-            else Vertex(u.syllables + ((eps, r),))
+    last = u[-1][0] if u else 0
+    return [Vertex(u[:-1]) if eps == -last and not any(r)
+            else Vertex(u + ((eps, r),))
             for eps in (1, -1) for r in spec.residues[eps]]
 
 
 def lcp_length(u: Vertex, w: Vertex) -> int:
     k = 0
-    for a, b in zip(u.syllables, w.syllables):
+    for a, b in zip(u, w):
         if a != b:
             break
         k += 1
@@ -140,8 +133,8 @@ def geodesic(u: Vertex, w: Vertex) -> list:
     """The unique embedded path from u to w: a list of vertices, consecutive
     entries adjacent."""
     k = lcp_length(u, w)
-    path = [u.prefix(m) for m in range(len(u), k, -1)]
-    path.extend(w.prefix(m) for m in range(k, len(w) + 1))
+    path = [Vertex(u[:m]) for m in range(len(u), k, -1)]
+    path.extend(Vertex(w[:m]) for m in range(k, len(w) + 1))
     return path
 
 
@@ -159,8 +152,8 @@ def tree_edges(vertices) -> list:
     vset = set(vertices)
     edges = []
     for w in vertices:
-        if len(w) >= 1:
-            parent = w.prefix(len(w) - 1)
+        if w:
+            parent = Vertex(w[:-1])
             if parent in vset:
                 edges.append((parent, w))
     return edges
@@ -173,7 +166,7 @@ def to_dot(vertices, edges) -> str:
     for u, i in ids.items():
         lines.append(f'  n{i} [label="{u}"];')
     for a, b in sorted(edges, key=lambda e: (ids[e[0]], ids[e[1]])):
-        eps = b.syllables[len(a)][0] if len(b) == len(a) + 1 else 0
+        eps = b[len(a)][0] if len(b) == len(a) + 1 else 0
         style = "" if eps >= 0 else " [style=dashed]"
         lines.append(f"  n{ids[a]} -- n{ids[b]}{style};")
     lines.append("}")
@@ -184,7 +177,7 @@ def edges_csv(edges) -> str:
     """CSV rows (parent, child, direction, residue) for parent-child edges."""
     lines = ["parent,child,direction,residue"]
     for a, b in edges:
-        eps, r = b.syllables[-1]
+        eps, r = b[-1]
         res = ";".join(map(str, r))
         lines.append(f'"{a}","{b}",{eps},{res}')
     return "\n".join(lines) + "\n"

@@ -102,7 +102,7 @@ class NormalForm:
 
     ``vertex`` holds the pairs (e_i, r_i), each t-letter with the x-power
     in front of it: exactly the name of the Bass-Serre vertex of the form
-    (``tree.Vertex.syllables``), so the form is coset(vertex) x^{tail}.
+    (a ``tree.Vertex`` equals it), so the form is coset(vertex) x^{tail}.
     Beyond pinch-freeness, the form is fully canonical: each r_i is a
     canonical lattice residue (of A before t, of B before t^-1), every
     carry having been pushed to the tail, which alone is unconstrained.

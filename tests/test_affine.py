@@ -13,7 +13,7 @@ from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
 from bskit.arith import ConfigurationError, IntMatrix
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
-from bskit.words import T, X, britton_reduce, parse_word
+from bskit.words import NormalForm, T, X, britton_reduce, parse_word
 
 
 def w(text, spec):
@@ -185,6 +185,21 @@ def test_vertex_images_match_j_affine(image_balls):
             assert_scaled_is_j_affine(image, nf, spec)
 
 
+def test_vertex_images_are_keyed_by_tree_vertices(image_balls):
+    # the entry scaled(nf) leaves is found by the tree vertex of nf, with
+    # no conversion: the memo holds the base and each element's vertex
+    for name, (spec, ball) in image_balls.items():
+        images = VertexImages(spec)
+        for nf in ball.elements:
+            image = images.scaled(nf)
+            u = vertex_of(nf, spec)
+            if u:
+                k, _, _, D = images._vertices[u]
+                assert (image[0], image[2]) == (k, D), name
+        assert images._vertices.keys() == {
+            vertex_of(nf, spec) for nf in ball.elements} | {()}, name
+
+
 def test_vertex_images_from_the_base_at_large_height(bs23):
     # no parent is held, so the steps run from the base, without recursion
     for text in ("t^3000 x", "x t^-2500 x^5 t^400 x^-7"):
@@ -216,6 +231,19 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
         for word in ([X(z)], [T(1), X(z)], [X(z), T(-1), X(z)]):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 j_affine(word, spec)
+
+
+def test_vertex_images_refuse_a_tail_of_the_wrong_size(bs23, asc2):
+    # a hand-built form off the base vertex, before and after its vertex
+    # entry is held
+    for spec, tail in ((bs23, (1, 2)), (asc2, (3,))):
+        nf = britton_reduce(w("t x1 t^-1 t^-1", spec), spec)
+        assert nf.vertex
+        images = VertexImages(spec)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                images.scaled(NormalForm(nf.vertex, tail))
+            assert_scaled_is_j_affine(images.scaled(nf), nf, spec)
 
 
 def test_rendering(bs23):

@@ -60,7 +60,7 @@ def test_ball_elements_round_trip_through_vertex_letters_and_image(name):
     # the per-vertex image from the base is the letters' own image
     spec = IMAGE_DATA[name]
     for nf in enumerate_ball(6 if spec.n == 1 else 4, spec).elements:
-        assert vertex_of(nf, spec).syllables == nf.vertex
+        assert vertex_of(nf, spec) == nf.vertex
         letters = nf_letters(nf)
         assert britton_reduce(letters, spec) == nf
         k, num, den = VertexImages(spec).scaled(nf)

@@ -1,0 +1,42 @@
+"""The names the benchmark's tracer patches stay importable.
+
+``bench/tracer.py`` rebinds library entry points by ``getattr``; a renamed
+or deleted target breaks every traced benchmark run.  The tracer module is
+read from its source here, without writing anything under ``bench/``.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+from bskit.presentation import make_bs
+from bskit.words import _Builder, britton_reduce, parse_word
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    module = types.ModuleType("bench_tracer")
+    module.__file__ = str(TRACER)
+    source = TRACER.read_text(encoding="utf-8")
+    exec(compile(source, str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_every_tracer_target_resolves():
+    targets = load_tracer()._targets()
+    assert targets
+    for name, owner, attr in targets:
+        if isinstance(owner, str):
+            owner = importlib.import_module(owner)
+        assert callable(getattr(owner, attr)), name
+
+
+def test_builder_keeps_the_vertex_stack_the_tracer_counts():
+    # the tracer wraps _Builder.push_t and reads len(builder.syl)
+    assert callable(_Builder.push_t)
+    spec = make_bs(2, 3)
+    b = _Builder.from_nf(britton_reduce(parse_word("x t", spec), spec), spec)
+    assert isinstance(b.syl, list) and len(b.syl) == 1
+    b.push_t(-1)
+    assert isinstance(b.syl, list)

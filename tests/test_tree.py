@@ -55,23 +55,42 @@ def test_base_vertex_for_x_powers(bs23):
 
 def test_vertex_example_x3t(bs23):
     v = vertex_of(w("x^3 t", bs23), bs23)
-    assert v.syllables == ((1, (1,)),)
+    assert v == ((1, (1,)),)
     # oracle: x^3 t G = x^1 t G
     assert same_coset(w("x^3 t", bs23), w("x^1 t", bs23), bs23)
 
 
 def test_vertex_example_txt_inv(bs23):
     v = vertex_of(w("t x t^-1", bs23), bs23)
-    assert v.syllables == ((1, (0,)), (-1, (1,)))
+    assert v == ((1, (0,)), (-1, (1,)))
     # distinct from every shorter-name coset in the radius-2 ball
     for other in ball(BASE, 1, bs23):
         assert not same_coset(w("t x t^-1", bs23), _coset_word(other), bs23)
 
 
+def test_vertex_is_its_name(bs23):
+    # a vertex equals, and hashes as, the tuple of its (eps, residue)
+    # pairs; slicing off the last pair names the parent
+    for spec in (bs23, GENERAL_DATA["z2_nonasc"]):
+        vs = ball(BASE, 3, spec)
+        parents = {child: parent for parent, child in tree_edges(vs)}
+        assert len(parents) == len(vs) - 1
+        for u in vs:
+            assert type(u) is Vertex
+            assert u == tuple(u) and hash(u) == hash(tuple(u))
+            if u:
+                assert Vertex(u[:-1]) == parents[u]
+                assert str(Vertex(u[:-1])) == str(parents[u])
+    assert str(BASE) == "G"
+    assert str(vertex_of(w("x t", bs23), bs23)) == "x^1·t"
+    assert (str(vertex_of(w("x^-1 t^-1 x t", bs23), bs23))
+            == "x^2·t^-1 | x^1·t")
+
+
 def _coset_word(vertex):
     """Oracle: the transversal word x^{r1} t^{e1} ... x^{rm} t^{em}."""
     word = []
-    for eps, r in vertex.syllables:
+    for eps, r in vertex:
         if any(r):
             word.append(X(r))
         word.append(T(eps))
@@ -275,7 +294,7 @@ def test_edge_transitivity_witness(bs23):
     base_up = vertex_of(w("t", bs23), bs23)
     vs = ball(BASE, 3, bs23)
     for parent, child in tree_edges(vs):
-        eps, r = child.syllables[-1]
+        eps, r = child[-1]
         if eps == 1:
             source, target, res = parent, child, r
         else:
