@@ -59,82 +59,81 @@ def aff_invert(e: AffineElement, spec: GroupSpec) -> AffineElement:
                          tuple(-x for x in _lam_apply(-e.k, e.a, spec)))
 
 
-def j_affine(w, spec: GroupSpec) -> AffineElement:
-    """Image of a word or normal form: x^z -> (0, z), t^eps -> (eps, 0).
+def scaled(w, spec: GroupSpec):
+    """The image of a word or normal form as integers (k, num, den) with
+    j(w) = (k, num / den) and den > 0: x^z -> (0, z), t^eps -> (eps, 0).
 
-    Starting from the tail, the steps x^r t^eps (a normal form's vertex
-    pairs (eps, r)) fold right to left, (k, a) <- j(step) (k, a),
-    fraction-free: a = num / den with num an integer vector.  t^{+-1}
-    applies the integer matrix of Lambda^{+-1} = M/d and multiplies den by
-    d > 0; then x^r adds den r.  Then one Fraction per coordinate.
+    The steps x^r t^eps (a normal form's vertex pairs (eps, r), then its
+    tail) fold right to left, (k, a) <- j(step) (k, a), fraction-free:
+    t^{+-1} applies the integer matrix of Lambda^{+-1} = M/d and multiplies
+    den by d > 0; then x^r adds den r.  Every x-vector must lie in Z^n.
     """
+    n = spec.n
+    zero = (0,) * n
     if isinstance(w, NormalForm):
-        steps, tail = w.vertex, w.tail
+        steps = (*w.vertex, (0, w.tail))
     else:  # a raw word: each letter is a step (eps, r) with one part trivial
-        tail = (0,) * spec.n
-        steps = [(0, l.z) if isinstance(l, X) else (l.eps, tail) for l in w]
-        for _, r in steps:
-            if len(r) != spec.n:
-                raise _wrong_size(r, spec.n)
+        steps = [(0, l.z) if isinstance(l, X) else (l.eps, zero) for l in w]
     lam_int = spec.lam_int
     k, den = 0, 1
-    num = list(tail)
+    num = list(zero)
     for eps, r in reversed(steps):
+        if len(r) != n:
+            raise _wrong_size(r, n)
         if eps:
             M, d = lam_int[eps]
             num = [sum(map(mul, row, num)) for row in M.rows]
             den *= d
             k += eps
         num = [c + den * x for c, x in zip(num, r)]
+    return k, num, den
+
+
+def j_affine(w, spec: GroupSpec) -> AffineElement:
+    """Image of a word or normal form: ``scaled``, then one Fraction per
+    coordinate."""
+    k, num, den = scaled(w, spec)
     return AffineElement(k, tuple(Fraction(c, den) for c in num))
 
 
-class VertexImages:
-    """j_affine over many normal forms as integers (k, num, den), with one
-    step along a tree edge per Bass-Serre vertex.
+def ball_images(spheres, spec: GroupSpec):
+    """Yield, per sphere of a word-length ball, the images (k, num, den)
+    of its elements, as ``scaled`` gives them, with one step along a tree
+    edge per Bass-Serre vertex.
 
-    A normal form is coset(u) x^tail for its vertex u = nf.vertex, so
-    j = (k_u, a_u + Lambda^{k_u} tail).  Each vertex holds k_u, the
-    integer vector N_u, the integer matrix Q_u and D_u > 0 with
-    a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u, keyed by u itself.  The
-    memo grows with every vertex seen: build one per computation and drop
-    it afterwards.
+    A normal form is coset(u) x^tail for its vertex u, so j = (k_u, a_u +
+    Lambda^{k_u} tail).  Each vertex u seen holds k_u, the integer vector
+    N_u, the integer matrix Q_u and D_u > 0 with a_u + Lambda^{k_u} z =
+    (N_u + Q_u z) / D_u.  A new vertex u = parent + (eps, r) takes its
+    parent's entry and one step N <- (N + Q r) d, Q <- Q M, D <- D d, with
+    (M, d) the pair of Lambda^eps.  The prefixes of a geodesic word walk
+    the tree from the base to its element's vertex, so in a word-length
+    ball each parent is held; where it is not, ValueError names the element.
     """
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        n = spec.n
-        identity = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
-                                   for i in range(n)))
-        self._vertices = {(): (0, (0,) * n, identity, 1)}
-
-    def _vertex(self, u):
-        """The entry of u = parent + (eps, r): the parent's entry and one
-        step N <- (N + Q r) d, Q <- Q M, D <- D d with (M, d) the pair of
-        Lambda^eps.  Without a held parent, the steps run from the base
-        over all of u, holding no entry in between."""
-        parent = self._vertices.get(u[:-1])
-        if parent:
-            (k, N, Q, D), steps = parent, u[-1:]
-        else:
-            (k, N, Q, D), steps = self._vertices[()], u
-        for e, r in steps:
-            M, d = self.spec.lam_int[e]
-            N = tuple((c + x) * d for c, x in zip(N, Q.apply(r)))
-            Q, D, k = Q @ M, D * d, k + e
-        return k, N, Q, D
-
-    def scaled(self, nf: NormalForm):
-        """(k, num, den) with j_affine(nf) = (k, num / den) and den > 0."""
-        u = nf.vertex
-        if not u:
-            return 0, nf.tail, 1
-        v = self._vertices.get(u)
-        if v is None:
-            v = self._vertices[u] = self._vertex(u)
-        k, N, Q, D = v
-        tail = nf.tail
-        if len(tail) != len(N):
-            raise _wrong_size(tail, len(N))
-        return k, [c + sum(map(mul, row, tail))
-                   for c, row in zip(N, Q.rows)], D
+    n = spec.n
+    lam_int = spec.lam_int
+    identity = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                               for i in range(n)))
+    entries = {(): (0, (0,) * n, identity, 1)}
+    for sphere in spheres:
+        images = []
+        for nf in sphere:
+            u, tail = nf.vertex, nf.tail
+            if len(tail) != n:
+                raise _wrong_size(tail, n)
+            entry = entries.get(u)
+            if entry is None:
+                parent = entries.get(u[:-1])
+                if parent is None:
+                    raise ValueError(f"{nf}: the parent of its vertex is held "
+                                     "by no element before it")
+                k, N, Q, D = parent
+                e, r = u[-1]
+                M, d = lam_int[e]
+                entry = entries[u] = (
+                    k + e, tuple((c + x) * d for c, x in zip(N, Q.apply(r))),
+                    Q @ M, D * d)
+            k, N, Q, D = entry
+            images.append((k, [c + sum(map(mul, row, tail))
+                               for c, row in zip(N, Q.rows)], D))
+        yield images

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from numbers import Integral
 
-from .affine import VertexImages, j_affine
+from .affine import ball_images, j_affine
 from .presentation import GroupSpec
 from .tree import BASE, bfs_spheres, vertex_of
 from .words import NormalForm, T, X, XTokens, nf_append, render_nf
@@ -165,12 +165,11 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     if len(set(r_grid)) != len(given):
         raise ValueError(f"thresholds must be distinct nonnegative "
                          f"integers, got {given}")
-    images = VertexImages(spec)
     counts = {r: [] for r in r_grid}
     running = {r: 0 for r in r_grid}
-    for sphere in ball_spheres(lmax, spec, ball):
-        for nf in sphere:
-            k, num, den = images.scaled(nf)
+    spheres = ball_spheres(lmax, spec, ball)
+    for sphere, images in zip(spheres, ball_images(spheres, spec)):
+        for nf, (k, num, den) in zip(sphere, images):
             height = max(nf.t_length, abs(k))
             sup = max(map(abs, num))
             for r in r_grid:

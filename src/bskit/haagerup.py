@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .affine import VertexImages
+from .affine import ball_images, scaled
 from .presentation import GroupSpec
 from .embedding import ball_spheres
-from .tree import Vertex, act, distance, vertex_of
+from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
 from .words import britton_reduce, nf_multiply
 
 
@@ -77,8 +77,8 @@ def _canonical_edge(u: Vertex, w: Vertex):
 def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     """b(gamma): signed indicator of the geodesic from v to gamma v.  The
     path runs down the prefixes of gamma v, each edge parent -> child."""
-    u = vertex_of(gamma, spec)
-    return CocycleVector({Vertex(u[:i]): 1 for i in range(1, len(u) + 1)})
+    path = geodesic(BASE, vertex_of(gamma, spec))
+    return CocycleVector(dict.fromkeys(path[1:], 1))
 
 
 def translate_cocycle(gamma, cv: CocycleVector,
@@ -213,9 +213,11 @@ def _half_plane_points(images, spec: GroupSpec) -> list:
 
 
 def hyperbolic_distance(p, q) -> float:
-    """Distance of two upper half-plane points (x, y), each with y > 0."""
+    """Distance of two upper half-plane points (x, y), each with x finite
+    and 0 < y < inf."""
     (px, py), (qx, qy) = p, q
-    if not (py > 0 and qy > 0):  # NaN fails the comparison
+    if not (math.isfinite(px) and math.isfinite(qx)
+            and 0 < py < math.inf and 0 < qy < math.inf):  # NaN fails too
         raise ValueError(f"not both in the upper half-plane: {p}, {q}")
     arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / (2.0 * py * qy)
     return math.acosh(max(arg, 1.0))
@@ -226,7 +228,7 @@ def hyperbolic_distance(p, q) -> float:
 
 def affine_distances(rows, cols, spec: GroupSpec) -> list:
     """Distances between two lists of affine images (k, num, den), as
-    VertexImages.scaled gives them, as a matrix under the active regime.
+    affine.scaled gives them, as a matrix under the active regime.
     Each image is mapped to the half-plane once, and a rational becomes a
     float by one correctly rounded division of integers."""
     regime = witness_regime(spec)
@@ -244,27 +246,26 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
         "tree_gram and properness profiles remain available")
 
 
-def _witness_values(nfs, s: float, spec: GroupSpec,
-                    images: VertexImages) -> list:
-    """psi_s of each normal form: exp(-s (t-length + the distance of its
-    affine image from the identity's image (0, 0, 1)))."""
-    dists, = affine_distances([(0, (0,) * spec.n, 1)],
-                              [images.scaled(nf) for nf in nfs], spec)
+def _witness_values(nfs, images, s: float, spec: GroupSpec) -> list:
+    """psi_s of each normal form, given its affine image (k, num, den):
+    exp(-s (t-length + the distance of that image from the identity's
+    image (0, 0, 1)))."""
+    dists, = affine_distances([(0, (0,) * spec.n, 1)], images, spec)
     return [math.exp(-s * (nf.t_length + d)) for nf, d in zip(nfs, dists)]
 
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:
     """psi_s(gamma) = exp(-s (d_T(v, gamma v) + affine displacement))."""
     _check_scale(s)
-    return _witness_values([britton_reduce(gamma, spec)], s, spec,
-                           VertexImages(spec))[0]
+    nf = britton_reduce(gamma, spec)
+    return _witness_values([nf], [scaled(nf, spec)], s, spec)[0]
 
 
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
     elements = _check_sample(elements, s, spec)
     verts = [vertex_of(nf, spec) for nf in elements]
-    affs = list(map(VertexImages(spec).scaled, elements))
+    affs = [scaled(nf, spec) for nf in elements]
     dm = [[distance(u, w) + a for w, a in zip(verts, row)]
           for u, row in zip(verts, affine_distances(affs, affs, spec))]
     return _gram_report("witness", s, elements, dm)
@@ -277,13 +278,14 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     being a C0 function.
     """
     _check_scale(s)
-    images = VertexImages(spec)
     rows = []
-    for L, sphere in enumerate(ball_spheres(lmax, spec, ball)):
+    spheres = ball_spheres(lmax, spec, ball)
+    for L, images in enumerate(ball_images(spheres, spec)):
+        sphere = spheres[L]
         # one regime dispatch per sphere (never empty: t^L has length L);
         # each value is the float witness(nf, s, spec) gives, and the
         # first maximum wins
-        vals = _witness_values(sphere, s, spec, images)
+        vals = _witness_values(sphere, images, s, spec)
         i = max(range(len(vals)), key=vals.__getitem__)
         rows.append((L, vals[i], str(sphere[i])))
     return rows

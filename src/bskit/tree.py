@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 
-from .arith import ConfigurationError
+from .arith import ConfigurationError, zero_vector
 from .presentation import GroupSpec
-from .words import _Builder, _render_x, britton_reduce
+from .words import NormalForm, _render_x, britton_reduce, nf_multiply
 
 
 class ResourceBoundError(RuntimeError):
@@ -92,13 +92,10 @@ def vertex_of(w, spec: GroupSpec) -> Vertex:
 
 
 def act(gamma, u: Vertex, spec: GroupSpec) -> Vertex:
-    """The tree action: canonical vertex of (gamma * u-word) G, pushing
-    each pair (eps, r) of u as x^r t^eps onto the normal form of gamma."""
-    b = _Builder.from_nf(britton_reduce(gamma, spec), spec)
-    for eps, r in u:
-        b.push_x(r)
-        b.push_t(eps)
-    return vertex_of(b.normal_form(), spec)
+    """The tree action: the vertex of gamma * coset(u), the product of the
+    normal forms of gamma and of u's transversal word."""
+    return Vertex(nf_multiply(britton_reduce(gamma, spec),
+                              NormalForm(u, zero_vector(spec.n)), spec).vertex)
 
 
 def neighbors(u: Vertex, spec: GroupSpec) -> list:
@@ -133,9 +130,8 @@ def geodesic(u: Vertex, w: Vertex) -> list:
     """The unique embedded path from u to w: a list of vertices, consecutive
     entries adjacent."""
     k = lcp_length(u, w)
-    path = [Vertex(u[:m]) for m in range(len(u), k, -1)]
-    path.extend(Vertex(w[:m]) for m in range(k, len(w) + 1))
-    return path
+    return ([Vertex(u[:m]) for m in range(len(u), k, -1)]
+            + [Vertex(w[:m]) for m in range(k, len(w) + 1)])
 
 
 def ball(center: Vertex, radius: int, spec: GroupSpec, *,

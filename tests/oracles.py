@@ -49,7 +49,7 @@ def aff_identity(n: int) -> AffineElement:
 
 def scaled_image(e: AffineElement):
     """(k, num, den) with e = (k, num / den), num integers and den > 0:
-    the form VertexImages.scaled gives and affine_distances reads."""
+    the form affine.scaled gives and affine_distances reads."""
     den = math.lcm(*(x.denominator for x in e.a))
     return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
 

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import GENERAL_DATA
 from oracles import aff_identity, invert_letters, nf_letters
 
-from bskit.affine import (AffineElement, VertexImages, aff_compose, aff_invert,
-                          j_affine)
-from bskit.arith import ConfigurationError, IntMatrix
+from bskit.affine import (AffineElement, aff_compose, aff_invert, ball_images,
+                          j_affine, scaled)
+from bskit.arith import ConfigurationError
+from bskit.embedding import enumerate_ball
+from bskit.haagerup import witness
 from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import NormalForm, T, X, britton_reduce, parse_word
@@ -163,67 +165,58 @@ def counting_spec(spec):
     return fresh
 
 
-def assert_scaled_is_j_affine(scaled, nf, spec):
-    k, num, den = scaled
-    assert den > 0, str(nf)
-    aff = AffineElement(k, tuple(Fraction(c, den) for c in num))
-    assert aff == j_affine(nf, spec), str(nf)
+@pytest.fixture(scope="module")
+def word_length_balls(image_balls, bs12, bs12_ball10, asc2):
+    """The image balls, BS(1,2) at L = 10 and the two Z^2 data of the
+    benchmark's ball_z2 workload at L = 6."""
+    nonasc = GENERAL_DATA["z2_nonasc"]
+    return {**image_balls, "bs12 L=10": (bs12, bs12_ball10),
+            "asc2 L=6": (asc2, enumerate_ball(6, asc2)),
+            "z2_nonasc L=6": (nonasc, enumerate_ball(6, nonasc))}
 
 
-def test_vertex_images_match_j_affine(image_balls):
+def test_every_vertex_parent_is_the_vertex_of_an_earlier_sphere(
+        word_length_balls):
+    # a geodesic word's prefixes walk the tree from the base to the
+    # element's vertex: the premise of ball_images' one step per vertex
+    for name, (spec, ball) in word_length_balls.items():
+        held = set()
+        for sphere in ball.spheres:
+            vertices = {nf.vertex for nf in sphere}
+            assert all(u[:-1] in held for u in vertices if u), name
+            held |= vertices
+
+
+def test_ball_images_equal_the_per_element_fold(word_length_balls):
+    # one step per vertex against each element's own fold: the same
+    # integers, not only the same fractions
+    for name, (spec, ball) in word_length_balls.items():
+        images = [image for sphere in ball_images(ball.spheres, spec)
+                  for image in sphere]
+        assert images == [scaled(nf, spec) for nf in ball.elements], name
+
+
+def test_ball_images_step_once_per_vertex(image_balls):
     # negative determinants, lambda < 0 and n = 3; each ball holds many
     # elements per vertex, at heights of both signs
     for name, (spec, ball) in image_balls.items():
         fresh = counting_spec(spec)
-        images = VertexImages(fresh)
-        scaled = [images.scaled(nf) for nf in ball.elements]
+        per_sphere = list(ball_images(ball.spheres, fresh))
+        assert list(map(len, per_sphere)) == list(map(len, ball.spheres))
         # one step along a tree edge per Bass-Serre vertex other than the
-        # base: in ball order each vertex's parent is already held
+        # base
         vertices = {vertex_of(nf, spec) for nf in ball.elements}
         assert fresh.lam_int.lookups == len(vertices) - 1 < len(ball), name
-        for nf, image in zip(ball.elements, scaled):
-            assert_scaled_is_j_affine(image, nf, spec)
 
 
-def test_vertex_images_are_keyed_by_tree_vertices(image_balls):
-    # the entry scaled(nf) leaves is found by the tree vertex of nf, with
-    # no conversion: the memo holds the base and each element's vertex
-    for name, (spec, ball) in image_balls.items():
-        images = VertexImages(spec)
-        for nf in ball.elements:
-            image = images.scaled(nf)
-            u = vertex_of(nf, spec)
-            if u:
-                k, _, _, D = images._vertices[u]
-                assert (image[0], image[2]) == (k, D), name
-        assert images._vertices.keys() == {
-            vertex_of(nf, spec) for nf in ball.elements} | {()}, name
-
-
-def test_vertex_images_from_the_base_at_large_height(bs23):
-    # no parent is held, so the steps run from the base, without recursion
+def test_scaled_at_large_height_is_exact(bs23):
+    # the fold holds no table of powers, and matches the compose fold
     for text in ("t^3000 x", "x t^-2500 x^5 t^400 x^-7"):
         nf = britton_reduce(w(text, bs23), bs23)
-        assert_scaled_is_j_affine(VertexImages(bs23).scaled(nf), nf, bs23)
-
-
-def test_vertex_images_fold_a_deep_vertex_once(bs12, monkeypatch):
-    # with no parent held, one pass from the base: one matrix product per
-    # t-letter, whatever the depth
-    nf = britton_reduce(w("x t^3000 x", bs12), bs12)
-    assert nf.t_length == 3000
-    expected = j_affine(nf, bs12)
-    matmul, calls = IntMatrix.__matmul__, 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return matmul(a, b)
-
-    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-    scaled = VertexImages(bs12).scaled(nf)
-    assert calls == 3000
-    assert_scaled_is_j_affine(scaled, nf, bs12)
+        assert nf.t_length >= 2900
+        k, num, den = scaled(nf, bs23)
+        assert (AffineElement(k, tuple(Fraction(c, den) for c in num))
+                == j_affine_right_fold(nf_letters(nf), bs23)), text
 
 
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
@@ -233,17 +226,18 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
                 j_affine(word, spec)
 
 
-def test_vertex_images_refuse_a_tail_of_the_wrong_size(bs23, asc2):
-    # a hand-built form off the base vertex, before and after its vertex
-    # entry is held
-    for spec, tail in ((bs23, (1, 2)), (asc2, (3,))):
-        nf = britton_reduce(w("t x1 t^-1 t^-1", spec), spec)
-        assert nf.vertex
-        images = VertexImages(spec)
-        for _ in range(2):
-            with pytest.raises(ConfigurationError, match="dimension mismatch"):
-                images.scaled(NormalForm(nf.vertex, tail))
-            assert_scaled_is_j_affine(images.scaled(nf), nf, spec)
+def test_normal_forms_of_the_wrong_size_are_refused(bs23, asc2):
+    # a bad tail at the base vertex, a bad tail off it, and a bad residue;
+    # none is truncated to an image
+    for spec, good, bad in ((bs23, (0,), (1, 2)), (asc2, (0, 0), (3,))):
+        for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
+                   NormalForm(((1, bad),), good)):
+            for image in (j_affine, scaled,
+                          lambda nf, spec: list(ball_images([[nf]], spec)),
+                          lambda nf, spec: witness(nf, 1.0, spec)):
+                with pytest.raises(ConfigurationError,
+                                   match="dimension mismatch"):
+                    image(nf, spec)
 
 
 def test_rendering(bs23):

@@ -1,13 +1,15 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 import bskit.embedding
-from bskit.affine import AffineElement, VertexImages, j_affine
-from bskit.embedding import (check_injectivity, check_stabilizer,
+from bskit.affine import AffineElement, ball_images, j_affine
+from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
+from bskit.haagerup import c0_profile
 from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word)
@@ -57,13 +59,14 @@ def test_ball_spheres_match_plain_bfs_in_order(name):
 @pytest.mark.parametrize("name", sorted(IMAGE_DATA))
 def test_ball_elements_round_trip_through_vertex_letters_and_image(name):
     # the vertex is read off the form, the letters reduce back to it, and
-    # the per-vertex image from the base is the letters' own image
+    # the per-vertex image of the ball pass is the letters' own image
     spec = IMAGE_DATA[name]
-    for nf in enumerate_ball(6 if spec.n == 1 else 4, spec).elements:
+    ball = enumerate_ball(6 if spec.n == 1 else 4, spec)
+    images = [i for sphere in ball_images(ball.spheres, spec) for i in sphere]
+    for nf, (k, num, den) in zip(ball.elements, images, strict=True):
         assert vertex_of(nf, spec) == nf.vertex
         letters = nf_letters(nf)
         assert britton_reduce(letters, spec) == nf
-        k, num, den = VertexImages(spec).scaled(nf)
         assert (AffineElement(k, tuple(Fraction(c, den) for c in num))
                 == j_affine(letters, spec)), str(nf)
 
@@ -213,6 +216,18 @@ def test_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
         with pytest.raises(ValueError, match="outside 0..6"):
             properness_profile(lmax, [1, 2], bs12,
                                ball=enumerate_ball(6, bs12))
+
+
+def test_profiles_refuse_a_ball_missing_a_parent(bs23):
+    # a hand-built ball whose deep element has no parent vertex before it
+    # is not a word-length ball; its image is not computed some other way
+    deep = britton_reduce(parse_word("t x t", bs23), bs23)
+    ball = GroupBall(1, [[britton_reduce([], bs23)], [deep]])
+    for profile in (lambda: properness_profile(1, [1], bs23, ball=ball),
+                    lambda: c0_profile(1, 1.0, bs23, ball=ball)):
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{deep}: the parent")):
+            profile()
 
 
 def test_profile_late_stabilization_r4(bs12):

@@ -13,7 +13,8 @@ from conftest import GENERAL_DATA
 from oracles import scaled_image, translate_reference
 
 import bskit
-from bskit.affine import AffineElement, VertexImages, aff_compose, j_affine
+from bskit.affine import (AffineElement, aff_compose, ball_images, j_affine,
+                          scaled)
 from bskit.embedding import enumerate_ball
 from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             affine_distances, c0_profile, c0_profile_csv,
@@ -26,7 +27,7 @@ from bskit.tree import BASE, act, distance, vertex_of
 from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
 
 # the identity's affine image (0, 0) as (k, num, den), n = 1
-ONE = (0, (0,), 1)
+ONE = (0, [0], 1)
 
 
 def nf(text, spec):
@@ -35,7 +36,7 @@ def nf(text, spec):
 
 def displacement(text, spec):
     """Distance of the image of a word from the identity's image."""
-    image = VertexImages(spec).scaled(nf(text, spec))
+    image = scaled(nf(text, spec), spec)
     return affine_distances([ONE], [image], spec)[0][0]
 
 
@@ -199,7 +200,7 @@ def test_public_dataclass_annotations_resolve():
 # hyperbolic witness
 
 def test_orbit_identity(bs12):
-    assert VertexImages(bs12).scaled(nf("x^0", bs12)) == ONE
+    assert scaled(nf("x^0", bs12), bs12) == ONE
     assert displacement("x^0", bs12) == 0.0
     p = (0.0, 1.0)
     assert hyperbolic_distance(p, p) == 0.0
@@ -239,13 +240,18 @@ def test_affine_distances_left_invariant(bs12):
 
 
 def test_half_plane_rejects_bad_point():
-    # y <= 0 or NaN at either point is outside the upper half-plane
+    # y <= 0, y infinite, x not finite, or NaN at either point is outside
+    # the upper half-plane
     good = (0.0, 1.0)
-    for y in (-1.0, 0.0, -0.0, math.nan):
-        bad = (0.0, y)
+    bads = [(0.0, y) for y in (-1.0, 0.0, -0.0, math.nan, math.inf)]
+    bads += [(x, 1.0) for x in (math.nan, math.inf, -math.inf)]
+    for bad in bads:
         for p, q in ((bad, good), (good, bad), (bad, bad)):
             with pytest.raises(ValueError, match="upper half-plane"):
                 hyperbolic_distance(p, q)
+    # a finite pair too far apart for a float stays a range error
+    with pytest.raises(OverflowError):
+        hyperbolic_distance((0.0, 1e300), (0.0, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +331,11 @@ def test_isometric_distances_are_rounded_once():
 def test_displacement_is_distance_from_identity(bs12):
     base = (0.0, 1.0)
     for spec in (bs12, make_bs(2, -2)):
-        images = VertexImages(spec)
-        for g in enumerate_ball(4, spec).elements:
-            k, num, den = e = images.scaled(g)
+        ball = enumerate_ball(4, spec)
+        images = [i for sphere in ball_images(ball.spheres, spec)
+                  for i in sphere]
+        for g, e in zip(ball.elements, images, strict=True):
+            k, num, den = e
             d = affine_distances([ONE], [e], spec)[0][0]
             assert d == affine_distances([e], [ONE], spec)[0][0]
             assert witness(g, 1.0, spec) == math.exp(-(g.t_length + d))
@@ -339,8 +347,8 @@ def test_displacement_is_distance_from_identity(bs12):
 
 
 def test_witness_family_matches_per_element_j_affine():
-    # reference images from each element's own right-to-left fold, not
-    # from VertexImages; values and matrices agree to the last bit
+    # reference images from each element's Fraction image, turned into
+    # integers by the oracle; values and matrices agree to the last bit
     for p, q in ((1, 2), (2, 3), (3, 5), (2, -2), (1, -1)):
         spec = make_bs(p, q)
         elements = enumerate_ball(4, spec).elements

@@ -9,6 +9,9 @@ import importlib
 import types
 from pathlib import Path
 
+from bskit.affine import j_affine
+from bskit.embedding import enumerate_ball
+from bskit.haagerup import tree_gram
 from bskit.presentation import make_bs
 from bskit.words import _Builder, britton_reduce, parse_word
 
@@ -40,3 +43,21 @@ def test_builder_keeps_the_vertex_stack_the_tracer_counts():
     assert isinstance(b.syl, list) and len(b.syl) == 1
     b.push_t(-1)
     assert isinstance(b.syl, list)
+
+
+def test_tracer_value_hooks_read_real_return_values():
+    # the hooks read .k and .a of an affine image, len() of a ball and the
+    # eigenvalue and tolerance of a Gram report; a changed return type
+    # would otherwise break traced runs only
+    tracer = load_tracer().Tracer()
+    spec = make_bs(1, 2)
+    tracer._affine_post(j_affine(parse_word("t^3 x", spec), spec))
+    ball = enumerate_ball(2, spec)
+    tracer._ball_post(ball)
+    report = tree_gram(ball.elements[:5], 0.5, spec)
+    tracer._gram_post(report)
+    counters = tracer.counters
+    assert counters["max_height"] == 3
+    assert counters["max_den_bits"] == (8).bit_length()  # x at 2^-3
+    assert counters["ball_new"] == len(ball) - 1 > 0
+    assert tracer.psd_margins == [report.min_eigenvalue + report.tolerance]
