@@ -36,15 +36,22 @@ class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
     ``spheres[L]`` holds the elements whose minimal word length is exactly
-    L; ``elements`` is their concatenation, built on first use.
+    L; ``elements`` is their concatenation, and ``images[L]`` the affine
+    images (k, num, den) of ``spheres[L]`` under ``spec`` as ``ball_images``
+    yields them; both are built on first use and dropped with the ball.
     """
 
     radius: int
-    spheres: list = field(default_factory=list)
+    spheres: list
+    spec: GroupSpec
 
     @cached_property
     def elements(self) -> tuple:
         return tuple(nf for sphere in self.spheres for nf in sphere)
+
+    @cached_property
+    def images(self) -> list:
+        return list(ball_images(self.spheres, self.spec))
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.spheres)
@@ -62,18 +69,21 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
                           for bit, letter, back in moves if not skip & bit],
         max_length, default=12 if spec.n == 1 else 8,
         key=partial(render_nf, render_x=XTokens().__getitem__))
-    return GroupBall(L, spheres)
+    return GroupBall(L, spheres, spec)
 
 
-def ball_spheres(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> list:
-    """Spheres 0..lmax of the given ball, or of a fresh one if none is
-    given; lmax outside 0..ball.radius raises ValueError."""
+def ball_columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> zip:
+    """(sphere, images) pairs for the spheres 0..lmax of the given ball, or
+    of a fresh one if none is given; a ball of another datum, or lmax
+    outside 0..ball.radius, raises ValueError."""
     if ball is None:
-        return enumerate_ball(lmax, spec).spheres
-    if not 0 <= lmax <= ball.radius:
+        ball = enumerate_ball(lmax, spec)
+    elif (ball.spec.A, ball.spec.B) != (spec.A, spec.B):
+        raise ValueError(f"the given ball is of {ball.spec!r}, not {spec!r}")
+    elif not 0 <= lmax <= ball.radius:
         raise ValueError(f"lmax = {lmax} is outside 0..{ball.radius}, "
                          "the radius of the given ball")
-    return ball.spheres[:lmax + 1]
+    return zip(ball.spheres[:lmax + 1], ball.images[:lmax + 1])
 
 
 @dataclass
@@ -167,8 +177,7 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
                          f"integers, got {given}")
     counts = {r: [] for r in r_grid}
     running = {r: 0 for r in r_grid}
-    spheres = ball_spheres(lmax, spec, ball)
-    for sphere, images in zip(spheres, ball_images(spheres, spec)):
+    for sphere, images in ball_columns(lmax, spec, ball):
         for nf, (k, num, den) in zip(sphere, images):
             height = max(nf.t_length, abs(k))
             sup = max(map(abs, num))

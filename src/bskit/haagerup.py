@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .affine import ball_images, scaled
+from .affine import scaled
 from .presentation import GroupSpec
-from .embedding import ball_spheres
+from .embedding import ball_columns
 from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
 from .words import britton_reduce, nf_multiply
 
@@ -220,6 +220,8 @@ def hyperbolic_distance(p, q) -> float:
             and 0 < py < math.inf and 0 < qy < math.inf):  # NaN fails too
         raise ValueError(f"not both in the upper half-plane: {p}, {q}")
     arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / (2.0 * py * qy)
+    if not arg < math.inf:  # an x difference past the float range
+        raise OverflowError(f"the distance of {p} and {q} is not a float")
     return math.acosh(max(arg, 1.0))
 
 
@@ -279,9 +281,7 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     """
     _check_scale(s)
     rows = []
-    spheres = ball_spheres(lmax, spec, ball)
-    for L, images in enumerate(ball_images(spheres, spec)):
-        sphere = spheres[L]
+    for L, (sphere, images) in enumerate(ball_columns(lmax, spec, ball)):
         # one regime dispatch per sphere (never empty: t^L has length L);
         # each value is the float witness(nf, s, spec) gives, and the
         # first maximum wins

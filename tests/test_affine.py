@@ -189,10 +189,12 @@ def test_every_vertex_parent_is_the_vertex_of_an_earlier_sphere(
 
 def test_ball_images_equal_the_per_element_fold(word_length_balls):
     # one step per vertex against each element's own fold: the same
-    # integers, not only the same fractions
+    # integers, not only the same fractions; the ball's image column is
+    # that one pass
     for name, (spec, ball) in word_length_balls.items():
-        images = [image for sphere in ball_images(ball.spheres, spec)
-                  for image in sphere]
+        per_sphere = list(ball_images(ball.spheres, spec))
+        assert ball.images == per_sphere, name
+        images = [image for sphere in per_sphere for image in sphere]
         assert images == [scaled(nf, spec) for nf in ball.elements], name
 
 

@@ -10,6 +10,7 @@ from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
 from bskit.haagerup import c0_profile
+from bskit.presentation import make_bs
 from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word)
@@ -218,11 +219,42 @@ def test_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
                                ball=enumerate_ball(6, bs12))
 
 
+def test_profiles_share_one_image_pass_per_ball(bs12, monkeypatch):
+    # the profiles read the ball's image column, built on first read
+    calls = 0
+
+    def counting(spheres, spec):
+        nonlocal calls
+        calls += 1
+        return ball_images(spheres, spec)
+    monkeypatch.setattr(bskit.embedding, "ball_images", counting)
+    ball = enumerate_ball(6, bs12)
+    first = properness_profile(6, [1, 2, 4], bs12, ball=ball).to_csv()
+    c0_profile(6, 1.0, bs12, ball=ball)
+    again = properness_profile(6, [1, 2, 4], bs12, ball=ball).to_csv()
+    assert calls == 1 and again == first
+
+
+def test_profiles_refuse_a_ball_of_another_datum(bs12, bs23):
+    # the images come from the ball's own datum, so another spec would be
+    # ignored; an equal datum built twice is the same group
+    ball = enumerate_ball(3, make_bs(1, 2))
+    for other in (bs23, make_bs(1, 3)):
+        with pytest.raises(ValueError, match="given ball is of"):
+            properness_profile(3, [1, 2], other, ball=ball)
+        with pytest.raises(ValueError, match="given ball is of"):
+            c0_profile(3, 1.0, other, ball=ball)
+    twin = make_bs(1, 2)
+    assert (properness_profile(3, [1, 2], twin, ball=ball).to_csv()
+            == properness_profile(3, [1, 2], bs12).to_csv())
+    assert c0_profile(3, 1.0, twin, ball=ball) == c0_profile(3, 1.0, bs12)
+
+
 def test_profiles_refuse_a_ball_missing_a_parent(bs23):
     # a hand-built ball whose deep element has no parent vertex before it
     # is not a word-length ball; its image is not computed some other way
     deep = britton_reduce(parse_word("t x t", bs23), bs23)
-    ball = GroupBall(1, [[britton_reduce([], bs23)], [deep]])
+    ball = GroupBall(1, [[britton_reduce([], bs23)], [deep]], bs23)
     for profile in (lambda: properness_profile(1, [1], bs23, ball=ball),
                     lambda: c0_profile(1, 1.0, bs23, ball=ball)):
         with pytest.raises(ValueError,

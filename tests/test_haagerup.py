@@ -249,9 +249,14 @@ def test_half_plane_rejects_bad_point():
         for p, q in ((bad, good), (good, bad), (bad, bad)):
             with pytest.raises(ValueError, match="upper half-plane"):
                 hyperbolic_distance(p, q)
-    # a finite pair too far apart for a float stays a range error
-    with pytest.raises(OverflowError):
-        hyperbolic_distance((0.0, 1e300), (0.0, 1e-300))
+    # a finite pair too far apart for a float stays a range error, also
+    # where the x difference itself overflows to inf
+    far = [((0.0, 1e300), (0.0, 1e-300)), ((0.0, 1e-200), (1e200, 1e-200)),
+           ((-1e308, 1.0), (1e308, 1.0))]
+    for p, q in far:
+        for pair in ((p, q), (q, p)):
+            with pytest.raises(OverflowError):
+                hyperbolic_distance(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +393,9 @@ def test_c0_profile_decreasing(bs12, bs12_ball10):
 
 def test_c0_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
     # a larger ball gives the rows of a fresh radius-lmax ball
-    rows = c0_profile(3, 1.0, bs12, ball=bs12_ball10)
-    assert rows == c0_profile(3, 1.0, bs12) and len(rows) == 4
+    for lmax in (3, 6):
+        rows = c0_profile(lmax, 1.0, bs12, ball=bs12_ball10)
+        assert rows == c0_profile(lmax, 1.0, bs12) and len(rows) == lmax + 1
     for lmax in (7, -1):
         with pytest.raises(ValueError, match="outside 0..6"):
             c0_profile(lmax, 1.0, bs12, ball=enumerate_ball(6, bs12))
