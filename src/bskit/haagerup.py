@@ -25,7 +25,7 @@ from .words import britton_reduce, nf_multiply
 
 
 class UnsupportedWitnessError(RuntimeError):
-    """No explicit affine witness in this regime; profile-only evidence."""
+    """No explicit affine witness for n > 1; profile-only evidence."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,38 +171,19 @@ def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic witness (n = 1, lambda > 0)
-
-HYPERBOLIC = "hyperbolic"
-ISOMETRIC = "isometric"
-PROFILE_ONLY = "profile-only"
-
-
-def witness_regime(spec: GroupSpec) -> str:
-    """Which explicit affine witness (if any) this datum supports.
-
-    n = 1 with lambda > 0: half-plane orbit.  n = 1 with lambda = -1:
-    the linear part is isometric, use |k| + |a|.  Anything else is
-    profile-only (tree kernels and properness profiles still apply).
-    """
-    if spec.n == 1:
-        lam = spec.lam_scalar
-        if lam > 0:
-            return HYPERBOLIC
-        if lam == -1:
-            return ISOMETRIC
-    return PROFILE_ONLY
-
+# Half-plane witness (n = 1)
 
 def _half_plane_points(images, spec: GroupSpec) -> list:
     """The half-plane points of several images (k, num, den), the orbit of
-    the base point (0, 1) under z -> lambda^k z + num / den, with one float
-    lambda^k per distinct height k (first-seen order names the failing
-    height)."""
+    the base point (0, 1) under the isometry (x, y) -> (lambda^k x + a,
+    |lambda|^k y) with a = num / den (a reflection when lambda^k < 0): the
+    point (a, |lambda|^k), with one float |lambda|^k per distinct height k
+    (first-seen order names the failing height)."""
+    lam = abs(spec.lam_scalar)
     ys = {}
     for k in dict.fromkeys(k for k, _, _ in images):
         try:
-            ys[k] = float(spec.lam_scalar ** k)
+            ys[k] = float(lam ** k)
         except OverflowError:
             ys[k] = 0.0
         if ys[k] == 0.0:
@@ -219,8 +200,9 @@ def hyperbolic_distance(p, q) -> float:
     if not (math.isfinite(px) and math.isfinite(qx)
             and 0 < py < math.inf and 0 < qy < math.inf):  # NaN fails too
         raise ValueError(f"not both in the upper half-plane: {p}, {q}")
-    arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / (2.0 * py * qy)
-    if not arg < math.inf:  # an x difference past the float range
+    den = 2.0 * py * qy  # 0.0 where the two heights' product underflows
+    arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / den if den else math.inf
+    if not arg < math.inf:  # a difference or a quotient past the float range
         raise OverflowError(f"the distance of {p} and {q} is not a float")
     return math.acosh(max(arg, 1.0))
 
@@ -230,22 +212,16 @@ def hyperbolic_distance(p, q) -> float:
 
 def affine_distances(rows, cols, spec: GroupSpec) -> list:
     """Distances between two lists of affine images (k, num, den), as
-    affine.scaled gives them, as a matrix under the active regime.
-    Each image is mapped to the half-plane once, and a rational becomes a
-    float by one correctly rounded division of integers."""
-    regime = witness_regime(spec)
-    if regime == HYPERBOLIC:
-        ps = _half_plane_points(rows, spec)
-        qs = _half_plane_points(cols, spec)
-        return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
-    if regime == ISOMETRIC:
-        return [[(abs(k - k2) * den * den2
-                  + sum(abs(c * den2 - c2 * den) for c, c2 in zip(num, num2)))
-                 / (den * den2)
-                 for k2, num2, den2 in cols] for k, num, den in rows]
-    raise UnsupportedWitnessError(
-        f"no explicit affine witness for this datum ({spec!r}); "
-        "tree_gram and properness profiles remain available")
+    affine.scaled gives them, as a matrix of half-plane distances.  Each
+    image is mapped to the half-plane once, and a rational becomes a float
+    by one correctly rounded division of integers."""
+    if spec.n != 1:
+        raise UnsupportedWitnessError(
+            f"no explicit affine witness for this datum ({spec!r}); "
+            "tree_gram and properness profiles remain available")
+    ps = _half_plane_points(rows, spec)
+    qs = _half_plane_points(cols, spec)
+    return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
 
 
 def _witness_values(nfs, images, s: float, spec: GroupSpec) -> list:
@@ -282,7 +258,7 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     _check_scale(s)
     rows = []
     for L, (sphere, images) in enumerate(ball_columns(lmax, spec, ball)):
-        # one regime dispatch per sphere (never empty: t^L has length L);
+        # one distance row per sphere (never empty: t^L has length L);
         # each value is the float witness(nf, s, spec) gives, and the
         # first maximum wins
         vals = _witness_values(sphere, images, s, spec)

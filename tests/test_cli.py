@@ -156,17 +156,22 @@ def test_gram_json(runner):
 
 
 def test_witness(runner):
-    result = runner.invoke(main, ["--bs", "1", "2", "witness", "t",
-                                  "-s", "1.0"])
-    assert result.output.strip() == "0.183939720586"
+    # t moves (0, 1) to (0, |lambda|) = (0, 1/2) for both signs of lambda
+    for q in ("2", "-2"):
+        result = runner.invoke(main, ["--bs", "1", q, "witness", "t",
+                                      "-s", "1.0"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "0.183939720586"
 
 
 def test_c0_csv(runner):
-    result = runner.invoke(main, ["--bs", "1", "2", "c0", "--lmax", "5",
-                                  "-s", "1.0"])
-    lines = result.output.strip().splitlines()
-    assert lines[0] == "L,max_witness,argmax"
-    assert len(lines) == 7
+    for p, q, lmax in (("1", "2", "5"), ("2", "-3", "4")):
+        result = runner.invoke(main, ["--bs", p, q, "c0", "--lmax", lmax,
+                                      "-s", "1.0"])
+        assert result.exit_code == 0
+        lines = result.output.strip().splitlines()
+        assert lines[0] == "L,max_witness,argmax"
+        assert len(lines) == int(lmax) + 2
 
 
 def test_spec_file(runner, tmp_path):
@@ -333,8 +338,15 @@ def test_unsupported_witness_exit_2(runner, tmp_path):
     path = tmp_path / "group.json"
     path.write_text(json.dumps({"n": 2, "A": [[2, 1], [0, 2]],
                                 "B": [[1, 0], [0, 1]]}))
-    result = runner.invoke(main, ["--spec", str(path), "witness", "t"])
-    assert result.exit_code == 2
+    message = (
+        "unsupported witness regime: no explicit affine witness for this "
+        "datum (GroupSpec(n=2, A=[[2, 1], [0, 2]], B=[[1, 0], [0, 1]])); "
+        "tree_gram and properness profiles remain available\n")
+    for args in (["witness", "t"], ["c0", "--lmax", "3"],
+                 ["gram", "--kernel", "witness", "-L", "3", "--size", "10"]):
+        result = runner.invoke(main, ["--spec", str(path), *args])
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr == message
 
 
 def test_byte_stable_output(runner):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import GENERAL_DATA
+from conftest import GENERAL_DATA, IMAGE_DATA
 from oracles import scaled_image, translate_reference
 
 import bskit
@@ -20,14 +20,16 @@ from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             affine_distances, c0_profile, c0_profile_csv,
                             cocycle, cocycle_identity_check,
                             hyperbolic_distance, tree_gram,
-                            translate_cocycle, witness, witness_gram,
-                            witness_regime)
+                            translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
 from bskit.tree import BASE, act, distance, vertex_of
 from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
 
 # the identity's affine image (0, 0) as (k, num, den), n = 1
 ONE = (0, [0], 1)
+
+# n = 1 with lambda < 0 and lambda != -1: -2/3, -1/2 and -3/2
+NEGATIVE = ((2, -3), (1, -2), (-2, 3))
 
 
 def nf(text, spec):
@@ -221,14 +223,14 @@ def test_orbit_of_x_bs12(bs12):
 
 
 def test_affine_distances_left_invariant(bs12):
-    # the orbit map is equivariant and the group acts by isometries, so
-    # d(e f, e g) = d(f, g) in both regimes
+    # the orbit map is equivariant and the group acts by isometries (with
+    # a reflection where lambda^k < 0), so d(e f, e g) = d(f, g)
     rng = random.Random(29)
 
     def element():
         return AffineElement(rng.randrange(-4, 5),
                              (Fraction(rng.randrange(-20, 20), 4),))
-    for spec in (bs12, make_bs(2, -2)):
+    for spec in (bs12, make_bs(2, -2), *(make_bs(p, q) for p, q in NEGATIVE)):
         for _ in range(200):
             e, f, g = element(), element(), element()
             (d,), = affine_distances([scaled_image(f)], [scaled_image(g)],
@@ -257,18 +259,38 @@ def test_half_plane_rejects_bad_point():
         for pair in ((p, q), (q, p)):
             with pytest.raises(OverflowError):
                 hyperbolic_distance(*pair)
+    # two heights whose doubled product underflows to 0.0
+    tiny = 2.0 ** -600
+    with pytest.raises(OverflowError):
+        hyperbolic_distance((0.0, tiny), (tiny, tiny))
+    spec = make_bs(1, 2)
+    with pytest.raises(OverflowError):
+        witness_gram([nf("t^600", spec), nf("t^600 x", spec)], 1.0, spec)
 
 
 # ---------------------------------------------------------------------------
 # combined witness
 
-def test_regimes(bs12, bs23, asc2):
-    assert witness_regime(bs12) == "hyperbolic"
-    assert witness_regime(bs23) == "hyperbolic"
-    from bskit.presentation import make_bs
-    assert witness_regime(make_bs(2, -2)) == "isometric"
-    assert witness_regime(make_bs(1, -2)) == "profile-only"
-    assert witness_regime(asc2) == "profile-only"
+def test_every_n1_datum_has_a_witness(bs52, asc2):
+    # t moves (0, 1) to (0, |lambda|), at distance |log |lambda||, for
+    # every sign of lambda; n > 1 raises one message from all three entries
+    specs = [*IMAGE_DATA.values(), bs52, asc2]
+    assert {spec.n for spec in specs} == {1, 2, 3}
+    for spec in specs:
+        t = nf("t", spec)
+        if spec.n == 1:
+            d = abs(math.log(abs(spec.lam_scalar)))
+            assert math.isclose(witness(t, 1.0, spec), math.exp(-(1 + d)),
+                                rel_tol=1e-12)
+            continue
+        messages = set()
+        for call in (lambda: witness(t, 1.0, spec),
+                     lambda: witness_gram([t], 1.0, spec),
+                     lambda: c0_profile(2, 1.0, spec)):
+            with pytest.raises(UnsupportedWitnessError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 def test_profile_only_raises(asc2):
@@ -304,38 +326,21 @@ def test_witness_gram_psd(bs12, bs12_ball10):
     assert report.psd
 
 
-def test_witness_gram_isometric_regime():
-    from bskit.presentation import make_bs
-    spec = make_bs(2, -2)
-    from bskit.embedding import enumerate_ball
-    elements = enumerate_ball(4, spec).elements
-    rng = random.Random(41)
-    sample = rng.sample(elements, min(20, len(elements)))
-    report = witness_gram(sample, 0.5, spec)
-    assert report.psd
-    # displacement for gamma against itself is zero -> unit diagonal
-    assert np.allclose(np.diag(report.matrix), 1.0)
-
-
-def test_isometric_displacement_value():
-    spec = make_bs(2, -2)
-    aff = j_affine(parse_word("t x", spec), spec)
-    assert displacement("t x", spec) == abs(aff.k) + abs(float(aff.a[0]))
-
-
-def test_isometric_distances_are_rounded_once():
-    # the exact rational |k - k'| + sum |a - a'| goes to float in one
-    # rounding, also between two images that are not integral
-    spec = make_bs(2, -2)
-    e = (1, (1,), 3)
-    f = (-2, (-5,), 7)
-    assert affine_distances([e], [f, e], spec) == [
-        [float(3 + Fraction(1, 3) + Fraction(5, 7)), 0.0]]
+def test_witness_gram_psd_for_negative_lambda():
+    for p, q in (*NEGATIVE, (3, -5), (2, -2), (1, -1)):
+        spec = make_bs(p, q)
+        elements = enumerate_ball(5, spec).elements
+        sample = random.Random(41).sample(elements, 60)
+        for s in (0.25, 1.0):
+            report = witness_gram(sample, s, spec)
+            assert report.psd
+            # displacement for gamma against itself is zero -> unit diagonal
+            assert np.allclose(np.diag(report.matrix), 1.0)
 
 
 def test_displacement_is_distance_from_identity(bs12):
     base = (0.0, 1.0)
-    for spec in (bs12, make_bs(2, -2)):
+    for spec in (bs12, make_bs(2, -2), *(make_bs(p, q) for p, q in NEGATIVE)):
         ball = enumerate_ball(4, spec)
         images = [i for sphere in ball_images(ball.spheres, spec)
                   for i in sphere]
@@ -344,17 +349,14 @@ def test_displacement_is_distance_from_identity(bs12):
             d = affine_distances([ONE], [e], spec)[0][0]
             assert d == affine_distances([e], [ONE], spec)[0][0]
             assert witness(g, 1.0, spec) == math.exp(-(g.t_length + d))
-            if spec is bs12:
-                point = (num[0] / den, float(spec.lam_scalar ** k))
-                assert d == hyperbolic_distance(base, point)
-            else:
-                assert d == float(abs(k) + abs(Fraction(num[0], den)))
+            point = (num[0] / den, float(abs(spec.lam_scalar) ** k))
+            assert d == hyperbolic_distance(base, point)
 
 
 def test_witness_family_matches_per_element_j_affine():
     # reference images from each element's Fraction image, turned into
     # integers by the oracle; values and matrices agree to the last bit
-    for p, q in ((1, 2), (2, 3), (3, 5), (2, -2), (1, -1)):
+    for p, q in ((1, 2), (2, 3), (3, 5), (2, -2), (1, -1), *NEGATIVE):
         spec = make_bs(p, q)
         elements = enumerate_ball(4, spec).elements
         ref = [scaled_image(j_affine(g, spec)) for g in elements]
@@ -405,9 +407,10 @@ def test_c0_profile_matches_per_element_witness(bs12, bs23):
     # the batched profile takes, per sphere, the maximum of the very
     # floats witness() gives, and the first element attaining it; its
     # images come per vertex, and vertices are shared across spheres
-    # (BS(3,5) hyperbolic, BS(2,-2) and BS(1,-1) isometric)
+    # (lambda = 3/5, -1 for BS(2,-2) and BS(1,-1), and the NEGATIVE data)
     for spec, L in ((bs12, 8), (bs23, 5), (make_bs(1, -1), 6),
-                    (make_bs(3, 5), 5), (make_bs(2, -2), 6)):
+                    (make_bs(3, 5), 5), (make_bs(2, -2), 6),
+                    *((make_bs(p, q), 5) for p, q in NEGATIVE)):
         ball = enumerate_ball(L, spec)
         for s in (1.0, 0.3):
             rows = c0_profile(L, s, spec, ball=ball)
