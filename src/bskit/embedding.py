@@ -9,13 +9,13 @@ in for metric properness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from numbers import Integral
 
 from .affine import ball_images, j_affine
 from .presentation import GroupSpec
 from .tree import BASE, bfs_spheres, vertex_of
-from .words import NormalForm, T, X, XTokens, nf_append, render_nf
+from .words import NormalForm, T, X, nf_append, sphere_key
 from .arith import zero_vector
 
 
@@ -68,7 +68,7 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
         lambda nf, skip: [(nf_append(nf, letter, spec), back)
                           for bit, letter, back in moves if not skip & bit],
         max_length, default=12 if spec.n == 1 else 8,
-        key=partial(render_nf, render_x=XTokens().__getitem__))
+        key=sphere_key())
     return GroupBall(L, spheres, spec)
 
 

@@ -200,6 +200,8 @@ def hyperbolic_distance(p, q) -> float:
     if not (math.isfinite(px) and math.isfinite(qx)
             and 0 < py < math.inf and 0 < qy < math.inf):  # NaN fails too
         raise ValueError(f"not both in the upper half-plane: {p}, {q}")
+    if px == qx and py == qy:  # also where 2 y^2 would underflow to 0.0
+        return 0.0
     den = 2.0 * py * qy  # 0.0 where the two heights' product underflows
     arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / den if den else math.inf
     if not arg < math.inf:  # a difference or a quotient past the float range

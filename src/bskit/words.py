@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache, partial
+from typing import NamedTuple
 
 from .arith import (ConfigurationError, IntVector, vec_add, vec_neg,
                     zero_vector)
@@ -96,8 +98,7 @@ def parse_word(text: str, spec: GroupSpec) -> Word:
 # ---------------------------------------------------------------------------
 # Normal forms
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Canonical Britton form x^{r1} t^{e1} ... x^{rm} t^{em} x^{tail}.
 
     ``vertex`` holds the pairs (e_i, r_i), each t-letter with the x-power
@@ -122,7 +123,8 @@ class NormalForm:
         return not self.vertex and not any(self.tail)
 
     def __str__(self) -> str:
-        return render_nf(self, _render_x)
+        return _render_nf(_render_pairs(self.vertex, _render_x), self.tail,
+                          _render_x)
 
 
 def _render_x(z: IntVector) -> str:
@@ -131,22 +133,31 @@ def _render_x(z: IntVector) -> str:
     return "v[" + ",".join(map(str, z)) + "]"
 
 
-def render_nf(nf: NormalForm, render_x) -> str:
-    """``str(nf)``, each nonzero x-vector z written ``render_x(z)``."""
-    parts = []
-    for e, r in nf.vertex:
-        t = "t" if e == 1 else "t^-1"
-        parts.append(f"{render_x(r)} {t}" if any(r) else t)
-    if any(nf.tail):
-        parts.append(render_x(nf.tail))
-    return " ".join(parts) if parts else "1"
+_T_TEXT = {1: "t", -1: "t^-1"}
 
 
-class XTokens(dict):
-    """A memo of ``_render_x`` keyed by the x-vector: render each once."""
+def _render_pairs(vertex: tuple, render_x) -> str:
+    """The pairs of a vertex as text, each "x^r t" (``render_x(r)`` and the
+    t-letter) or a bare t-letter where r = 0, one space apart; "" for the
+    base vertex."""
+    return " ".join(f"{render_x(r)} {_T_TEXT[e]}" if any(r) else _T_TEXT[e]
+                    for e, r in vertex)
 
-    def __missing__(self, z: IntVector) -> str:
-        return self.setdefault(z, _render_x(z))
+
+def _render_nf(pairs: str, tail: IntVector, render_x) -> str:
+    """``str`` of the form whose vertex pairs ``_render_pairs`` wrote as
+    ``pairs``, its nonzero tail written ``render_x(tail)``."""
+    if not any(tail):
+        return pairs or "1"
+    return f"{pairs} {render_x(tail)}" if pairs else render_x(tail)
+
+
+def sphere_key():
+    """A key function equal to ``str`` on normal forms that renders each
+    vertex's pairs and each x-vector once: the sphere order of a ball."""
+    render_x = cache(_render_x)
+    pairs = cache(partial(_render_pairs, render_x=render_x))
+    return lambda nf: _render_nf(pairs(nf.vertex), nf.tail, render_x)
 
 
 class _Builder:

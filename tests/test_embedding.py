@@ -10,10 +10,10 @@ from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
 from bskit.haagerup import c0_profile
-from bskit.presentation import make_bs
+from bskit.presentation import make_bs, make_matrix_group
 from bskit.tree import ResourceBoundError, vertex_of
-from bskit.words import (britton_reduce, nf_append, nf_invert, nf_multiply,
-                         parse_word)
+from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
+                         nf_multiply, parse_word, sphere_key)
 from conftest import GENERAL_DATA, IMAGE_DATA
 from oracles import nf_letters, reference_spheres
 
@@ -28,6 +28,46 @@ def test_ball_radius_one(bs23):
     assert len(b) == 5
     names = {str(nf) for nf in b.elements}
     assert names == {"1", "x^1", "x^-1", "t", "t^-1"}
+
+
+# BS(2,3), BS(1,2) and the two Z^2 data of the ball_z2 benchmark workload
+ORDER_DATA = {
+    "bs23": make_bs(2, 3), "bs12": make_bs(1, 2),
+    "z2_asc": make_matrix_group([[2, 1], [0, 2]], [[1, 0], [0, 1]]),
+    "z2_nonasc": make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_DATA))
+def test_spheres_are_sorted_by_str(name):
+    # element order is output (gram samples draw from it): every sphere is
+    # in str order, and the sort key is str itself
+    spec = ORDER_DATA[name]
+    ball = enumerate_ball(5 if spec.n == 1 else 4, spec)
+    for sphere in ball.spheres:
+        assert sphere == sorted(sphere, key=str)
+    key = sphere_key()
+    for nf in ball.elements:
+        assert key(nf) == str(nf)
+
+
+def test_sphere_key_text(bs12, bs23):
+    key = sphere_key()
+    assert [key(nf) for nf in enumerate_ball(2, bs12).spheres[2]] == [
+        "t t", "t x^-1", "t x^-2", "t x^1", "t x^2", "t^-1 t^-1",
+        "t^-1 x^-1", "t^-1 x^1", "x^-2", "x^1 t^-1", "x^1 t^-1 x^-1",
+        "x^2"]
+    key = sphere_key()
+    assert [key(nf) for nf in enumerate_ball(2, bs23).spheres[2]] == [
+        "t t", "t x^-1", "t x^1", "t^-1 t^-1", "t^-1 x^-1", "t^-1 x^1",
+        "x^-2", "x^1 t", "x^1 t x^-3", "x^1 t^-1", "x^2", "x^2 t^-1 x^-2"]
+    key = sphere_key()
+    for nf, text in ((NormalForm((), (0, 0)), "1"),
+                     (NormalForm((), (0, -3)), "v[0,-3]"),
+                     (NormalForm(((1, (0, 0)),), (0, 0)), "t"),
+                     (NormalForm(((-1, (1, 0)), (1, (0, 0))), (2, -1)),
+                      "v[1,0] t^-1 t v[2,-1]")):
+        assert key(nf) == str(nf) == text
 
 
 def pairwise_ball_oracle(L, spec):

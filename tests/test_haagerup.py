@@ -183,14 +183,18 @@ def test_gram_report_json(bs23):
 
 
 def test_public_dataclass_annotations_resolve():
-    # every annotation names something importable at module level, so
-    # typing.get_type_hints (and the tools that call it) can read them
+    # every annotation of a public dataclass or NamedTuple names something
+    # importable at module level, so typing.get_type_hints (and the tools
+    # that call it) can read them
     seen = []
     for info in pkgutil.iter_modules(bskit.__path__):
         module = importlib.import_module(f"bskit.{info.name}")
         for name, obj in vars(module).items():
             if (not name.startswith("_") and isinstance(obj, type)
-                    and dataclasses.is_dataclass(obj)
+                    and (dataclasses.is_dataclass(obj)
+                         or (issubclass(obj, tuple)
+                             and hasattr(obj, "_fields")
+                             and "__annotations__" in vars(obj)))
                     and obj.__module__ == module.__name__):
                 typing.get_type_hints(obj)
                 seen.append(name)
@@ -266,6 +270,17 @@ def test_half_plane_rejects_bad_point():
     spec = make_bs(1, 2)
     with pytest.raises(OverflowError):
         witness_gram([nf("t^600", spec), nf("t^600 x", spec)], 1.0, spec)
+
+
+def test_distance_of_a_point_to_itself_at_tiny_height():
+    # 2 y^2 underflows to 0.0 below y = 2^-538; the distance is still 0
+    for y in (2.0 ** -538, 2.0 ** -600):
+        for x in (0.0, -3.5, y):
+            assert hyperbolic_distance((x, y), (x, y)) == 0.0
+    spec = make_bs(1, 2)
+    for word in ("t^537", "t^538"):
+        report = witness_gram([nf(word, spec)], 1.0, spec)
+        assert report.psd and report.min_eigenvalue == 1.0
 
 
 # ---------------------------------------------------------------------------

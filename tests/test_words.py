@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA
-from oracles import in_lattice, invert_letters, reduce_with_strategy
+from oracles import (in_lattice, invert_letters, nf_letters,
+                     reduce_with_strategy)
 
-from bskit.affine import j_affine
+from bskit.affine import j_affine, scaled
 from bskit.arith import ConfigurationError
-from bskit.embedding import generator_letters
+from bskit.embedding import enumerate_ball, generator_letters
+from bskit.presentation import make_matrix_group
 from bskit.words import (NormalForm, ParseError, T, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word, word_problem)
@@ -222,6 +224,47 @@ def test_canonical_form_equates_equal_words(bs12):
     # x t = t x^2 in BS(1,2); the canonical form must identify them
     assert (britton_reduce(w("x t", bs12), bs12)
             == britton_reduce(w("t x^2", bs12), bs12))
+
+
+def test_normal_form_value_semantics(bs12):
+    # a normal form is an immutable pair: its fields cannot be set, its
+    # repr names them, and equal forms reached by different words are one
+    # dict key
+    nf = britton_reduce(w("x t", bs12), bs12)
+    for field in ("vertex", "tail", "other"):
+        with pytest.raises(AttributeError):
+            setattr(nf, field, ())
+    assert repr(NormalForm((), (0,))) == "NormalForm(vertex=(), tail=(0,))"
+    assert repr(nf) == "NormalForm(vertex=((1, (0,)),), tail=(2,))"
+    other = britton_reduce(w("t x^2", bs12), bs12)
+    assert other == nf and hash(other) == hash(nf)
+    assert len({nf: 1, other: 2}) == 1
+    assert (nf.vertex, nf.tail, nf.t_length) == (((1, (0,)),), (2,), 1)
+    assert str(nf) == "t x^2" and not nf.is_identity
+    assert NormalForm((), (0,)).is_identity
+
+
+def test_bench_ball_elements_are_distinct():
+    # the non-ascending Z^2 datum of the ball_z2 benchmark workload
+    spec = make_matrix_group([[2, 1], [0, 2]], [[1, 1], [1, -1]])
+    ball = enumerate_ball(6, spec)
+    assert len(set(ball.elements)) == len(ball) == len(ball.elements)
+
+
+def test_normal_form_and_raw_word_are_told_apart(bs23):
+    # a raw word is a list of letters, also where it has two letters like a
+    # form has two fields; each of these takes both and agrees on them
+    rng = random.Random(19)
+    letters = [X((1,)), X((-1,)), T(1), T(-1)]
+    words = [[X((1,)), T(1)], [T(-1), T(-1)]]
+    words += [[rng.choice(letters) for _ in range(rng.randrange(1, 10))]
+              for _ in range(40)]
+    for word in words:
+        nf = britton_reduce(word, bs23)
+        assert britton_reduce(nf, bs23) is nf
+        assert britton_reduce(nf_letters(nf), bs23) == nf
+        assert scaled(nf, bs23) == scaled(nf_letters(nf), bs23)
+        assert j_affine(nf, bs23) == j_affine(word, bs23)
 
 
 def test_pinch_freeness_of_stored_forms(bs23):
