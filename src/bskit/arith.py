@@ -173,27 +173,35 @@ class Lattice:
             tuple(x // self.det for x in r)
             for r in (self.adjugate @ self.hnf).rows))
         assert M @ self.unimodular == self.hnf, "H is not M times an integer U"
+        # the pivot plan: (i, H[i][i]) and the nonzero (j, H[j][i]) below it
+        H = self.hnf.rows
+        self._pivots = tuple(
+            (i, H[i][i], tuple((j, H[j][i]) for j in range(i + 1, self.n)
+                               if H[j][i]))
+            for i in range(self.n))
 
     def solve(self, z: IntVector):
         """Integer h with M h = z, or None if z is outside the lattice."""
         qr = [divmod(v, self.det) for v in self.adjugate.apply(z)]
         return None if any(r for _, r in qr) else tuple(q for q, _ in qr)
 
-    def decompose(self, z: IntVector):
-        """The unique (r, k) with z = H k + r and r canonical, from one
-        pass of the pivot loop."""
+    def decompose(self, z: IntVector, C: IntMatrix):
+        """(r, C k) for the unique z = H k + r with r canonical, from one
+        pass of the pivot loop: C = I gives k, C = ``unimodular`` gives h
+        with z = M h + r."""
         if len(z) != self.n:
             raise ConfigurationError(f"dimension mismatch: {z} in Z^{self.n}")
-        H = self.hnf.rows
         r = list(z)
-        k = []
-        for i in range(self.n):
-            q = r[i] // H[i][i]
+        carry = [0] * self.n
+        for i, d, below in self._pivots:
+            q = r[i] // d
             if q:
-                for j in range(i, self.n):
-                    r[j] -= q * H[j][i]
-            k.append(q)
-        return tuple(r), tuple(k)
+                r[i] -= q * d
+                for j, h in below:
+                    r[j] -= q * h
+                for j, c in enumerate(C.rows):
+                    carry[j] += q * c[i]
+        return tuple(r), tuple(carry)
 
     def residues(self) -> tuple:
         """All |det M| canonical residues of Z^n mod M Z^n, zero first."""

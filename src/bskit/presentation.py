@@ -35,7 +35,7 @@ class GroupSpec:
         self.lattice_a = Lattice(A)
         self.lattice_b = Lattice(B)
         # the carry B h (resp. A h) of a Britton split is C_eps k for the
-        # Hermite quotients k of Lattice.decompose, as h = U_A k (resp. U_B k)
+        # Hermite quotients k (h = U_A k resp. U_B k), formed by decompose
         self.carry = {1: B @ self.lattice_a.unimodular,
                       -1: A @ self.lattice_b.unimodular}
         self._residues = None

@@ -180,6 +180,8 @@ class _Builder:
         return b
 
     def push_x(self, z: IntVector) -> None:
+        if len(z) != self.spec.n:
+            raise _wrong_size(z, self.spec.n)
         self.tail = vec_add(self.tail, z)
 
     def push_t(self, eps: int) -> None:
@@ -190,9 +192,8 @@ class _Builder:
         # resp. t x^{Bh} t^-1 -> x^{Ah}: the residue in front of that
         # letter absorbs the carry.
         spec, syl = self.spec, self.syl
-        r, k = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(
-            self.tail)
-        carry = spec.carry[eps].apply(k)
+        r, carry = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(
+            self.tail, spec.carry[eps])
         if syl and syl[-1][0] == -eps and not any(r):
             self.tail = vec_add(syl.pop()[1], carry)
         else:
@@ -248,8 +249,9 @@ def word_problem(w, spec: GroupSpec) -> bool:
 
 
 def nf_multiply(u: NormalForm, w: NormalForm, spec: GroupSpec) -> NormalForm:
-    """u w, pushing w's pairs onto u's builder."""
-    b = _Builder.from_nf(u, spec)
+    """u w: u's tail, then w's pairs and tail, pushed onto u's vertex."""
+    b = _Builder.from_nf(NormalForm(u.vertex, zero_vector(spec.n)), spec)
+    b.push_x(u.tail)
     for eps, r in w.vertex:
         b.push_x(r)
         b.push_t(eps)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import GENERAL_DATA
 from oracles import in_lattice
 
 from bskit.arith import ConfigurationError, IntMatrix, Lattice, column_hnf
+from bskit.presentation import make_bs
 
 M22 = IntMatrix.from_rows([[2, 1], [0, 2]])
 
@@ -57,24 +59,25 @@ def brute_force_decompose(z, M, box=12):
     return hits
 
 
-def decompose_h(lat, z):
-    """(r, h) with z = M h + r, from decompose's (r, k) with z = H k + r,
-    as h = U k."""
-    r, k = lat.decompose(z)
-    return r, lat.unimodular.apply(k)
+def identity(n):
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                           for i in range(n)))
 
 
 def test_decompose_zero_scalar():
-    assert Lattice(IntMatrix.scalar(2)).decompose((0,)) == ((0,), (0,))
+    assert Lattice(IntMatrix.scalar(2)).decompose((0,), identity(1)) == \
+        ((0,), (0,))
 
 
 def test_decompose_four_mod_two():
-    assert Lattice(IntMatrix.scalar(2)).decompose((4,)) == ((0,), (2,))
+    assert Lattice(IntMatrix.scalar(2)).decompose((4,), identity(1)) == \
+        ((0,), (2,))
 
 
 def test_decompose_2d_matches_brute_force():
     z = (5, 3)
-    r, h = decompose_h(Lattice(M22), z)
+    lat = Lattice(M22)
+    r, h = lat.decompose(z, lat.unimodular)
     hits = brute_force_decompose(z, M22)
     assert hits == [(r, h)]  # unique and identical
     # z = M h + r componentwise: 5 - r1 = 2 h1 + h2, 3 - r2 = 2 h2
@@ -153,12 +156,12 @@ def nonsingular_2x2():
 @settings(max_examples=120, deadline=None)
 def test_decompose_reconstructs_exactly(z, M):
     lat = Lattice(M)
-    r, k = lat.decompose(z)
+    r, k = lat.decompose(z, identity(2))
     assert vec_sub(z, lat.hnf.apply(k)) == r  # z = H k + r
     assert vec_sub(z, M.apply(lat.unimodular.apply(k))) == r  # H = M U
     # r is among the canonical representatives and is idempotent
     assert r in lat.residues()
-    assert lat.decompose(r) == (r, (0, 0))
+    assert lat.decompose(r, identity(2)) == (r, (0, 0))
 
 
 @given(st.tuples(small_int, small_int), nonsingular_2x2())
@@ -192,7 +195,7 @@ def test_solve_and_decompose_match_rational_reference(case):
         assert lat.solve(z) == tuple(int(x) for x in exact)
     else:
         assert lat.solve(z) is None
-    r, h = decompose_h(lat, z)
+    r, h = lat.decompose(z, lat.unimodular)
     assert rat_apply(rat_inverse(M), vec_sub(z, r)) == h
     assert r in lat.residues()
 
@@ -210,8 +213,33 @@ def test_unimodular_factor_and_decompose_on_general_data():
         assert M @ lat.unimodular == lat.hnf, name
         box = 12 if M.n < 3 else 8  # every h below is inside the box
         for z in itertools.product((-2, 0, 1), repeat=M.n):
-            assert brute_force_decompose(z, M, box) == [decompose_h(lat, z)], \
-                name
+            assert brute_force_decompose(z, M, box) == \
+                [lat.decompose(z, lat.unimodular)], name
+
+
+SPLIT_DATA = {**GENERAL_DATA, "bs12": make_bs(1, 2), "bs2m3": make_bs(2, -3)}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DATA))
+def test_fused_carry_matches_the_two_step_split(name):
+    # decompose(z, C) folds C k into the pivot pass; the reference takes
+    # the quotients k (C = I) and applies the carry matrix afterwards
+    spec = SPLIT_DATA[name]
+    rng = random.Random(20)
+    for eps, lat, M in ((1, spec.lattice_a, spec.A),
+                        (-1, spec.lattice_b, spec.B)):
+        C = spec.carry[eps]
+        for _ in range(200):
+            z = tuple(rng.randrange(-10 ** 30 + 1, 10 ** 30)
+                      for _ in range(spec.n))
+            r, k = lat.decompose(z, identity(spec.n))
+            assert lat.decompose(z, C) == (r, C.apply(k)), (eps, z)
+            r_h, h = lat.decompose(z, lat.unimodular)
+            assert r_h == r
+            assert tuple(map(sum, zip(M.apply(h), r))) == z, (eps, z)
+        for bad in ((1,) * (spec.n + 1), (1,) * (spec.n - 1)):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                lat.decompose(bad, C)
 
 
 def in_column_span(S: Matrix, v) -> bool:

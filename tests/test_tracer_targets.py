@@ -6,14 +6,18 @@ read from its source here, without writing anything under ``bench/``.
 """
 
 import importlib
+import random
 import types
 from pathlib import Path
 
+from conftest import GENERAL_DATA
+
 from bskit.affine import j_affine
+from bskit.arith import IntMatrix, Lattice
 from bskit.embedding import enumerate_ball
 from bskit.haagerup import tree_gram
 from bskit.presentation import make_bs
-from bskit.words import _Builder, britton_reduce, parse_word
+from bskit.words import T, X, _Builder, britton_reduce, parse_word
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -43,6 +47,35 @@ def test_builder_keeps_the_vertex_stack_the_tracer_counts():
     assert isinstance(b.syl, list) and len(b.syl) == 1
     b.push_t(-1)
     assert isinstance(b.syl, list)
+
+
+def test_one_decompose_and_no_apply_per_t_letter(monkeypatch):
+    # each t-letter is one pivot pass that also forms the carry, so the
+    # tracer's arith.decompose.calls counts t-letters, pinches included
+    calls = {"decompose": 0, "apply": 0}
+
+    def counted(owner, attr):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return inner(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+    counted(Lattice, "decompose")
+    counted(IntMatrix, "apply")
+    rng = random.Random(7)
+    for name, spec in GENERAL_DATA.items():
+        word = []
+        for _ in range(120):
+            if rng.random() < 0.5:
+                word.append(T(rng.choice((1, -1))))
+            else:
+                word.append(X(tuple(rng.randint(-9, 9)
+                                    for _ in range(spec.n))))
+        m = sum(isinstance(letter, T) for letter in word)
+        calls.update(decompose=0, apply=0)
+        britton_reduce(word, spec)
+        assert calls == {"decompose": m, "apply": 0}, name
 
 
 def test_tracer_value_hooks_read_real_return_values():

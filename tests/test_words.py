@@ -13,6 +13,7 @@ from bskit.affine import j_affine, scaled
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
 from bskit.presentation import make_matrix_group
+from bskit.tree import Vertex, act
 from bskit.words import (NormalForm, ParseError, T, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word, word_problem)
@@ -318,3 +319,27 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
         for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 nf_append(nf, X(z), spec)
+
+
+def test_products_of_wrong_size_forms_are_refused(bs23, asc2):
+    # nf_multiply and nf_invert push u's tail and w's residues and tail;
+    # a vector of the wrong size is refused, not truncated to Z^n
+    wrong = r"dimension mismatch: .* in Z\^1"
+    one = NormalForm((), (0,))
+    for call in (lambda: nf_multiply(one, NormalForm((), (4, 9)), bs23),
+                 lambda: nf_multiply(one, NormalForm(((1, (1, 5)),), (0,)),
+                                     bs23),
+                 lambda: act(NormalForm((), (1,)), Vertex(((1, (1, 7)),)),
+                             bs23)):
+        with pytest.raises(ConfigurationError, match=wrong):
+            call()
+    for spec, good, bad in ((bs23, (0,), (1, 2)), (asc2, (0, 0), (3,))):
+        for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
+                   NormalForm(((1, bad),), good)):
+            for call in (lambda: nf_multiply(NormalForm((), good), nf, spec),
+                         lambda: nf_invert(nf, spec)):
+                with pytest.raises(ConfigurationError,
+                                   match="dimension mismatch"):
+                    call()
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            nf_multiply(NormalForm((), bad), NormalForm((), good), spec)
