@@ -60,16 +60,24 @@ class GroupBall:
 def enumerate_ball(L: int, spec: GroupSpec, *,
                    max_length: int | None = None) -> GroupBall:
     """BFS over generator letters, deduplicated by normal form; letter i ^ 1
-    inverts letter i, so it is never appended where letter i led."""
+    inverts letter i, so it is never appended where letter i led; the
+    t-appends share one ``nf_append`` table, dropped when the call returns."""
     moves = [(1 << i, letter, 1 << (i ^ 1))
              for i, letter in enumerate(generator_letters(spec))]
+    table = {}
     spheres = bfs_spheres(
         NormalForm((), zero_vector(spec.n)), L,
-        lambda nf, skip: [(nf_append(nf, letter, spec), back)
+        lambda nf, skip: [(nf_append(nf, letter, spec, table), back)
                           for bit, letter, back in moves if not skip & bit],
         max_length, default=12 if spec.n == 1 else 8,
         key=sphere_key())
     return GroupBall(L, spheres, spec)
+
+
+def _require_datum(ball: GroupBall, spec: GroupSpec) -> None:
+    """Refuse, with ValueError, a ball enumerated for another (A, B)."""
+    if (ball.spec.A, ball.spec.B) != (spec.A, spec.B):
+        raise ValueError(f"the given ball is of {ball.spec!r}, not {spec!r}")
 
 
 def ball_columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> zip:
@@ -78,9 +86,8 @@ def ball_columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> zip:
     outside 0..ball.radius, raises ValueError."""
     if ball is None:
         ball = enumerate_ball(lmax, spec)
-    elif (ball.spec.A, ball.spec.B) != (spec.A, spec.B):
-        raise ValueError(f"the given ball is of {ball.spec!r}, not {spec!r}")
-    elif not 0 <= lmax <= ball.radius:
+    _require_datum(ball, spec)
+    if not 0 <= lmax <= ball.radius:
         raise ValueError(f"lmax = {lmax} is outside 0..{ball.radius}, "
                          "the radius of the given ball")
     return zip(ball.spheres[:lmax + 1], ball.images[:lmax + 1])
@@ -111,6 +118,7 @@ class CheckReport:
 def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     """Every nontrivial element either moves the base vertex or has a
     nontrivial affine image (and fixing elements must be pure x-powers)."""
+    _require_datum(ball, spec)
     report = CheckReport("injectivity", len(ball))
     for nf in ball.elements:
         if nf.is_identity:
@@ -128,6 +136,7 @@ def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
 
 def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     """{gamma : gamma v = v} must equal {gamma : t-length 0}, elementwise."""
+    _require_datum(ball, spec)
     report = CheckReport("stabilizer", len(ball))
     for nf in ball.elements:
         fixes = vertex_of(nf, spec) == BASE

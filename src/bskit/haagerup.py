@@ -2,9 +2,9 @@
 
 The edge cocycle b(gamma) is the signed indicator of the geodesic from
 the base vertex to gamma v; its squared norm is exactly the tree
-distance, which makes exp(-s d) a Schoenberg kernel.  For n = 1 with
-positive ratio p/q an explicit affine witness lives on the hyperbolic
-upper half-plane, where (k, a) acts by z -> lambda^k z + a.
+distance, which makes exp(-s d) a Schoenberg kernel.  For n = 1 and
+every lambda != 0 an explicit affine witness lives on the hyperbolic upper
+half-plane, where (k, a) acts by (x, y) -> (lambda^k x + a, |lambda|^k y).
 
 Floating point enters only here, in Gram matrices and hyperbolic
 distances; every input to those is exact up to the final evaluation.

@@ -232,12 +232,23 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
     return b.normal_form()
 
 
-def nf_append(nf: NormalForm, letter, spec: GroupSpec) -> NormalForm:
-    """The normal form of nf * letter: an x-letter only moves the tail."""
+def nf_append(nf: NormalForm, letter, spec: GroupSpec,
+              table: dict | None = None) -> NormalForm:
+    """The normal form of nf * letter: an x-letter only moves the tail; a
+    t-letter splits or pinches as ``_Builder.push_t`` does, reading
+    (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss."""
     if isinstance(letter, T):
-        b = _Builder.from_nf(nf, spec)
-        b.push_t(letter.eps)
-        return b.normal_form()
+        eps, u, key = letter.eps, nf.vertex, (letter.eps, nf.tail)
+        if table is None:
+            table = {}
+        rc = table.get(key)
+        if rc is None:
+            lattice = spec.lattice_a if eps == 1 else spec.lattice_b
+            rc = table[key] = lattice.decompose(nf.tail, spec.carry[eps])
+        r, carry = rc
+        if u and u[-1][0] == -eps and not any(r):
+            return NormalForm(u[:-1], vec_add(u[-1][1], carry))
+        return NormalForm(u + ((eps, r),), carry)
     if len(letter.z) != spec.n:
         raise _wrong_size(letter.z, spec.n)
     return NormalForm(nf.vertex, vec_add(nf.tail, letter.z))

@@ -290,6 +290,17 @@ def test_profiles_refuse_a_ball_of_another_datum(bs12, bs23):
     assert c0_profile(3, 1.0, twin, ball=ball) == c0_profile(3, 1.0, bs12)
 
 
+@pytest.mark.parametrize("check", [check_injectivity, check_stabilizer])
+def test_checks_refuse_a_ball_of_another_datum(check, bs12, bs23):
+    # checked as BS(2,3) a BS(1,2) ball passed, and checked as a Z^2 datum
+    # it died in j_affine; an equal datum built twice is the same group
+    ball = enumerate_ball(3, bs12)
+    for other in (bs23, GENERAL_DATA["z2_nonasc"]):
+        with pytest.raises(ValueError, match="given ball is of"):
+            check(ball, other)
+    assert check(ball, make_bs(1, 2)).ok
+
+
 def test_profiles_refuse_a_ball_missing_a_parent(bs23):
     # a hand-built ball whose deep element has no parent vertex before it
     # is not a word-length ball; its image is not computed some other way

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from conftest import GENERAL_DATA
 
+import bskit.embedding
 from bskit.affine import j_affine
 from bskit.arith import IntMatrix, Lattice
 from bskit.embedding import enumerate_ball
@@ -76,6 +77,30 @@ def test_one_decompose_and_no_apply_per_t_letter(monkeypatch):
         calls.update(decompose=0, apply=0)
         britton_reduce(word, spec)
         assert calls == {"decompose": m, "apply": 0}, name
+
+
+def test_ball_decomposes_each_tail_once_and_appends_by_name(monkeypatch):
+    # enumerate_ball shares one (eps, tail) table over its t-appends, so
+    # there arith.decompose.calls counts distinct tails per ball; both
+    # letter kinds still pass through the nf_append the tracer patches
+    decomposed, appended = [], set()
+    decompose, append = Lattice.decompose, bskit.embedding.nf_append
+
+    def counted_decompose(lattice, z, C):
+        decomposed.append((lattice, z))
+        return decompose(lattice, z, C)
+
+    def counted_append(nf, letter, *rest):
+        appended.add(type(letter))
+        return append(nf, letter, *rest)
+    monkeypatch.setattr(Lattice, "decompose", counted_decompose)
+    monkeypatch.setattr(bskit.embedding, "nf_append", counted_append)
+    for name, spec in GENERAL_DATA.items():
+        decomposed.clear()
+        enumerate_ball(4 if spec.n == 1 else 3, spec)
+        assert decomposed, name
+        assert len(set(decomposed)) == len(decomposed), name
+    assert appended == {T, X}
 
 
 def test_tracer_value_hooks_read_real_return_values():

@@ -122,6 +122,19 @@ def test_nf_append_matches_full_reduction():
             extra = rng.choice(letters)
             via_append = nf_append(britton_reduce(word, spec), extra, spec)
             assert via_append == britton_reduce(word + [extra], spec)
+        # every letter after every element of a ball, with one table shared
+        # across the ball as enumerate_ball shares it: a split adds a pair
+        # to the vertex and a pinch removes one, and both occur
+        table, steps = {}, set()
+        for g in enumerate_ball(3, spec).elements:
+            for letter in letters:
+                via_table = nf_append(g, letter, spec, table)
+                assert via_table == nf_append(g, letter, spec)
+                assert via_table == britton_reduce(nf_letters(g) + [letter],
+                                                   spec)
+                if isinstance(letter, T):
+                    steps.add(via_table.t_length - g.t_length)
+        assert steps == {1, -1}
 
 
 # ---------------------------------------------------------------------------
