@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import IntMatrix
 from .presentation import GroupSpec
 from .words import NormalForm, X, _wrong_size
 
@@ -103,22 +102,22 @@ def ball_images(spheres, spec: GroupSpec):
 
     A normal form is coset(u) x^tail for its vertex u, so j = (k_u, a_u +
     Lambda^{k_u} tail).  Each vertex u seen holds k_u, the integer vector
-    N_u, the integer matrix Q_u and D_u > 0 with a_u + Lambda^{k_u} z =
-    (N_u + Q_u z) / D_u.  A new vertex u = parent + (eps, r) takes its
-    parent's entry and one step N <- (N + Q r) d, Q <- Q M, D <- D d, with
-    (M, d) the pair of Lambda^eps.  The prefixes of a geodesic word walk
-    the tree from the base to its element's vertex, so in a word-length
-    ball each parent is held; where it is not, ValueError names the element.
+    N_u, the integer matrix Q_u (as row tuples) and D_u > 0 with a_u +
+    Lambda^{k_u} z = (N_u + Q_u z) / D_u.  A new vertex u = parent +
+    (eps, r) takes its parent's entry and one step N <- (N + Q r) d,
+    Q <- Q M, D <- D d, with (M, d) the pair of Lambda^eps.  A residue or
+    tail outside Z^n is refused.  The prefixes of a geodesic word walk the
+    tree from the base to its element's vertex, so in a word-length ball
+    each parent is held; where it is not, ValueError names the element.
     """
     n = spec.n
     lam_int = spec.lam_int
-    identity = IntMatrix(tuple(tuple(int(i == j) for j in range(n))
-                               for i in range(n)))
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     entries = {(): (0, (0,) * n, identity, 1)}
     for sphere in spheres:
         images = []
         for nf in sphere:
-            u, tail = nf.vertex, nf.tail
+            u, tail = nf
             if len(tail) != n:
                 raise _wrong_size(tail, n)
             entry = entries.get(u)
@@ -129,11 +128,16 @@ def ball_images(spheres, spec: GroupSpec):
                                      "by no element before it")
                 k, N, Q, D = parent
                 e, r = u[-1]
+                if len(r) != n:
+                    raise _wrong_size(r, n)
                 M, d = lam_int[e]
                 entry = entries[u] = (
-                    k + e, tuple((c + x) * d for c, x in zip(N, Q.apply(r))),
-                    Q @ M, D * d)
+                    k + e, tuple((c + sum(map(mul, row, r))) * d
+                                 for c, row in zip(N, Q)),
+                    tuple(tuple(sum(map(mul, row, col))
+                                for col in zip(*M.rows)) for row in Q),
+                    D * d)
             k, N, Q, D = entry
             images.append((k, [c + sum(map(mul, row, tail))
-                               for c, row in zip(N, Q.rows)], D))
+                               for c, row in zip(N, Q)], D))
         yield images

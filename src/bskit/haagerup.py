@@ -20,8 +20,8 @@ from typing import Any
 from .affine import scaled
 from .presentation import GroupSpec
 from .embedding import ball_columns
-from .tree import BASE, Vertex, act, distance, geodesic, vertex_of
-from .words import britton_reduce, nf_multiply
+from .tree import BASE, Vertex, distance, geodesic, vertex_of
+from .words import T, X, britton_reduce, nf_append, nf_multiply
 
 
 class UnsupportedWitnessError(RuntimeError):
@@ -83,22 +83,33 @@ def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
 
 def translate_cocycle(gamma, cv: CocycleVector,
                       spec: GroupSpec) -> CocycleVector:
-    """gamma . b: relabel each edge (u, w) to (gamma u, gamma w)."""
-    gamma_nf = britton_reduce(gamma, spec)
-    edges = [(Vertex(w[:-1]), w, c) for w, c in cv.edges.items()]
-    # adjacent edges share endpoints: move each distinct vertex once
-    image = dict.fromkeys(u for p, w, _ in edges for u in (p, w))
-    for u in image:
-        image[u] = act(gamma_nf, u, spec)
-    d: dict = {}
-    for p, w, c in edges:
-        child, sign = _canonical_edge(image[p], image[w])
-        d[child] = sign * c  # gamma moves distinct edges to distinct edges
+    """gamma . b: relabel each edge (u, w) to (gamma u, gamma w).
+
+    A tree automorphism carries the edge (parent, w) onto (gamma parent,
+    gamma w), and gamma coset(w) = gamma coset(parent) x^r t^eps for w's
+    last pair (eps, r): each vertex is moved from its parent's image by
+    two ``nf_append`` steps sharing one (eps, tail) table.  By a loop,
+    shortest child first from gamma coset(v) = gamma, each vertex of b and
+    each prefix it needs is moved once."""
+    moved = {BASE: britton_reduce(gamma, spec)}  # vertex -> gamma coset(u)
+    table, d = {}, {}
+    for w, c in sorted(cv.edges.items(), key=lambda wc: len(wc[0])):
+        up = [w]  # w, then the prefixes no shorter edge has moved
+        while (image := moved.get(up[-1][:-1])) is None:
+            up.append(up[-1][:-1])
+        for u in reversed(up):  # parents first, one edge at a time
+            parent, (eps, r) = image, u[-1]
+            image = moved[u] = nf_append(nf_append(parent, X(r), spec),
+                                         T(eps), spec, table)
+        child, sign = _canonical_edge(parent.vertex, image.vertex)
+        d[Vertex(child)] = sign * c  # distinct edges stay distinct
     return CocycleVector(d)
 
 
 def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:
-    """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d)."""
+    """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d): its left side
+    reduces by ``_Builder.push_t``, its right side by ``nf_append``, the
+    two copies of the split/pinch rule."""
     g = britton_reduce(gamma, spec)
     d = britton_reduce(delta, spec)
     lhs = cocycle(nf_multiply(g, d, spec), spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, partial
+from operator import add
 from typing import NamedTuple
 
 from .arith import (ConfigurationError, IntVector, vec_add, vec_neg,
@@ -123,8 +123,9 @@ class NormalForm(NamedTuple):
         return not self.vertex and not any(self.tail)
 
     def __str__(self) -> str:
-        return _render_nf(_render_pairs(self.vertex, _render_x), self.tail,
-                          _render_x)
+        tail = f" {_render_x(self.tail)}" if any(self.tail) else ""
+        pairs = _render_pairs(self.vertex)
+        return pairs + tail if pairs else tail[1:] or "1"
 
 
 def _render_x(z: IntVector) -> str:
@@ -136,28 +137,29 @@ def _render_x(z: IntVector) -> str:
 _T_TEXT = {1: "t", -1: "t^-1"}
 
 
-def _render_pairs(vertex: tuple, render_x) -> str:
-    """The pairs of a vertex as text, each "x^r t" (``render_x(r)`` and the
-    t-letter) or a bare t-letter where r = 0, one space apart; "" for the
-    base vertex."""
-    return " ".join(f"{render_x(r)} {_T_TEXT[e]}" if any(r) else _T_TEXT[e]
+def _render_pairs(vertex: tuple) -> str:
+    """The pairs of a vertex as text, each "x^r t" or a bare t-letter where
+    r = 0, one space apart; "" for the base vertex."""
+    return " ".join(f"{_render_x(r)} {_T_TEXT[e]}" if any(r) else _T_TEXT[e]
                     for e, r in vertex)
 
 
-def _render_nf(pairs: str, tail: IntVector, render_x) -> str:
-    """``str`` of the form whose vertex pairs ``_render_pairs`` wrote as
-    ``pairs``, its nonzero tail written ``render_x(tail)``."""
-    if not any(tail):
-        return pairs or "1"
-    return f"{pairs} {render_x(tail)}" if pairs else render_x(tail)
-
-
 def sphere_key():
-    """A key function equal to ``str`` on normal forms that renders each
-    vertex's pairs and each x-vector once: the sphere order of a ball."""
-    render_x = cache(_render_x)
-    pairs = cache(partial(_render_pairs, render_x=render_x))
-    return lambda nf: _render_nf(pairs(nf.vertex), nf.tail, render_x)
+    """A key function equal to ``str`` on normal forms, the sphere order of
+    a ball: one dict holds the text of each vertex's pairs and of each tail
+    (tuples of pairs and of ints never meet), rendered on first sight."""
+    text = {}
+
+    def key(nf):
+        u, tail = nf
+        pairs = text.get(u)
+        if pairs is None:
+            pairs = text[u] = _render_pairs(u)
+        x = text.get(tail)
+        if x is None:
+            x = text[tail] = f" {_render_x(tail)}" if any(tail) else ""
+        return pairs + x if pairs else x[1:] or "1"
+    return key
 
 
 class _Builder:
@@ -237,21 +239,22 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec,
     """The normal form of nf * letter: an x-letter only moves the tail; a
     t-letter splits or pinches as ``_Builder.push_t`` does, reading
     (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss."""
+    u, tail = nf
     if isinstance(letter, T):
-        eps, u, key = letter.eps, nf.vertex, (letter.eps, nf.tail)
+        eps, key = letter.eps, (letter.eps, tail)
         if table is None:
             table = {}
         rc = table.get(key)
         if rc is None:
             lattice = spec.lattice_a if eps == 1 else spec.lattice_b
-            rc = table[key] = lattice.decompose(nf.tail, spec.carry[eps])
+            rc = table[key] = lattice.decompose(tail, spec.carry[eps])
         r, carry = rc
         if u and u[-1][0] == -eps and not any(r):
-            return NormalForm(u[:-1], vec_add(u[-1][1], carry))
+            return NormalForm(u[:-1], tuple(map(add, u[-1][1], carry)))
         return NormalForm(u + ((eps, r),), carry)
     if len(letter.z) != spec.n:
         raise _wrong_size(letter.z, spec.n)
-    return NormalForm(nf.vertex, vec_add(nf.tail, letter.z))
+    return NormalForm(u, tuple(map(add, tail, letter.z)))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

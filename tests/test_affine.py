@@ -240,6 +240,11 @@ def test_normal_forms_of_the_wrong_size_are_refused(bs23, asc2):
                 with pytest.raises(ConfigurationError,
                                    match="dimension mismatch"):
                     image(nf, spec)
+        # a bad residue two edges deep, stepped from a held parent
+        spheres = [[NormalForm(((1, good),), good)],
+                   [NormalForm(((1, good), (1, bad)), good)]]
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            list(ball_images(spheres, spec))
 
 
 def test_rendering(bs23):

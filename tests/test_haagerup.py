@@ -3,6 +3,7 @@ import importlib
 import math
 import pkgutil
 import random
+import sys
 import typing
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conftest import GENERAL_DATA, IMAGE_DATA
 from oracles import scaled_image, translate_reference
 
 import bskit
+import bskit.haagerup
 from bskit.affine import (AffineElement, aff_compose, ball_images, j_affine,
                           scaled)
 from bskit.embedding import enumerate_ball
@@ -23,7 +25,8 @@ from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
 from bskit.tree import BASE, act, distance, vertex_of
-from bskit.words import britton_reduce, nf_invert, nf_multiply, parse_word
+from bskit.words import (NormalForm, T, X, _Builder, britton_reduce,
+                         nf_append, nf_invert, nf_multiply, parse_word)
 
 # the identity's affine image (0, 0) as (k, num, den), n = 1
 ONE = (0, [0], 1)
@@ -126,6 +129,49 @@ def test_translate_cocycle_matches_pair_reference(name):
         assert zero == CocycleVector.from_dict({})
     # the draws reach the cases a single geodesic never has
     assert down and cancelled and siblings
+
+
+def _never_pinch_decompose(spec, eps, tail):
+    lattice = spec.lattice_a if eps == 1 else spec.lattice_b
+    return lattice.decompose(tail, spec.carry[eps])
+
+
+def _never_pinch_push_t(builder, eps):
+    r, builder.tail = _never_pinch_decompose(builder.spec, eps, builder.tail)
+    builder.syl.append((eps, r))
+
+
+def _never_pinch_append(nf, letter, spec, table=None):
+    if isinstance(letter, T):
+        r, carry = _never_pinch_decompose(spec, letter.eps, nf.tail)
+        return NormalForm(nf.vertex + ((letter.eps, r),), carry)
+    return nf_append(nf, letter, spec)
+
+
+@pytest.mark.parametrize("owner, attr, mutant", [
+    (_Builder, "push_t", _never_pinch_push_t),
+    (bskit.haagerup, "nf_append", _never_pinch_append)])
+def test_cocycle_law_cross_checks_the_two_pinch_rules(bs23, owner, attr,
+                                                      mutant, monkeypatch):
+    # the law's left side reduces g d by _Builder.push_t, its right side
+    # translates b(d) by nf_append: a rule broken in either copy shows
+    elements = enumerate_ball(4, bs23).elements
+    rng = random.Random(31)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    assert all(cocycle_identity_check(g, d, bs23) for g, d in pairs)
+    monkeypatch.setattr(owner, attr, mutant)
+    assert not all(cocycle_identity_check(g, d, bs23) for g, d in pairs)
+
+
+def test_cocycle_law_on_a_path_past_the_recursion_limit(bs23):
+    # t-length 1200 > the default recursion limit: translation walks the
+    # path by a loop
+    d = britton_reduce([X((1,)), T(1)] * 1200, bs23)
+    assert d.t_length == 1200 > sys.getrecursionlimit()
+    rng = random.Random(37)
+    for g in rng.sample(enumerate_ball(3, bs23).elements, 3):
+        assert cocycle_identity_check(g, d, bs23)
+        assert translate_cocycle(g, cocycle(d, bs23), bs23).norm_sq() == 1200
 
 
 # ---------------------------------------------------------------------------

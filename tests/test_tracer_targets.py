@@ -13,10 +13,12 @@ from pathlib import Path
 from conftest import GENERAL_DATA
 
 import bskit.embedding
+import bskit.haagerup
+import bskit.tree
 from bskit.affine import j_affine
 from bskit.arith import IntMatrix, Lattice
 from bskit.embedding import enumerate_ball
-from bskit.haagerup import tree_gram
+from bskit.haagerup import cocycle, translate_cocycle, tree_gram
 from bskit.presentation import make_bs
 from bskit.words import T, X, _Builder, britton_reduce, parse_word
 
@@ -101,6 +103,40 @@ def test_ball_decomposes_each_tail_once_and_appends_by_name(monkeypatch):
         assert decomposed, name
         assert len(set(decomposed)) == len(decomposed), name
     assert appended == {T, X}
+
+
+def test_translation_decomposes_once_per_edge_and_multiplies_nothing(
+        monkeypatch):
+    # gamma . b(d) moves each vertex of b(d) from its parent's image by
+    # two nf_append steps sharing one (eps, tail) table, so the tracer's
+    # arith.decompose.calls is at most the edge count; one act per vertex
+    # would multiply forms and decompose sum |u| times over the path
+    decomposed = []
+    decompose = Lattice.decompose
+
+    def counted(lattice, z, C):
+        decomposed.append(z)
+        return decompose(lattice, z, C)
+
+    def refused(*args):
+        raise AssertionError("translation multiplied normal forms")
+    rng, draws = random.Random(41), {}
+    for name, spec in GENERAL_DATA.items():
+        elements = enumerate_ball(4, spec).elements
+        draws[name] = [rng.choice(elements) for _ in range(60)]
+    monkeypatch.setattr(Lattice, "decompose", counted)
+    monkeypatch.setattr(bskit.haagerup, "nf_multiply", refused)
+    monkeypatch.setattr(bskit.tree, "nf_multiply", refused)
+    for name, spec in GENERAL_DATA.items():
+        longest = 0
+        for gamma, d in zip(draws[name], reversed(draws[name])):
+            cv = cocycle(d, spec)
+            decomposed.clear()
+            assert translate_cocycle(gamma, cv, spec).norm_sq() == len(
+                cv.edges)
+            assert len(decomposed) <= len(cv.edges), name
+            longest = max(longest, len(cv.edges))
+        assert longest >= 3, name
 
 
 def test_tracer_value_hooks_read_real_return_values():
