@@ -11,16 +11,15 @@ All coordinates stay exact; floats enter only in the haagerup module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .presentation import GroupSpec
-from .words import NormalForm, X, _wrong_size
+from .words import NormalForm, X, _wrong_letter, _wrong_size
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(NamedTuple):
     """Element (k, a) of the semidirect product Z x Q^n."""
 
     k: int
@@ -72,7 +71,11 @@ def scaled(w, spec: GroupSpec):
     if isinstance(w, NormalForm):
         steps = (*w.vertex, (0, w.tail))
     else:  # a raw word: each letter is a step (eps, r) with one part trivial
-        steps = [(0, l.z) if isinstance(l, X) else (l.eps, zero) for l in w]
+        step = {1: (1, zero), -1: (-1, zero)}
+        try:
+            steps = [(0, l.z) if isinstance(l, X) else step[l.eps] for l in w]
+        except KeyError as exc:
+            raise _wrong_letter(exc.args[0]) from None
     lam_int = spec.lam_int
     k, den = 0, 1
     num = list(zero)

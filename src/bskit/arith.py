@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 
 class ConfigurationError(ValueError):
@@ -32,8 +31,7 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """A square integer matrix, stored as a tuple of row tuples."""
 
     rows: tuple
@@ -58,7 +56,7 @@ class IntMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def det(self) -> int:
         # Bareiss fraction-free elimination; exact for any size.
         a = [list(r) for r in self.rows]
@@ -162,10 +160,8 @@ class Lattice:
     """
 
     def __init__(self, M: IntMatrix):
-        if M.det == 0:
-            raise ConfigurationError(f"singular matrix: {M}")
         self.n = M.n
-        self.hnf = column_hnf(M)
+        self.hnf = column_hnf(M)  # refuses a singular M
         self.det = M.det
         self.adjugate = M.adjugate()
         # the unimodular U with H = M U is adj(M) H / det M

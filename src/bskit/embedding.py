@@ -8,9 +8,9 @@ in for metric properness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
+from typing import NamedTuple
 
 from .affine import ball_images, j_affine
 from .presentation import GroupSpec
@@ -22,16 +22,12 @@ from .arith import zero_vector
 def generator_letters(spec: GroupSpec) -> list:
     """The letter set {x^{+-e_i}, t, t^-1} used for word-length balls."""
     letters = []
-    for i in range(spec.n):
+    for i in range(spec.n):  # each letter beside its inverse
         e = tuple(int(j == i) for j in range(spec.n))
-        letters.append(X(e))
-        letters.append(X(tuple(-c for c in e)))
-    letters.append(T(1))
-    letters.append(T(-1))
-    return letters
+        letters += [X(e), X(tuple(-c for c in e))]
+    return letters + [T(1), T(-1)]
 
 
-@dataclass
 class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
@@ -41,9 +37,8 @@ class GroupBall:
     yields them; both are built on first use and dropped with the ball.
     """
 
-    radius: int
-    spheres: list
-    spec: GroupSpec
+    def __init__(self, radius: int, spheres: list, spec: GroupSpec):
+        self.radius, self.spheres, self.spec = radius, spheres, spec
 
     @cached_property
     def elements(self) -> tuple:
@@ -93,13 +88,12 @@ def ball_columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> zip:
     return zip(ball.spheres[:lmax + 1], ball.images[:lmax + 1])
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of an elementwise ball check."""
 
     name: str
     checked: int
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def ok(self) -> bool:
@@ -119,11 +113,9 @@ def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     """Every nontrivial element either moves the base vertex or has a
     nontrivial affine image (and fixing elements must be pure x-powers)."""
     _require_datum(ball, spec)
-    report = CheckReport("injectivity", len(ball))
+    report = CheckReport("injectivity", len(ball), [])
     for nf in ball.elements:
-        if nf.is_identity:
-            continue
-        if vertex_of(nf, spec) != BASE:
+        if nf.is_identity or vertex_of(nf, spec) != BASE:
             continue
         if nf.t_length != 0:
             report.violations.append(
@@ -137,7 +129,7 @@ def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
 def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     """{gamma : gamma v = v} must equal {gamma : t-length 0}, elementwise."""
     _require_datum(ball, spec)
-    report = CheckReport("stabilizer", len(ball))
+    report = CheckReport("stabilizer", len(ball), [])
     for nf in ball.elements:
         fixes = vertex_of(nf, spec) == BASE
         in_g = nf.t_length == 0
@@ -147,8 +139,7 @@ def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     return report
 
 
-@dataclass
-class PropernessProfile:
+class PropernessProfile(NamedTuple):
     """Sublevel-set counts #{d_T <= R, |k| <= R, ||a||_inf <= R} per (L, R).
 
     ``counts[R]`` lists the count over each ball radius 0..Lmax;

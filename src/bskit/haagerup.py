@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .affine import scaled
 from .presentation import GroupSpec
@@ -31,8 +30,7 @@ class UnsupportedWitnessError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The tree cocycle
 
-@dataclass(frozen=True)
-class CocycleVector:
+class CocycleVector(NamedTuple):
     """Finite signed edge set: a map from child vertex to coefficient.
 
     An edge of the rooted tree is named by its child and oriented parent
@@ -120,8 +118,7 @@ def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:
 # ---------------------------------------------------------------------------
 # Gram certificates
 
-@dataclass
-class GramReport:
+class GramReport(NamedTuple):
     """Kernel matrix over a finite element sample with its PSD verdict."""
 
     kernel: str

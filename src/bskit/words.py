@@ -13,7 +13,6 @@ normal form  x^{z0} t^{e1} x^{z1} ... t^{em} x^{zm}.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
@@ -30,15 +29,44 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class X:
+class _Letter:
+    """A letter: one read-only field in a slot (the fastest read for the
+    per-letter loops), equal and hashed as that field within its kind."""
+
+    __slots__ = ()
+
+    def __init__(self, value):
+        object.__setattr__(self, self.__slots__[0], value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # (type, (field,)): copies, pickles, compares
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+    def __eq__(self, other):
+        return (self.__reduce__() == other.__reduce__()
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        (value,) = self.__reduce__()[1]
+        return f"{type(self).__name__}({self.__slots__[0]}={value!r})"
+
+
+class X(_Letter):
     """The letter x^z for z in Z^n."""
+    __slots__ = ("z",)
     z: IntVector
 
 
-@dataclass(frozen=True)
-class T:
+class T(_Letter):
     """The stable letter t^eps, eps = +1 or -1."""
+    __slots__ = ("eps",)
     eps: int
 
 
@@ -194,8 +222,12 @@ class _Builder:
         # resp. t x^{Bh} t^-1 -> x^{Ah}: the residue in front of that
         # letter absorbs the carry.
         spec, syl = self.spec, self.syl
+        try:
+            C = spec.carry[eps]
+        except KeyError:
+            raise _wrong_letter(eps) from None
         r, carry = (spec.lattice_a if eps == 1 else spec.lattice_b).decompose(
-            self.tail, spec.carry[eps])
+            self.tail, C)
         if syl and syl[-1][0] == -eps and not any(r):
             self.tail = vec_add(syl.pop()[1], carry)
         else:
@@ -211,6 +243,11 @@ def _wrong_size(z: IntVector, n: int) -> ConfigurationError:
     return ConfigurationError(f"dimension mismatch: {z} in Z^{n}")
 
 
+def _wrong_letter(eps) -> ConfigurationError:
+    """The error for a stable letter t^eps with eps not +1 or -1."""
+    return ConfigurationError(f"T(eps={eps!r}) is neither t nor t^-1")
+
+
 def britton_reduce(w, spec: GroupSpec) -> NormalForm:
     """Britton normal form of a word (or of an already-reduced form).
     Each run of x-letters is summed and pushed once."""
@@ -221,9 +258,10 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
     run = None
     for letter in w:
         if isinstance(letter, X):
-            if len(letter.z) != n:
-                raise _wrong_size(letter.z, n)
-            run = letter.z if run is None else vec_add(run, letter.z)
+            z = letter.z
+            if len(z) != n:
+                raise _wrong_size(z, n)
+            run = z if run is None else vec_add(run, z)
             continue
         if run is not None:
             b.push_x(run)
@@ -241,20 +279,25 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec,
     (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss."""
     u, tail = nf
     if isinstance(letter, T):
-        eps, key = letter.eps, (letter.eps, tail)
+        eps = letter.eps
         if table is None:
             table = {}
-        rc = table.get(key)
+        rc = table.get((eps, tail))
         if rc is None:
+            try:
+                C = spec.carry[eps]
+            except KeyError:
+                raise _wrong_letter(eps) from None
             lattice = spec.lattice_a if eps == 1 else spec.lattice_b
-            rc = table[key] = lattice.decompose(tail, spec.carry[eps])
+            rc = table[eps, tail] = lattice.decompose(tail, C)
         r, carry = rc
         if u and u[-1][0] == -eps and not any(r):
             return NormalForm(u[:-1], tuple(map(add, u[-1][1], carry)))
         return NormalForm(u + ((eps, r),), carry)
-    if len(letter.z) != spec.n:
-        raise _wrong_size(letter.z, spec.n)
-    return NormalForm(u, tuple(map(add, tail, letter.z)))
+    z = letter.z
+    if len(z) != spec.n:
+        raise _wrong_size(z, spec.n)
+    return NormalForm(u, tuple(map(add, tail, z)))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -293,6 +294,22 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_bskit_leaves_dataclasses_and_inspect_unloaded():
+    # the record types are NamedTuples and plain classes, so a fresh
+    # ``import bskit`` loads neither module (pytest has loaded both here),
+    # while it still loads every library module but the CLI
+    src = str(Path(bskit.__file__).resolve().parents[1])
+    code = "import sys, bskit; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    loaded = set(out.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {f"bskit.{name}" for name in (
+        "arith", "presentation", "words", "tree", "affine", "embedding",
+        "haagerup")} <= loaded
 
 
 def test_resource_bound_exit_2(runner, monkeypatch):

@@ -162,6 +162,10 @@ def test_injectivity_examples(bs23):
     b = enumerate_ball(3, bs23)
     report = check_injectivity(b, bs23)
     assert report.ok and report.checked == len(b)
+    # each report holds a violations list of its own
+    again = check_injectivity(b, bs23)
+    again.violations.append("planted")
+    assert report.violations == [] and report.ok and not again.ok
 
 
 def test_injectivity_full_ball(bs23, bs23_ball6):

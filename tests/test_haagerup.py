@@ -17,14 +17,16 @@ import bskit
 import bskit.haagerup
 from bskit.affine import (AffineElement, aff_compose, ball_images, j_affine,
                           scaled)
-from bskit.embedding import enumerate_ball
+from bskit.arith import IntMatrix
+from bskit.embedding import (CheckReport, PropernessProfile, check_stabilizer,
+                             enumerate_ball, properness_profile)
 from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             affine_distances, c0_profile, c0_profile_csv,
                             cocycle, cocycle_identity_check,
                             hyperbolic_distance, tree_gram,
                             translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
-from bskit.tree import BASE, act, distance, vertex_of
+from bskit.tree import BASE, Vertex, act, distance, vertex_of
 from bskit.words import (NormalForm, T, X, _Builder, britton_reduce,
                          nf_append, nf_invert, nf_multiply, parse_word)
 
@@ -244,8 +246,53 @@ def test_public_dataclass_annotations_resolve():
                     and obj.__module__ == module.__name__):
                 typing.get_type_hints(obj)
                 seen.append(name)
-    assert {"AffineElement", "GramReport", "IntMatrix",
-            "NormalForm"} <= set(seen)
+    assert {"AffineElement", "CheckReport", "CocycleVector", "GramReport",
+            "IntMatrix", "NormalForm", "PropernessProfile"} <= set(seen)
+
+
+BS23 = make_bs(2, 3)
+
+# (value, its repr, an equal value built another way, a value of the same
+# kind that differs)
+VALUES = [
+    (X((1, -2)), "X(z=(1, -2))",
+     parse_word("v[1,-2]", GENERAL_DATA["z2_nonasc"])[0], X((1, 2))),
+    (T(-1), "T(eps=-1)", parse_word("t^-1", BS23)[0], T(1)),
+    (IntMatrix(((1, 2), (3, 4))), "IntMatrix(rows=((1, 2), (3, 4)))",
+     IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.scalar(2)),
+    (AffineElement(2, (Fraction(2, 3),)),
+     "AffineElement(k=2, a=(Fraction(2, 3),))",
+     j_affine(parse_word("t x t", BS23), BS23),
+     AffineElement(2, (Fraction(1, 3),))),
+    (CocycleVector({Vertex(((1, (0,)),)): 1}),
+     "CocycleVector(edges={((1, (0,)),): 1})",
+     cocycle(parse_word("t x^2", BS23), BS23),
+     CocycleVector({Vertex(((1, (0,)),)): -1})),
+    (CheckReport("stabilizer", 17, []),
+     "CheckReport(name='stabilizer', checked=17, violations=[])",
+     check_stabilizer(enumerate_ball(2, BS23), BS23),
+     CheckReport("injectivity", 17, [])),
+    (PropernessProfile(2, [1], {1: [1, 5, 11]}, {1: False}),
+     "PropernessProfile(lmax=2, r_grid=[1], counts={1: [1, 5, 11]}, "
+     "stabilized={1: False})",
+     properness_profile(2, [1], BS23),
+     PropernessProfile(2, [1], {1: [1, 5, 11]}, {1: True})),
+]
+
+
+@pytest.mark.parametrize("value, text, twin, other", VALUES,
+                         ids=[type(v[0]).__name__ for v in VALUES])
+def test_record_types_are_immutable_values(value, text, twin, other):
+    # the repr names the fields, equality is by field values within a kind,
+    # hashing agrees with it where every field is hashable, and no field
+    # can be set
+    assert repr(value) == repr(twin) == text
+    assert value == twin and value != other
+    if type(value) in (X, T, IntMatrix, AffineElement):
+        assert hash(value) == hash(twin) and len({value, twin, other}) == 2
+    for field in typing.get_type_hints(type(value)):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
 
 
 # ---------------------------------------------------------------------------

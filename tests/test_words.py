@@ -12,8 +12,9 @@ from oracles import (in_lattice, invert_letters, nf_letters,
 from bskit.affine import j_affine, scaled
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
+from bskit.haagerup import cocycle, witness
 from bskit.presentation import make_matrix_group
-from bskit.tree import Vertex, act
+from bskit.tree import Vertex, act, vertex_of
 from bskit.words import (NormalForm, ParseError, T, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word, word_problem)
@@ -332,6 +333,26 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
         for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 nf_append(nf, X(z), spec)
+
+
+def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
+    # T(eps) with eps not +1 or -1 is named where it is used: no entry point
+    # fails with a bare KeyError or reads T(0) as the identity
+    one = britton_reduce([], bs23)
+    for eps in (0, 2, -3):
+        bad = T(eps)
+        for call in (lambda: britton_reduce([X((1,)), bad], bs23),
+                     lambda: word_problem([bad], bs23),
+                     lambda: vertex_of([bad], bs23),
+                     lambda: nf_append(one, bad, bs23),
+                     lambda: nf_append(one, bad, bs23, {}),
+                     lambda: j_affine([bad, X((1,))], bs23),
+                     lambda: scaled([X((1,)), bad], bs23),
+                     lambda: witness([bad], 1.0, bs23),
+                     lambda: cocycle([bad], bs23)):
+            with pytest.raises(ConfigurationError,
+                               match=rf"T\(eps={eps}\) is neither t nor t"):
+                call()
 
 
 def test_products_of_wrong_size_forms_are_refused(bs23, asc2):
