@@ -64,30 +64,31 @@ def scaled(w, spec: GroupSpec):
     The steps x^r t^eps (a normal form's vertex pairs (eps, r), then its
     tail) fold right to left, (k, a) <- j(step) (k, a), fraction-free:
     t^{+-1} applies the integer matrix of Lambda^{+-1} = M/d and multiplies
-    den by d > 0; then x^r adds den r.  Every x-vector must lie in Z^n.
+    den by d > 0; then x^r adds den r.  A raw word's letters are steps with
+    no t-letter (eps None) or no x-vector (r None).  Every x-vector must lie
+    in Z^n, and every eps be +1 or -1.
     """
     n = spec.n
-    zero = (0,) * n
     if isinstance(w, NormalForm):
-        steps = (*w.vertex, (0, w.tail))
-    else:  # a raw word: each letter is a step (eps, r) with one part trivial
-        step = {1: (1, zero), -1: (-1, zero)}
-        try:
-            steps = [(0, l.z) if isinstance(l, X) else step[l.eps] for l in w]
-        except KeyError as exc:
-            raise _wrong_letter(exc.args[0]) from None
+        steps = (*w.vertex, (None, w.tail))
+    else:
+        steps = [(None, l.z) if isinstance(l, X) else (l.eps, None) for l in w]
     lam_int = spec.lam_int
     k, den = 0, 1
-    num = list(zero)
+    num = [0] * n
     for eps, r in reversed(steps):
-        if len(r) != n:
-            raise _wrong_size(r, n)
-        if eps:
-            M, d = lam_int[eps]
+        if eps is not None:
+            try:
+                M, d = lam_int[eps]
+            except KeyError:
+                raise _wrong_letter(eps) from None
             num = [sum(map(mul, row, num)) for row in M.rows]
             den *= d
             k += eps
-        num = [c + den * x for c, x in zip(num, r)]
+        if r is not None:
+            if len(r) != n:
+                raise _wrong_size(r, n)
+            num = [c + den * x for c, x in zip(num, r)]
     return k, num, den
 
 
@@ -133,7 +134,10 @@ def ball_images(spheres, spec: GroupSpec):
                 e, r = u[-1]
                 if len(r) != n:
                     raise _wrong_size(r, n)
-                M, d = lam_int[e]
+                try:
+                    M, d = lam_int[e]
+                except KeyError:
+                    raise _wrong_letter(e) from None
                 entry = entries[u] = (
                     k + e, tuple((c + sum(map(mul, row, r))) * d
                                  for c, row in zip(N, Q)),

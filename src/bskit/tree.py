@@ -13,7 +13,7 @@ import os
 
 from .arith import ConfigurationError, zero_vector
 from .presentation import GroupSpec
-from .words import NormalForm, _render_x, britton_reduce, nf_multiply
+from .words import _PAIR_TEXT, NormalForm, britton_reduce, nf_multiply
 
 
 class ResourceBoundError(RuntimeError):
@@ -72,13 +72,7 @@ class Vertex(tuple):
     __slots__ = ()
 
     def __str__(self) -> str:
-        if not self:
-            return "G"
-        parts = []
-        for eps, r in self:
-            t = "t" if eps == 1 else "t^-1"
-            parts.append(f"{_render_x(r)}·{t}" if any(r) else t)
-        return " | ".join(parts)
+        return " | ".join([_PAIR_TEXT[pair][1] for pair in self]) or "G"
 
 
 BASE = Vertex()

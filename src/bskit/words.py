@@ -162,14 +162,29 @@ def _render_x(z: IntVector) -> str:
     return "v[" + ",".join(map(str, z)) + "]"
 
 
-_T_TEXT = {1: "t", -1: "t^-1"}
+class _PairText(dict):
+    """The text of each vertex pair (eps, r), rendered on first sight: as
+    in a word ("x^1 t") and as in a vertex name ("x^1·t"), or the bare
+    t-letter where r = 0.  The one place that spells t^eps; it holds the
+    pairs rendered, at most |det A| + |det B| per datum for canonical r."""
+
+    def __missing__(self, pair):
+        eps, r = pair
+        if eps not in (1, -1):
+            raise _wrong_letter(eps)
+        t = "t" if eps == 1 else "t^-1"
+        x = _render_x(r) if any(r) else ""
+        text = self[pair] = (f"{x} {t}", f"{x}·{t}") if x else (t, t)
+        return text
+
+
+_PAIR_TEXT = _PairText()
 
 
 def _render_pairs(vertex: tuple) -> str:
-    """The pairs of a vertex as text, each "x^r t" or a bare t-letter where
-    r = 0, one space apart; "" for the base vertex."""
-    return " ".join(f"{_render_x(r)} {_T_TEXT[e]}" if any(r) else _T_TEXT[e]
-                    for e, r in vertex)
+    """The pairs of a vertex as a word, one space apart; "" for the base
+    vertex."""
+    return " ".join([_PAIR_TEXT[pair][0] for pair in vertex])
 
 
 def sphere_key():

@@ -4,9 +4,10 @@ Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
-normal form, the translation of a cocycle on (parent, child) pairs and
-the plain breadth-first search of a word-length ball, which only the
-tests ask for, live here too.
+normal form, the translation of a cocycle on (parent, child) pairs, the
+plain breadth-first search of a word-length ball and a renderer of
+normal forms and vertex names that formats every pair afresh, which
+only the tests ask for, live here too.
 """
 
 import math
@@ -92,6 +93,40 @@ def reference_spheres(L: int, spec: GroupSpec) -> list:
         nxt.sort(key=str)
         spheres.append(nxt)
     return spheres
+
+
+_T_TEXT = {1: "t", -1: "t^-1"}
+
+
+def _render_x(z) -> str:
+    if len(z) == 1:
+        return f"x^{z[0]}"
+    return "v[" + ",".join(map(str, z)) + "]"
+
+
+def _render_pairs(vertex: tuple) -> str:
+    """The pairs of a vertex as text, each "x^r t" or a bare t-letter where
+    r = 0, one space apart; "" for the base vertex."""
+    return " ".join(f"{_render_x(r)} {_T_TEXT[e]}" if any(r) else _T_TEXT[e]
+                    for e, r in vertex)
+
+
+def nf_text_reference(nf: NormalForm) -> str:
+    """str(nf), each pair and the tail formatted afresh."""
+    tail = f" {_render_x(nf.tail)}" if any(nf.tail) else ""
+    pairs = _render_pairs(nf.vertex)
+    return pairs + tail if pairs else tail[1:] or "1"
+
+
+def vertex_text_reference(u) -> str:
+    """str(u) of a tree.Vertex, each pair formatted afresh."""
+    if not u:
+        return "G"
+    parts = []
+    for eps, r in u:
+        t = "t" if eps == 1 else "t^-1"
+        parts.append(f"{_render_x(r)}·{t}" if any(r) else t)
+    return " | ".join(parts)
 
 
 def reduce_with_strategy(w, spec: GroupSpec, strategy: str = "leftmost"

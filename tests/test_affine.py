@@ -229,22 +229,23 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
 
 
 def test_normal_forms_of_the_wrong_size_are_refused(bs23, asc2):
-    # a bad tail at the base vertex, a bad tail off it, and a bad residue;
-    # none is truncated to an image
-    for spec, good, bad in ((bs23, (0,), (1, 2)), (asc2, (0, 0), (3,))):
-        for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
-                   NormalForm(((1, bad),), good)):
-            for image in (j_affine, scaled,
-                          lambda nf, spec: list(ball_images([[nf]], spec)),
-                          lambda nf, spec: witness(nf, 1.0, spec)):
-                with pytest.raises(ConfigurationError,
-                                   match="dimension mismatch"):
-                    image(nf, spec)
-        # a bad residue two edges deep, stepped from a held parent
-        spheres = [[NormalForm(((1, good),), good)],
-                   [NormalForm(((1, good), (1, bad)), good)]]
-        with pytest.raises(ConfigurationError, match="dimension mismatch"):
-            list(ball_images(spheres, spec))
+    # a bad tail at the base vertex, a bad tail off it, and a bad residue,
+    # the empty vector among them; none is truncated or skipped
+    for spec, good, too_long in ((bs23, (0,), (1, 2)), (asc2, (0, 0), (3,))):
+        for bad in (too_long, ()):
+            for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
+                       NormalForm(((1, bad),), good)):
+                for image in (j_affine, scaled,
+                              lambda nf, spec: list(ball_images([[nf]], spec)),
+                              lambda nf, spec: witness(nf, 1.0, spec)):
+                    with pytest.raises(ConfigurationError,
+                                       match="dimension mismatch"):
+                        image(nf, spec)
+            # a bad residue two edges deep, stepped from a held parent
+            spheres = [[NormalForm(((1, good),), good)],
+                       [NormalForm(((1, good), (1, bad)), good)]]
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                list(ball_images(spheres, spec))
 
 
 def test_rendering(bs23):

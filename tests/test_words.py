@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GENERAL_DATA
+from conftest import GENERAL_DATA, IMAGE_DATA
 from oracles import (in_lattice, invert_letters, nf_letters,
-                     reduce_with_strategy)
+                     nf_text_reference, reduce_with_strategy,
+                     vertex_text_reference)
 
-from bskit.affine import j_affine, scaled
+from bskit import words
+from bskit.affine import ball_images, j_affine, scaled
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
 from bskit.haagerup import cocycle, witness
 from bskit.presentation import make_matrix_group
-from bskit.tree import Vertex, act, vertex_of
+from bskit.tree import BASE, Vertex, act, ball, vertex_of
 from bskit.words import (NormalForm, ParseError, T, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
-                         parse_word, word_problem)
+                         parse_word, sphere_key, word_problem)
 
 
 def w(text, spec):
@@ -324,6 +326,34 @@ def test_push_t_grows_the_vertex_stack_by_a_split_and_pops_it_by_a_pinch(name):
     assert pinches and splits
 
 
+@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+def test_text_of_forms_and_vertices_equals_a_fresh_renderer(name,
+                                                             monkeypatch):
+    # str(nf), sphere keys and vertex names join the texts of one table of
+    # pairs; they equal a renderer that formats every pair afresh, and from
+    # an empty table each distinct pair is formatted once
+    spec = IMAGE_DATA[name]
+    L = 3 if spec.n == 3 else 4
+    misses = []
+    render = words._PairText.__missing__
+
+    def missing(table, pair):
+        misses.append(pair)
+        return render(table, pair)
+    monkeypatch.setattr(words._PairText, "__missing__", missing)
+    words._PAIR_TEXT.clear()
+    elements = enumerate_ball(L, spec).elements
+    vertices = {*ball(BASE, L, spec), *(Vertex(nf.vertex) for nf in elements)}
+    key = sphere_key()
+    for nf in elements:
+        assert str(nf) == key(nf) == nf_text_reference(nf)
+    for u in vertices:
+        assert str(u) == vertex_text_reference(u)
+    pairs = {pair for u in vertices for pair in u}
+    assert len(misses) == len(pairs) == len(words._PAIR_TEXT)
+    assert set(misses) == pairs
+
+
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
     # refused where the letter enters, not truncated or kept until a t-letter
     for spec, z in ((bs23, (1, 2)), (asc2, (3,))):
@@ -338,10 +368,19 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
 def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
     # T(eps) with eps not +1 or -1 is named where it is used: no entry point
     # fails with a bare KeyError or reads T(0) as the identity
+    # (raw words), nor renders or maps a hand-built form or vertex holding
+    # the pair (eps, 0)
     one = britton_reduce([], bs23)
     for eps in (0, 2, -3):
         bad = T(eps)
-        for call in (lambda: britton_reduce([X((1,)), bad], bs23),
+        nf = NormalForm(((eps, (0,)),), (0,))
+        for call in (lambda: str(nf),
+                     lambda: sphere_key()(nf),
+                     lambda: str(Vertex(nf.vertex)),
+                     lambda: scaled(nf, bs23),
+                     lambda: list(ball_images([[nf]], bs23)),
+                     lambda: witness(nf, 1.0, bs23),
+                     lambda: britton_reduce([X((1,)), bad], bs23),
                      lambda: word_problem([bad], bs23),
                      lambda: vertex_of([bad], bs23),
                      lambda: nf_append(one, bad, bs23),
