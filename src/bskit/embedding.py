@@ -55,15 +55,17 @@ class GroupBall:
 def enumerate_ball(L: int, spec: GroupSpec, *,
                    max_length: int | None = None) -> GroupBall:
     """BFS over generator letters, deduplicated by normal form; letter i ^ 1
-    inverts letter i, so it is never appended where letter i led; the
-    t-appends share one ``nf_append`` table, dropped when the call returns."""
-    moves = [(1 << i, letter, 1 << (i ^ 1))
+    inverts letter i, so is never appended where letter i led, nor are the
+    x-letters 0..i-1 where x-letter i led first (they commute, see
+    ``bfs_spheres``); t-appends share one ``nf_append`` table per call."""
+    moves = [(1 << i, letter, 1 << (i ^ 1),
+              1 << (i ^ 1) | ((1 << i) - 1 if i < 2 * spec.n else 0))
              for i, letter in enumerate(generator_letters(spec))]
     table = {}
     spheres = bfs_spheres(
         NormalForm((), zero_vector(spec.n)), L,
-        lambda nf, skip: [(nf_append(nf, letter, spec, table), back)
-                          for bit, letter, back in moves if not skip & bit],
+        lambda nf, skip: [(nf_append(nf, a, spec, table), back, first)
+                          for bit, a, back, first in moves if not skip & bit],
         max_length, default=12 if spec.n == 1 else 8,
         key=sphere_key())
     return GroupBall(L, spheres, spec)

@@ -13,7 +13,8 @@ import os
 
 from .arith import ConfigurationError, zero_vector
 from .presentation import GroupSpec
-from .words import _PAIR_TEXT, NormalForm, britton_reduce, nf_multiply
+from .words import (_PAIR_TEXT, NormalForm, _wrong_letter, britton_reduce,
+                    nf_multiply)
 
 
 class ResourceBoundError(RuntimeError):
@@ -24,9 +25,15 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
                 default: int, key=str) -> list:
     """Spheres 0..radius of the breadth-first search from ``root``.
 
-    ``step(u, skip)`` lists (w, back) for each move from u to w whose bit
-    is not in ``skip``, the bits of the moves known to lead from u to a
-    seen node; ``back`` must be 0 or the bit of a move from w back to u.
+    ``step(u, skip)`` lists (w, back, first) for each move from u to w
+    whose bit is not in u's skip bits ``skip``. ``first`` sets w's skip bits
+    where the move reaches w first, and ``back``, 0 or the bit of a move
+    from w back to u, joins them at a later arrival, which need not come
+    from the sphere before. ``enumerate_ball`` puts in ``first`` of x-letter
+    a, beside its inverse, the x-letters before a: if w in sphere L+1 is p·b,
+    b before a and p first reached as q·a from sphere L-1, then w = (q·b)·a,
+    q·b is in sphere L and takes a unless first reached by a letter after a;
+    each such step moves to a later letter, so the chain ends in 2n steps.
     Each sphere holds the nodes first reached at that depth, deduplicated
     against every node seen so far and sorted by ``key``.  The radius is
     bounded by ``max_radius`` if given, else by the environment variable
@@ -53,9 +60,9 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
     for _ in range(radius):
         nxt = []
         for u in spheres[-1]:
-            for w, back in step(u, seen[u]):
+            for w, back, first in step(u, seen[u]):
                 size = len(seen)
-                mask = seen.setdefault(w, back)  # one hash per candidate
+                mask = seen.setdefault(w, first)  # one hash per candidate
                 if len(seen) > size:
                     nxt.append(w)
                 elif back & ~mask:
@@ -99,7 +106,11 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     u x^r t^-1 G for r in the B-residues.  A canonical residue r splits
     off no carry, so u x^r t^eps G is named u + (eps, r), except for the
     one pinch: r = 0 with eps opposite to u's last letter gives the parent.
+    A pair of u with eps not +1 or -1 raises ConfigurationError.
     """
+    bad = [eps for eps, _ in u if eps != 1 and eps != -1]
+    if bad:
+        raise _wrong_letter(bad[0])
     last = u[-1][0] if u else 0
     return [Vertex(u[:-1]) if eps == -last and not any(r)
             else Vertex(u + ((eps, r),))
@@ -131,9 +142,9 @@ def geodesic(u: Vertex, w: Vertex) -> list:
 def ball(center: Vertex, radius: int, spec: GroupSpec, *,
          max_radius: int | None = None) -> list:
     """All vertices within the given radius, BFS order, sorted per level."""
-    spheres = bfs_spheres(center, radius,
-                          lambda u, skip: [(w, 0) for w in neighbors(u, spec)],
-                          max_radius, default=12)
+    spheres = bfs_spheres(
+        center, radius, lambda u, _: [(w, 0, 0) for w in neighbors(u, spec)],
+        max_radius, default=12)
     return [u for sphere in spheres for u in sphere]
 
 

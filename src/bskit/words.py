@@ -291,7 +291,8 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec,
               table: dict | None = None) -> NormalForm:
     """The normal form of nf * letter: an x-letter only moves the tail; a
     t-letter splits or pinches as ``_Builder.push_t`` does, reading
-    (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss."""
+    (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss;
+    it builds forms with ``tuple.__new__``, not NormalForm's Python one."""
     u, tail = nf
     if isinstance(letter, T):
         eps = letter.eps
@@ -307,12 +308,13 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec,
             rc = table[eps, tail] = lattice.decompose(tail, C)
         r, carry = rc
         if u and u[-1][0] == -eps and not any(r):
-            return NormalForm(u[:-1], tuple(map(add, u[-1][1], carry)))
-        return NormalForm(u + ((eps, r),), carry)
+            return tuple.__new__(NormalForm,
+                                 (u[:-1], tuple(map(add, u[-1][1], carry))))
+        return tuple.__new__(NormalForm, (u + ((eps, r),), carry))
     z = letter.z
     if len(z) != spec.n:
         raise _wrong_size(z, spec.n)
-    return NormalForm(u, tuple(map(add, tail, z)))
+    return tuple.__new__(NormalForm, (u, tuple(map(add, tail, z))))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

@@ -21,6 +21,9 @@ GENERAL_DATA = {
 IMAGE_DATA = {**GENERAL_DATA, "bs12": make_bs(1, 2), "bs35": make_bs(3, 5),
               "bsm23": make_bs(-2, 3), "bsm3m2": make_bs(-3, -2)}
 
+# The ascending HNN of Z^2: A = [[2,1],[0,2]], B = identity.
+ASC2 = make_matrix_group([[2, 1], [0, 2]], [[1, 0], [0, 1]])
+
 
 @pytest.fixture(scope="session")
 def image_balls():
@@ -45,8 +48,7 @@ def bs52():
 
 @pytest.fixture(scope="session")
 def asc2():
-    # ascending HNN of Z^2: A = [[2,1],[0,2]], B = identity
-    return make_matrix_group([[2, 1], [0, 2]], [[1, 0], [0, 1]])
+    return ASC2
 
 
 @pytest.fixture(scope="session")

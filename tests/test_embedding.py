@@ -3,9 +3,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bskit.embedding
 from bskit.affine import AffineElement, ball_images, j_affine
+from bskit.arith import IntMatrix
 from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
@@ -14,7 +17,7 @@ from bskit.presentation import make_bs, make_matrix_group
 from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
-from conftest import GENERAL_DATA, IMAGE_DATA
+from conftest import ASC2, GENERAL_DATA, IMAGE_DATA
 from oracles import nf_letters, reference_spheres
 
 
@@ -88,12 +91,33 @@ def test_ball_matches_pairwise_oracle_small(bs23):
         assert len(enumerate_ball(L, bs23)) == len(pairwise_ball_oracle(L, bs23))
 
 
-@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+SPHERE_DATA = {**IMAGE_DATA, "asc2": ASC2}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_DATA))
 def test_ball_spheres_match_plain_bfs_in_order(name):
-    # skipping the moves back and the per-call rendering memo leave every
-    # sphere's content and str order as the plain search makes them
-    spec = IMAGE_DATA[name]
+    # skipping the moves back and the commuted x-letters, and the per-call
+    # rendering memo, leave every sphere's content and str order as the
+    # plain search makes them
+    spec = SPHERE_DATA[name]
     L = 6 if spec.n == 1 else 4
+    assert enumerate_ball(L, spec).spheres == reference_spheres(L, spec)
+
+
+@st.composite
+def small_data(draw):
+    # n <= 3, entries in [-3, 3], 0 < |det| <= 6 for A and for B
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    matrix = st.lists(row, min_size=n, max_size=n).filter(
+        lambda rows: 0 < abs(IntMatrix.from_rows(rows).det) <= 6)
+    return make_matrix_group(draw(matrix), draw(matrix))
+
+
+@given(small_data())
+@settings(max_examples=80, deadline=None)
+def test_pruned_ball_equals_the_plain_search_on_generated_data(spec):
+    L = 4 if spec.n < 3 else 3
     assert enumerate_ball(L, spec).spheres == reference_spheres(L, spec)
 
 
@@ -112,21 +136,41 @@ def test_ball_elements_round_trip_through_vertex_letters_and_image(name):
                 == j_affine(letters, spec)), str(nf)
 
 
-def test_ball_never_appends_the_inverse_of_the_letter_that_led_there(
-        bs12, monkeypatch):
-    calls = 0
+def _counted_appends(monkeypatch) -> list:
+    """A one-entry list counting enumerate_ball's ``nf_append`` calls."""
+    calls = [0]
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return nf_append(*args)
 
     monkeypatch.setattr(bskit.embedding, "nf_append", counting)
+    return calls
+
+
+def test_ball_never_appends_the_inverse_of_the_letter_that_led_there(
+        bs12, monkeypatch):
+    calls = _counted_appends(monkeypatch)
     ball = enumerate_ball(10, bs12)
     expanded = sum(len(s) for s in ball.spheres[:10])
     # 4 letters from each expanded element, less at least one skipped move
     # from each element but the root
-    assert calls <= 4 * expanded - (expanded - 1)
+    assert calls[0] <= 4 * expanded - (expanded - 1)
+
+
+@pytest.mark.parametrize("spec, L, appends", [
+    (ASC2, 6, 4233),                        # 4 776 skipping inverses only
+    (GENERAL_DATA["z2_nonasc"], 6, 6418),   # 7 128
+    (GENERAL_DATA["z3"], 4, 1418),          # 1 788
+    (make_bs(1, 2), 10, 5937),              # n = 1: the inverse alone
+], ids=["asc2", "z2_nonasc", "z3", "bs12"])
+def test_ball_skips_the_x_letters_before_the_one_that_led_there(
+        spec, L, appends, monkeypatch):
+    # a form first reached by x-letter i skips the x-letters 0..i-1 besides
+    # its inverse; t-letters skip only their inverse
+    calls = _counted_appends(monkeypatch)
+    enumerate_ball(L, spec)
+    assert calls[0] == appends
 
 
 @pytest.mark.parametrize("name", ["bs23", "z2_nonasc", "z3"])

@@ -16,7 +16,7 @@ from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
 from bskit.haagerup import cocycle, witness
 from bskit.presentation import make_matrix_group
-from bskit.tree import BASE, Vertex, act, ball, vertex_of
+from bskit.tree import BASE, Vertex, act, ball, neighbors, vertex_of
 from bskit.words import (NormalForm, ParseError, T, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
                          parse_word, sphere_key, word_problem)
@@ -369,12 +369,17 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
     # T(eps) with eps not +1 or -1 is named where it is used: no entry point
     # fails with a bare KeyError or reads T(0) as the identity
     # (raw words), nor renders or maps a hand-built form or vertex holding
-    # the pair (eps, 0)
+    # the pair (eps, 0), last or not
     one = britton_reduce([], bs23)
     for eps in (0, 2, -3):
         bad = T(eps)
         nf = NormalForm(((eps, (0,)),), (0,))
-        for call in (lambda: str(nf),
+        inner = Vertex(((1, (1,)), (eps, (0,)), (-1, (0,))))
+        for call in (lambda: neighbors(Vertex(nf.vertex), bs23),
+                     lambda: neighbors(inner, bs23),
+                     lambda: ball(Vertex(nf.vertex), 1, bs23),
+                     lambda: ball(inner, 2, bs23),
+                     lambda: str(nf),
                      lambda: sphere_key()(nf),
                      lambda: str(Vertex(nf.vertex)),
                      lambda: scaled(nf, bs23),
