@@ -105,19 +105,19 @@ def ball_images(spheres, spec: GroupSpec):
     edge per Bass-Serre vertex.
 
     A normal form is coset(u) x^tail for its vertex u, so j = (k_u, a_u +
-    Lambda^{k_u} tail).  Each vertex u seen holds k_u, the integer vector
-    N_u, the integer matrix Q_u (as row tuples) and D_u > 0 with a_u +
-    Lambda^{k_u} z = (N_u + Q_u z) / D_u.  A new vertex u = parent +
-    (eps, r) takes its parent's entry and one step N <- (N + Q r) d,
-    Q <- Q M, D <- D d, with (M, d) the pair of Lambda^eps.  A residue or
-    tail outside Z^n is refused.  The prefixes of a geodesic word walk the
-    tree from the base to its element's vertex, so in a word-length ball
-    each parent is held; where it is not, ValueError names the element.
+    Lambda^{k_u} tail).  Each vertex u seen holds (k_u, rows_u, D_u) with
+    a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u, D_u > 0, and rows_u pairing
+    N_u[i] with row i of Q_u, all integers.  A new vertex u = parent +
+    (eps, r) takes its parent's entry and one step N <- (N + Q r) d, Q <- Q M
+    (on the columns of M), D <- D d, with (M, d) the pair of Lambda^eps.  A
+    residue or tail outside Z^n is refused.  The prefixes of a geodesic word
+    walk the tree from the base to its element's vertex, so in a word-length
+    ball each parent is held; where it is not, ValueError names the element.
     """
     n = spec.n
     lam_int = spec.lam_int
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    entries = {(): (0, (0,) * n, identity, 1)}
+    entries = {(): (0, tuple(zip((0,) * n, identity)), 1)}
     for sphere in spheres:
         images = []
         for nf in sphere:
@@ -130,7 +130,7 @@ def ball_images(spheres, spec: GroupSpec):
                 if parent is None:
                     raise ValueError(f"{nf}: the parent of its vertex is held "
                                      "by no element before it")
-                k, N, Q, D = parent
+                k, rows, D = parent
                 e, r = u[-1]
                 if len(r) != n:
                     raise _wrong_size(r, n)
@@ -138,13 +138,12 @@ def ball_images(spheres, spec: GroupSpec):
                     M, d = lam_int[e]
                 except KeyError:
                     raise _wrong_letter(e) from None
-                entry = entries[u] = (
-                    k + e, tuple((c + sum(map(mul, row, r))) * d
-                                 for c, row in zip(N, Q)),
-                    tuple(tuple(sum(map(mul, row, col))
-                                for col in zip(*M.rows)) for row in Q),
-                    D * d)
-            k, N, Q, D = entry
+                cols = tuple(zip(*M.rows))
+                entry = entries[u] = (k + e, tuple(
+                    ((c + sum(map(mul, row, r))) * d,
+                     tuple(sum(map(mul, row, col)) for col in cols))
+                    for c, row in rows), D * d)
+            k, rows, D = entry
             images.append((k, [c + sum(map(mul, row, tail))
-                               for c, row in zip(N, Q)], D))
+                               for c, row in rows], D))
         yield images

@@ -8,7 +8,9 @@ in for metric properness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
+from itertools import accumulate
 from numbers import Integral
 from typing import NamedTuple
 
@@ -155,11 +157,9 @@ class PropernessProfile(NamedTuple):
     stabilized: dict
 
     def to_csv(self) -> str:
-        lines = ["L,R,count,stabilized"]
-        for r in self.r_grid:
-            for L, c in enumerate(self.counts[r]):
-                lines.append(f"{L},{r},{c},{str(self.stabilized[r]).lower()}")
-        return "\n".join(lines) + "\n"
+        return "L,R,count,stabilized\n" + "".join(
+            f"{L},{r},{c},{str(self.stabilized[r]).lower()}\n"
+            for r in self.r_grid for L, c in enumerate(self.counts[r]))
 
 
 def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
@@ -168,8 +168,9 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
 
     The thresholds must be distinct nonnegative integers.  d_T(v, gamma v)
     equals the t-length of the normal form (distance consistency is itself
-    a tested invariant); the affine part comes as integers num / den with
-    den > 0, so its sup-norm is compared on integers, |num| <= R den.
+    a tested invariant).  With the image as integers num / den, den > 0, an
+    element counts for each R >= max(t-length, |k|, ceil(max |num| / den)),
+    found by bisection; one whose t-length exceeds every R is not read.
     """
     given = list(r_grid)
     r_grid = [int(r) for r in given if isinstance(r, Integral)
@@ -177,17 +178,18 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     if len(set(r_grid)) != len(given):
         raise ValueError(f"thresholds must be distinct nonnegative "
                          f"integers, got {given}")
+    order = sorted(r_grid)
+    top = order[-1] if order else -1
     counts = {r: [] for r in r_grid}
-    running = {r: 0 for r in r_grid}
+    hits = [0] * (len(order) + 1)  # elements so far by the first R they meet
     for sphere, images in ball_columns(lmax, spec, ball):
         for nf, (k, num, den) in zip(sphere, images):
-            height = max(nf.t_length, abs(k))
-            sup = max(map(abs, num))
-            for r in r_grid:
-                if height <= r and sup <= r * den:
-                    running[r] += 1
-        for r in r_grid:
-            counts[r].append(running[r])
+            m = len(nf.vertex)  # the t-length
+            if m <= top:
+                hits[bisect_left(order, max(
+                    m, abs(k), -(-max(map(abs, num)) // den)))] += 1
+        for r, c in zip(order, accumulate(hits)):
+            counts[r].append(c)
     stabilized = {
         r: len(counts[r]) >= 3 and counts[r][-1] == counts[r][-3]
         for r in r_grid}

@@ -268,17 +268,14 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     _check_scale(s)
     rows = []
     for L, (sphere, images) in enumerate(ball_columns(lmax, spec, ball)):
-        # one distance row per sphere (never empty: t^L has length L);
-        # each value is the float witness(nf, s, spec) gives, and the
-        # first maximum wins
+        # one distance row per sphere (never empty: t^L has length L) of
+        # the floats witness(nf, s, spec) gives, no NaN; the first max wins
         vals = _witness_values(sphere, images, s, spec)
-        i = max(range(len(vals)), key=vals.__getitem__)
+        i = vals.index(max(vals))
         rows.append((L, vals[i], str(sphere[i])))
     return rows
 
 
 def c0_profile_csv(rows) -> str:
-    lines = ["L,max_witness,argmax"]
-    for L, val, name in rows:
-        lines.append(f'{L},{val:.12g},"{name}"')
-    return "\n".join(lines) + "\n"
+    return "L,max_witness,argmax\n" + "".join(
+        f'{L},{val:.12g},"{name}"\n' for L, val, name in rows)

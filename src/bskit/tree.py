@@ -108,9 +108,17 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     one pinch: r = 0 with eps opposite to u's last letter gives the parent.
     A pair of u with eps not +1 or -1 raises ConfigurationError.
     """
+    return _adjacent(_checked(u), spec)
+
+
+def _checked(u: Vertex) -> Vertex:
     bad = [eps for eps, _ in u if eps != 1 and eps != -1]
     if bad:
         raise _wrong_letter(bad[0])
+    return u
+
+
+def _adjacent(u: Vertex, spec: GroupSpec) -> list:
     last = u[-1][0] if u else 0
     return [Vertex(u[:-1]) if eps == -last and not any(r)
             else Vertex(u + ((eps, r),))
@@ -141,9 +149,12 @@ def geodesic(u: Vertex, w: Vertex) -> list:
 
 def ball(center: Vertex, radius: int, spec: GroupSpec, *,
          max_radius: int | None = None) -> list:
-    """All vertices within the given radius, BFS order, sorted per level."""
+    """All vertices within the given radius, BFS order, sorted per level.
+    Only the centre's pairs are checked, as ``neighbors`` checks them: a
+    neighbour of a valid vertex adds a pair with eps = +-1 or drops one."""
     spheres = bfs_spheres(
-        center, radius, lambda u, _: [(w, 0, 0) for w in neighbors(u, spec)],
+        _checked(center), radius,
+        lambda u, _: [(w, 0, 0) for w in _adjacent(u, spec)],
         max_radius, default=12)
     return [u for sphere in spheres for u in sphere]
 
@@ -151,27 +162,19 @@ def ball(center: Vertex, radius: int, spec: GroupSpec, *,
 def tree_edges(vertices) -> list:
     """Parent-child pairs among the given vertices (canonical orientation)."""
     vset = set(vertices)
-    edges = []
-    for w in vertices:
-        if w:
-            parent = Vertex(w[:-1])
-            if parent in vset:
-                edges.append((parent, w))
-    return edges
+    return [(Vertex(w[:-1]), w) for w in vertices if w and w[:-1] in vset]
 
 
 def to_dot(vertices, edges) -> str:
     """DOT text for a finite tree window."""
     ids = {u: i for i, u in enumerate(sorted(vertices, key=lambda v: (len(v), str(v))))}
     lines = ["graph bass_serre_tree {", "  node [shape=box];"]
-    for u, i in ids.items():
-        lines.append(f'  n{i} [label="{u}"];')
+    lines += [f'  n{i} [label="{u}"];' for u, i in ids.items()]
     for a, b in sorted(edges, key=lambda e: (ids[e[0]], ids[e[1]])):
-        eps = b[len(a)][0] if len(b) == len(a) + 1 else 0
-        style = "" if eps >= 0 else " [style=dashed]"
-        lines.append(f"  n{ids[a]} -- n{ids[b]}{style};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        down = len(b) == len(a) + 1 and b[len(a)][0] < 0
+        lines.append(f"  n{ids[a]} -- n{ids[b]}"
+                     f"{' [style=dashed]' if down else ''};")
+    return "\n".join(lines) + "\n}\n"
 
 
 def edges_csv(edges) -> str:
@@ -179,6 +182,5 @@ def edges_csv(edges) -> str:
     lines = ["parent,child,direction,residue"]
     for a, b in edges:
         eps, r = b[-1]
-        res = ";".join(map(str, r))
-        lines.append(f'"{a}","{b}",{eps},{res}')
+        lines.append(f'"{a}","{b}",{eps},{";".join(map(str, r))}')
     return "\n".join(lines) + "\n"

@@ -6,14 +6,15 @@ Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
 normal form, the translation of a cocycle on (parent, child) pairs, the
 plain breadth-first search of a word-length ball and a renderer of
-normal forms and vertex names that formats every pair afresh, which
-only the tests ask for, live here too.
+normal forms and vertex names that formats every pair afresh, and a
+per-element count of properness sublevel sets, which only the tests ask
+for, live here too.
 """
 
 import math
 from fractions import Fraction
 
-from bskit.affine import AffineElement
+from bskit.affine import AffineElement, j_affine
 from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.embedding import generator_letters
 from bskit.presentation import GroupSpec
@@ -72,6 +73,19 @@ def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:
     return tuple(sorted(((e, c) for e, c in d.items() if c != 0),
                         key=lambda item: (len(item[0][1]), str(item[0][1]),
                                           str(item[0][0]))))
+
+
+def sublevel_counts(ball, r_grid, spec: GroupSpec) -> dict:
+    """For each R of the grid, the count of elements with t-length, |k|
+    and every |a_i| at most R in the balls of radius 0..ball.radius: each
+    element tested against each R on its own, from len(nf.vertex) and the
+    Fractions of ``j_affine``, not from the ball's image column."""
+    seen = [[(len(nf.vertex), *j_affine(nf, spec)) for nf in sphere]
+            for sphere in ball.spheres]
+    return {r: [sum(m <= r and abs(k) <= r and all(abs(x) <= r for x in a)
+                    for sphere in seen[:L + 1] for m, k, a in sphere)
+                for L in range(len(seen))]
+            for r in r_grid}
 
 
 def reference_spheres(L: int, spec: GroupSpec) -> list:

@@ -1,9 +1,11 @@
 import itertools
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bskit.embedding
@@ -18,7 +20,7 @@ from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA
-from oracles import nf_letters, reference_spheres
+from oracles import nf_letters, reference_spheres, sublevel_counts
 
 
 def test_ball_radius_zero(bs23):
@@ -236,29 +238,68 @@ def test_profile_r_zero_counts_identity_only(bs23):
     assert profile.stabilized[0]
 
 
-def reference_profile_counts(ball, r_grid, spec):
-    """Reference: per-element j_affine and a sup-norm over Fractions,
-    independent of the per-vertex integer images."""
-    counts = {r: [] for r in r_grid}
-    running = dict.fromkeys(r_grid, 0)
-    for sphere in ball.spheres:
-        for nf in sphere:
-            aff = j_affine(nf, spec)
-            sup = max(abs(x) for x in aff.a)
-            for r in r_grid:
-                if nf.t_length <= r and abs(aff.k) <= r and sup <= r:
-                    running[r] += 1
-        for r in r_grid:
-            counts[r].append(running[r])
-    return counts
-
-
 def test_profile_counts_match_per_element_reference(image_balls):
     grid = [0, 1, 2, 3, 5]
     for name, (spec, ball) in image_balls.items():
         profile = properness_profile(ball.radius, grid, spec, ball=ball)
-        assert profile.counts == reference_profile_counts(
-            ball, grid, spec), name
+        assert profile.counts == sublevel_counts(ball, grid, spec), name
+
+
+BIG = 10 ** 12
+
+
+@st.composite
+def profile_cases(draw):
+    # BS(p, q) with p and q of either sign, or a Z^2 datum; a grid of
+    # distinct thresholds in drawn (unsorted) order, small, 0, 10^12, and
+    # with `beyond` one R past the largest height in the ball
+    nonzero = st.integers(-4, 4).filter(bool)
+    spec = draw(st.one_of(
+        st.builds(make_bs, nonzero, nonzero),
+        st.sampled_from([ASC2, GENERAL_DATA["z2_nonasc"]])))
+    L = draw(st.integers(0, 5 if spec.n == 1 else 3))
+    grid = draw(st.lists(st.integers(0, 9) | st.sampled_from([0, BIG]),
+                         unique=True, max_size=5))
+    return spec, L, grid, draw(st.booleans())
+
+
+@given(profile_cases())
+@example((make_bs(2, -3), 4, [BIG, 3, 0], True))
+@example((make_bs(-1, 2), 5, [], False))
+@example((ASC2, 3, [2, 0, 5], True))
+@settings(max_examples=60, deadline=None)
+def test_profile_counts_equal_the_per_element_oracle(case):
+    spec, L, grid, beyond = case
+    ball = enumerate_ball(L, spec)
+    if beyond:
+        height = max(max(len(nf.vertex), abs(k), *map(math.ceil, map(abs, a)))
+                     for nf in ball.elements for k, a in [j_affine(nf, spec)])
+        grid = [*grid, height + 1] if height + 1 not in grid else grid
+    profile = properness_profile(L, grid, spec, ball=ball)
+    assert profile.r_grid == list(profile.counts) == grid
+    assert profile.counts == sublevel_counts(ball, grid, spec)
+    if beyond:  # every element counts for an R past every height
+        assert profile.counts[height + 1] == list(
+            itertools.accumulate(map(len, ball.spheres)))
+
+
+def test_profile_memory_does_not_grow_with_r(bs12):
+    # counts are kept per threshold, never per unit of R: a grid holding
+    # R = 10^6 or 10^12 allocates no more than one of small thresholds
+    ball = enumerate_ball(6, bs12)
+    ball.images  # built once, outside the measured calls
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            properness_profile(6, grid, bs12, ball=ball)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak([0, 1, 2])
+    small = peak([0, 1, 2])
+    for big in (10 ** 6, BIG):
+        assert peak([0, 1, big]) < small + 16 * 1024, big
 
 
 def test_profile_rejects_bad_thresholds(bs12):

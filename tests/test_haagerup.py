@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import math
 import pkgutil
 import random
@@ -21,8 +22,8 @@ from bskit.arith import IntMatrix
 from bskit.embedding import (CheckReport, PropernessProfile, check_stabilizer,
                              enumerate_ball, properness_profile)
 from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
-                            affine_distances, c0_profile, c0_profile_csv,
-                            cocycle, cocycle_identity_check,
+                            _gram_report, affine_distances, c0_profile,
+                            c0_profile_csv, cocycle, cocycle_identity_check,
                             hyperbolic_distance, tree_gram,
                             translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
@@ -203,6 +204,25 @@ def test_tree_gram_random_sample_psd(bs23, bs23_ball6):
         assert np.allclose(np.diag(report.matrix), 1.0)
 
 
+def test_gram_verdict_fails_on_a_planted_distance_defect(bs23):
+    # a fixed 40-element sample of the L = 5 ball with one tree distance
+    # put off by one, symmetrically: at s = 0.5 the minimum eigenvalue is
+    # about -1.4e-2 against the tolerance 1e-8 m = 4e-7 (a tolerance of
+    # 1e-2 m would call it PSD); some plants leave the matrix PSD, this
+    # one does not
+    sample = random.Random(0).sample(enumerate_ball(5, bs23).elements, 40)
+    verts = [vertex_of(g, bs23) for g in sample]
+    dm = [[distance(u, w) for w in verts] for u in verts]
+    assert _gram_report("tree", 0.5, sample, dm).psd
+    dm[0][1] -= 1
+    dm[1][0] -= 1
+    report = _gram_report("tree", 0.5, sample, dm)
+    assert report.tolerance == 4e-7
+    assert report.min_eigenvalue < -1e-2
+    assert not report.psd
+    assert json.loads(report.to_json())["psd"] is False
+
+
 def test_tree_gram_rejects_duplicates(bs23, bs12):
     with pytest.raises(ValueError):
         tree_gram([nf("t", bs23), nf("t", bs23)], 1.0, bs23)
@@ -223,7 +243,6 @@ def test_tree_gram_rejects_duplicates(bs23, bs12):
 
 
 def test_gram_report_json(bs23):
-    import json
     report = tree_gram([nf("x^0", bs23), nf("t", bs23)], 0.5, bs23)
     data = json.loads(report.to_json())
     assert data["kernel"] == "tree" and data["psd"] is True

@@ -379,6 +379,7 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
                      lambda: neighbors(inner, bs23),
                      lambda: ball(Vertex(nf.vertex), 1, bs23),
                      lambda: ball(inner, 2, bs23),
+                     lambda: ball(inner, 0, bs23),
                      lambda: str(nf),
                      lambda: sphere_key()(nf),
                      lambda: str(Vertex(nf.vertex)),
