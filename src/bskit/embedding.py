@@ -65,11 +65,9 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
              for i, letter in enumerate(generator_letters(spec))]
     table = {}
     spheres = bfs_spheres(
-        NormalForm((), zero_vector(spec.n)), L,
-        lambda nf, skip: [(nf_append(nf, a, spec, table), back, first)
-                          for bit, a, back, first in moves if not skip & bit],
-        max_length, default=12 if spec.n == 1 else 8,
-        key=sphere_key())
+        NormalForm((), zero_vector(spec.n)), L, moves,
+        lambda nf, a: nf_append(nf, a, spec, table),
+        max_length, default=12 if spec.n == 1 else 8, key=sphere_key())
     return GroupBall(L, spheres, spec)
 
 

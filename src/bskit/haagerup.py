@@ -189,7 +189,7 @@ def _half_plane_points(images, spec: GroupSpec) -> list:
     (first-seen order names the failing height)."""
     lam = abs(spec.lam_scalar)
     ys = {}
-    for k in dict.fromkeys(k for k, _, _ in images):
+    for k in dict.fromkeys([k for k, _, _ in images]):
         try:
             ys[k] = float(lam ** k)
         except OverflowError:
@@ -208,13 +208,27 @@ def hyperbolic_distance(p, q) -> float:
     if not (math.isfinite(px) and math.isfinite(qx)
             and 0 < py < math.inf and 0 < qy < math.inf):  # NaN fails too
         raise ValueError(f"not both in the upper half-plane: {p}, {q}")
-    if px == qx and py == qy:  # also where 2 y^2 would underflow to 0.0
-        return 0.0
-    den = 2.0 * py * qy  # 0.0 where the two heights' product underflows
-    arg = 1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / den if den else math.inf
-    if not arg < math.inf:  # a difference or a quotient past the float range
-        raise OverflowError(f"the distance of {p} and {q} is not a float")
-    return math.acosh(max(arg, 1.0))
+    return _distances_from(p, [q])[0]
+
+
+def _distances_from(p, qs) -> list:
+    """hyperbolic_distance(p, q) for several points q checked by the caller,
+    with (qy - py)^2 and 2 py qy taken once per distinct height qy."""
+    px, py = p
+    heights, out = {}, []
+    for q in qs:
+        qx, qy = q
+        if px == qx and py == qy:  # also where 2 py qy would underflow to 0.0
+            out.append(0.0)
+            continue
+        if qy not in heights:  # den is 0.0 where the product underflows
+            heights[qy] = (qy - py) ** 2, 2.0 * py * qy
+        dy2, den = heights[qy]
+        arg = 1.0 + ((qx - px) ** 2 + dy2) / den if den else math.inf
+        if not arg < math.inf:  # a difference or a quotient past the range
+            raise OverflowError(f"the distance of {p} and {q} is not a float")
+        out.append(math.acosh(arg if arg > 1.0 else 1.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +245,15 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
             "tree_gram and properness profiles remain available")
     ps = _half_plane_points(rows, spec)
     qs = _half_plane_points(cols, spec)
-    return [[hyperbolic_distance(p, q) for q in qs] for p in ps]
+    return [_distances_from(p, qs) for p in ps]
 
 
 def _witness_values(nfs, images, s: float, spec: GroupSpec) -> list:
     """psi_s of each normal form, given its affine image (k, num, den):
     exp(-s (t-length + the distance of that image from the identity's
-    image (0, 0, 1)))."""
+    image (0, 0, 1))), one distance loop over the images."""
     dists, = affine_distances([(0, (0,) * spec.n, 1)], images, spec)
-    return [math.exp(-s * (nf.t_length + d)) for nf, d in zip(nfs, dists)]
+    return [math.exp(-s * (len(nf.vertex) + d)) for nf, d in zip(nfs, dists)]
 
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:

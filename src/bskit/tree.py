@@ -21,12 +21,12 @@ class ResourceBoundError(RuntimeError):
     """Requested radius exceeds the configured resource bound."""
 
 
-def bfs_spheres(root, radius: int, step, max_radius: int | None,
+def bfs_spheres(root, radius: int, moves, apply, max_radius: int | None,
                 default: int, key=str) -> list:
     """Spheres 0..radius of the breadth-first search from ``root``.
 
-    ``step(u, skip)`` lists (w, back, first) for each move from u to w
-    whose bit is not in u's skip bits ``skip``. ``first`` sets w's skip bits
+    Each move (bit, label, back, first) of ``moves`` whose bit is not in
+    u's skip bits reaches w = apply(u, label). ``first`` sets w's skip bits
     where the move reaches w first, and ``back``, 0 or the bit of a move
     from w back to u, joins them at a later arrival, which need not come
     from the sphere before. ``enumerate_ball`` puts in ``first`` of x-letter
@@ -36,13 +36,13 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
     each such step moves to a later letter, so the chain ends in 2n steps.
     Each sphere holds the nodes first reached at that depth, deduplicated
     against every node seen so far and sorted by ``key``.  The radius is
-    bounded by ``max_radius`` if given, else by the environment variable
-    BSK_MAX_BALL, else by ``default``; a larger radius raises
-    ResourceBoundError.
+    bounded by ``max_radius`` (a nonnegative int) if given, else by the
+    environment variable BSK_MAX_BALL, else by ``default``; a larger radius
+    raises ResourceBoundError.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    bound = max_radius
+    bound, advice = max_radius, ""
     if bound is None:
         env = os.environ.get("BSK_MAX_BALL")
         try:
@@ -52,21 +52,27 @@ def bfs_spheres(root, radius: int, step, max_radius: int | None,
         except ValueError:
             raise ConfigurationError("BSK_MAX_BALL must be a nonnegative "
                                      f"integer, got {env!r}") from None
+        advice = " (set BSK_MAX_BALL)"
+    elif type(bound) is not int or bound < 0:
+        raise ValueError(f"radius bound {bound!r} is not a nonnegative int")
     if radius > bound:
         raise ResourceBoundError(
-            f"radius {radius} exceeds bound {bound} (set BSK_MAX_BALL)")
+            f"radius {radius} exceeds bound {bound}{advice}")
     seen = {root: 0}  # node -> bits of the moves known to lead back
     spheres = [[root]]
     for _ in range(radius):
         nxt = []
         for u in spheres[-1]:
-            for w, back, first in step(u, seen[u]):
-                size = len(seen)
-                mask = seen.setdefault(w, first)  # one hash per candidate
-                if len(seen) > size:
-                    nxt.append(w)
-                elif back & ~mask:
-                    seen[w] = mask | back
+            skip = seen[u]
+            for bit, label, back, first in moves:
+                if not skip & bit:
+                    w = apply(u, label)
+                    size = len(seen)
+                    mask = seen.setdefault(w, first)  # one hash per candidate
+                    if len(seen) > size:
+                        nxt.append(w)
+                    elif back & ~mask:
+                        seen[w] = mask | back
         nxt.sort(key=key)
         spheres.append(nxt)
     return spheres
@@ -108,7 +114,8 @@ def neighbors(u: Vertex, spec: GroupSpec) -> list:
     one pinch: r = 0 with eps opposite to u's last letter gives the parent.
     A pair of u with eps not +1 or -1 raises ConfigurationError.
     """
-    return _adjacent(_checked(u), spec)
+    u = _checked(u)
+    return [_step(u, pair) for pair in _pairs(spec)]
 
 
 def _checked(u: Vertex) -> Vertex:
@@ -118,11 +125,16 @@ def _checked(u: Vertex) -> Vertex:
     return u
 
 
-def _adjacent(u: Vertex, spec: GroupSpec) -> list:
-    last = u[-1][0] if u else 0
-    return [Vertex(u[:-1]) if eps == -last and not any(r)
-            else Vertex(u + ((eps, r),))
-            for eps in (1, -1) for r in spec.residues[eps]]
+def _pairs(spec: GroupSpec) -> list:
+    return [(eps, r) for eps in (1, -1) for r in spec.residues[eps]]
+
+
+def _step(u: Vertex, pair) -> Vertex:
+    """The neighbour u x^r t^eps G of u for pair = (eps, r)."""
+    eps, r = pair
+    if u and u[-1][0] == -eps and not any(r):
+        return Vertex(u[:-1])
+    return Vertex(u + (pair,))
 
 
 def lcp_length(u: Vertex, w: Vertex) -> int:
@@ -152,10 +164,9 @@ def ball(center: Vertex, radius: int, spec: GroupSpec, *,
     """All vertices within the given radius, BFS order, sorted per level.
     Only the centre's pairs are checked, as ``neighbors`` checks them: a
     neighbour of a valid vertex adds a pair with eps = +-1 or drops one."""
-    spheres = bfs_spheres(
-        _checked(center), radius,
-        lambda u, _: [(w, 0, 0) for w in _adjacent(u, spec)],
-        max_radius, default=12)
+    spheres = bfs_spheres(_checked(center), radius,
+                          [(0, pair, 0, 0) for pair in _pairs(spec)], _step,
+                          max_radius, default=12)
     return [u for sphere in spheres for u in sphere]
 
 

@@ -217,13 +217,6 @@ class _Builder:
         self.syl = []  # list of (eps, r)
         self.tail = zero_vector(spec.n)
 
-    @classmethod
-    def from_nf(cls, nf: NormalForm, spec: GroupSpec) -> "_Builder":
-        b = cls(spec)
-        b.syl = list(nf.vertex)
-        b.tail = nf.tail
-        return b
-
     def push_x(self, z: IntVector) -> None:
         if len(z) != self.spec.n:
             raise _wrong_size(z, self.spec.n)
@@ -324,7 +317,8 @@ def word_problem(w, spec: GroupSpec) -> bool:
 
 def nf_multiply(u: NormalForm, w: NormalForm, spec: GroupSpec) -> NormalForm:
     """u w: u's tail, then w's pairs and tail, pushed onto u's vertex."""
-    b = _Builder.from_nf(NormalForm(u.vertex, zero_vector(spec.n)), spec)
+    b = _Builder(spec)
+    b.syl = list(u.vertex)
     b.push_x(u.tail)
     for eps, r in w.vertex:
         b.push_x(r)

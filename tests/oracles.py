@@ -5,10 +5,10 @@ probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
 normal form, the translation of a cocycle on (parent, child) pairs, the
-plain breadth-first search of a word-length ball and a renderer of
-normal forms and vertex names that formats every pair afresh, and a
-per-element count of properness sublevel sets, which only the tests ask
-for, live here too.
+plain breadth-first search of a word-length ball, a breadth-first search
+of the affine model that never reduces a word, a renderer of normal forms
+and vertex names that formats every pair afresh, and a per-element count
+of properness sublevel sets, which only the tests ask for, live here too.
 """
 
 import math
@@ -105,6 +105,63 @@ def reference_spheres(L: int, spec: GroupSpec) -> list:
                     seen.add(w)
                     nxt.append(w)
         nxt.sort(key=str)
+        spheres.append(nxt)
+    return spheres
+
+
+def _fraction_inverse(rows) -> list:
+    """The inverse of a nonsingular square matrix, by Gauss-Jordan over
+    Fractions."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [r[n:] for r in m]
+
+
+def _fraction_product(P, Q) -> list:
+    return [[sum(a * b for a, b in zip(r, c)) for c in zip(*Q)] for r in P]
+
+
+def affine_model_spheres(L: int, spec: GroupSpec) -> list:
+    """Spheres 0..L of the word-length ball of the image group in Z x Q^n:
+    a breadth-first search over exact images (k, a), with a a tuple of
+    Fractions, each right-multiplied by the 2n + 2 generators, x^{+-e_i}
+    giving (k, a + Lambda^k (+-e_i)) and t^{+-1} giving (k +- 1, a), where
+    Lambda = A B^-1 and Lambda^k is cached per k.  No normal form is
+    formed.  Where the image map is injective (an ascending datum), these
+    are the images of the group's spheres, as sets."""
+    n = spec.n
+    lam = {1: _fraction_product(spec.A.rows, _fraction_inverse(spec.B.rows)),
+           -1: _fraction_product(spec.B.rows, _fraction_inverse(spec.A.rows))}
+    powers = {0: [[Fraction(int(i == j)) for j in range(n)]
+                  for i in range(n)]}
+
+    def power(k):
+        if k not in powers:
+            step = 1 if k > 0 else -1
+            powers[k] = _fraction_product(power(k - step), lam[step])
+        return powers[k]
+
+    root = (0, (Fraction(0),) * n)
+    seen = {root}
+    spheres = [[root]]
+    for _ in range(L):
+        nxt = []
+        for k, a in spheres[-1]:
+            cols = list(zip(*power(k)))  # Lambda^k e_i is column i
+            moves = [(k, tuple(x + s * y for x, y in zip(a, col)))
+                     for col in cols for s in (1, -1)]
+            for g in moves + [(k + 1, a), (k - 1, a)]:
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
         spheres.append(nxt)
     return spheres
 

@@ -20,7 +20,8 @@ from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA
-from oracles import nf_letters, reference_spheres, sublevel_counts
+from oracles import (affine_model_spheres, nf_letters, reference_spheres,
+                     sublevel_counts)
 
 
 def test_ball_radius_zero(bs23):
@@ -199,9 +200,35 @@ def test_ball_closed_under_inversion(bs23):
         assert nf_invert(nf, bs23) in elems
 
 
-def test_ball_resource_bound(bs23):
-    with pytest.raises(ResourceBoundError):
+def test_ball_resource_bound(bs23, monkeypatch):
+    # the argument overrides BSK_MAX_BALL, so its refusal gives no advice to
+    # set the variable; a bound that is not a nonnegative int is refused
+    monkeypatch.setenv("BSK_MAX_BALL", "20")
+    with pytest.raises(ResourceBoundError) as err:
         enumerate_ball(5, bs23, max_length=4)
+    assert str(err.value) == "radius 5 exceeds bound 4"
+    assert len(enumerate_ball(0, bs23, max_length=0)) == 1
+    for bad in (-1, 0.5, "3", True):
+        with pytest.raises(ValueError, match="is not a nonnegative int"):
+            enumerate_ball(0, bs23, max_length=bad)
+    monkeypatch.setenv("BSK_MAX_BALL", "4")
+    with pytest.raises(ResourceBoundError) as err:
+        enumerate_ball(5, bs23)
+    assert str(err.value) == "radius 5 exceeds bound 4 (set BSK_MAX_BALL)"
+
+
+@pytest.mark.parametrize("spec, L", [
+    (make_bs(1, 2), 9), (make_bs(1, 3), 7), (make_bs(2, 1), 8), (ASC2, 5),
+], ids=["bs12", "bs13", "bs21", "asc2"])
+def test_ball_images_equal_the_affine_model_search(spec, L):
+    # an ascending datum embeds in Z x Q^n, so a search over exact images
+    # that never reduces a word finds the same spheres
+    ball = enumerate_ball(L, spec)
+    model = affine_model_spheres(L, spec)
+    assert [len(s) for s in model] == [len(s) for s in ball.spheres]
+    for images, expected in zip(ball.images, model, strict=True):
+        assert {(k, tuple(Fraction(c, den) for c in num))
+                for k, num, den in images} == set(expected)
 
 
 def test_injectivity_examples(bs23):

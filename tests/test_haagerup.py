@@ -27,7 +27,8 @@ from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             hyperbolic_distance, tree_gram,
                             translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
-from bskit.tree import BASE, Vertex, act, distance, vertex_of
+from bskit.tree import (BASE, ResourceBoundError, Vertex, act, distance,
+                        vertex_of)
 from bskit.words import (NormalForm, T, X, _Builder, britton_reduce,
                          nf_append, nf_invert, nf_multiply, parse_word)
 
@@ -427,6 +428,25 @@ def test_profile_only_raises(asc2):
         witness_gram([nf("t", asc2)], 1.0, asc2)
     # tree_gram still available in the profile-only regime
     assert tree_gram([nf("t", asc2), nf("v[1,0]", asc2)], 1.0, asc2).psd
+
+
+def test_c0_profile_refuses_in_order_for_n_above_1(asc2, bs12, monkeypatch):
+    # the scale, then the ball (its bound, its datum, lmax within it), and
+    # only then the missing witness
+    monkeypatch.delenv("BSK_MAX_BALL", raising=False)
+    with pytest.raises(ValueError, match="kernel parameter"):
+        c0_profile(20, -1.0, asc2)
+    with pytest.raises(ResourceBoundError, match="radius 9 exceeds bound 8"):
+        c0_profile(9, 1.0, asc2)
+    ball = enumerate_ball(2, asc2)
+    with pytest.raises(ValueError, match="the given ball is of"):
+        c0_profile(2, 1.0, asc2, ball=enumerate_ball(2, bs12))
+    for lmax in (3, -1):
+        with pytest.raises(ValueError, match=f"lmax = {lmax} is outside"):
+            c0_profile(lmax, 1.0, asc2, ball=ball)
+    for given in (ball, None):
+        with pytest.raises(UnsupportedWitnessError):
+            c0_profile(2, 1.0, asc2, ball=given)
 
 
 def test_witness_identity_is_one(bs12):

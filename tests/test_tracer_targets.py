@@ -46,7 +46,9 @@ def test_builder_keeps_the_vertex_stack_the_tracer_counts():
     # the tracer wraps _Builder.push_t and reads len(builder.syl)
     assert callable(_Builder.push_t)
     spec = make_bs(2, 3)
-    b = _Builder.from_nf(britton_reduce(parse_word("x t", spec), spec), spec)
+    b = _Builder(spec)
+    b.push_x((1,))
+    b.push_t(1)
     assert isinstance(b.syl, list) and len(b.syl) == 1
     b.push_t(-1)
     assert isinstance(b.syl, list)

@@ -4,10 +4,11 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from conftest import GENERAL_DATA
+from conftest import ASC2, GENERAL_DATA
 from oracles import nf_letters
 
 from bskit.arith import ConfigurationError
+from bskit.embedding import generator_letters
 from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, ball, distance,
                         edges_csv, geodesic, neighbors, to_dot, tree_edges,
@@ -272,9 +273,44 @@ def test_tree_edges_form_a_tree_networkx(bs23, asc2):
         assert graph.number_of_nodes() == 1 + d * ((d - 1) ** 3 - 1) // (d - 2)
 
 
-def test_ball_resource_bound(bs23):
-    with pytest.raises(ResourceBoundError):
+def test_ball_resource_bound(bs23, monkeypatch):
+    # the argument overrides BSK_MAX_BALL, so its refusal gives no advice to
+    # set the variable; a bound that is not a nonnegative int is refused
+    monkeypatch.setenv("BSK_MAX_BALL", "20")
+    with pytest.raises(ResourceBoundError) as err:
         ball(BASE, 5, bs23, max_radius=4)
+    assert str(err.value) == "radius 5 exceeds bound 4"
+    assert ball(BASE, 0, bs23, max_radius=0) == [BASE]
+    for bad in (-1, 0.5, "3", True):
+        with pytest.raises(ValueError, match="is not a nonnegative int"):
+            ball(BASE, 0, bs23, max_radius=bad)
+
+
+@pytest.mark.parametrize("spec", [
+    make_bs(2, 3), make_bs(1, -2), ASC2, GENERAL_DATA["z2_nonasc"],
+], ids=["bs23", "bs1m2", "asc2", "z2_nonasc"])
+def test_ball_around_deep_centres_equals_a_plain_bfs(spec):
+    # centres are the vertices of random words x^a t^e x^b t^e' ..., whose
+    # t-letters mostly keep one sign so that few pinch; each level of the
+    # plain search over neighbors is sorted by name, as ball sorts it
+    rng = random.Random(41)
+    xs = generator_letters(spec)[:-2]
+    depths = []
+    for _ in range(5):
+        eps = rng.choice((1, -1))
+        centre = vertex_of([letter for _ in range(6) for letter in (
+            rng.choice(xs), T(eps if rng.random() < 0.75 else -eps))], spec)
+        depths.append(len(centre))
+        for radius in range(4):
+            levels, seen = [[centre]], {centre}
+            for _ in range(radius):
+                nxt = sorted({w for u in levels[-1]
+                              for w in neighbors(u, spec)} - seen, key=str)
+                seen.update(nxt)
+                levels.append(nxt)
+            assert ball(centre, radius, spec) == [u for lvl in levels
+                                                  for u in lvl]
+    assert max(depths) >= 4
 
 
 def test_ball_respects_env_bound(bs23, monkeypatch):
