@@ -15,8 +15,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from .arith import _wrong_size
 from .presentation import GroupSpec
-from .words import NormalForm, X, _wrong_letter, _wrong_size
+from .words import NormalForm, X, _wrong_letter
 
 
 class AffineElement(NamedTuple):

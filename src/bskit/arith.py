@@ -19,6 +19,11 @@ class ConfigurationError(ValueError):
 IntVector = tuple  # tuple[int, ...]
 
 
+def _wrong_size(z: IntVector, n: int) -> ConfigurationError:
+    """The error for a vector that is not in Z^n."""
+    return ConfigurationError(f"dimension mismatch: {z} in Z^{n}")
+
+
 def zero_vector(n: int) -> IntVector:
     return (0,) * n
 
@@ -186,7 +191,7 @@ class Lattice:
         pass of the pivot loop: C = I gives k, C = ``unimodular`` gives h
         with z = M h + r."""
         if len(z) != self.n:
-            raise ConfigurationError(f"dimension mismatch: {z} in Z^{self.n}")
+            raise _wrong_size(z, self.n)
         r = list(z)
         carry = [0] * self.n
         for i, d, below in self._pivots:

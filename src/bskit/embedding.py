@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .affine import ball_images, j_affine
 from .presentation import GroupSpec
-from .tree import BASE, bfs_spheres, vertex_of
+from .tree import bfs_spheres
 from .words import NormalForm, T, X, nf_append, sphere_key
 from .arith import zero_vector
 
@@ -117,7 +117,7 @@ def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     _require_datum(ball, spec)
     report = CheckReport("injectivity", len(ball), [])
     for nf in ball.elements:
-        if nf.is_identity or vertex_of(nf, spec) != BASE:
+        if nf.is_identity or nf.vertex:
             continue
         if nf.t_length != 0:
             report.violations.append(
@@ -133,7 +133,7 @@ def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
     _require_datum(ball, spec)
     report = CheckReport("stabilizer", len(ball), [])
     for nf in ball.elements:
-        fixes = vertex_of(nf, spec) == BASE
+        fixes = not nf.vertex
         in_g = nf.t_length == 0
         if fixes != in_g:
             report.violations.append(

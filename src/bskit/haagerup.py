@@ -173,7 +173,7 @@ def _check_sample(elements, s: float, spec: GroupSpec) -> list:
 def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for K_ij = exp(-s d(g_i v, g_j v)) on the tree."""
     elements = _check_sample(elements, s, spec)
-    verts = [vertex_of(nf, spec) for nf in elements]
+    verts = [nf.vertex for nf in elements]
     dm = [[distance(u, w) for w in verts] for u in verts]
     return _gram_report("tree", s, elements, dm)
 
@@ -266,7 +266,7 @@ def witness(gamma, s: float, spec: GroupSpec) -> float:
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
     elements = _check_sample(elements, s, spec)
-    verts = [vertex_of(nf, spec) for nf in elements]
+    verts = [nf.vertex for nf in elements]
     affs = [scaled(nf, spec) for nf in elements]
     dm = [[distance(u, w) + a for w, a in zip(verts, row)]
           for u, row in zip(verts, affine_distances(affs, affs, spec))]

@@ -35,11 +35,13 @@ def bfs_spheres(root, radius: int, moves, apply, max_radius: int | None,
     q·b is in sphere L and takes a unless first reached by a letter after a;
     each such step moves to a later letter, so the chain ends in 2n steps.
     Each sphere holds the nodes first reached at that depth, deduplicated
-    against every node seen so far and sorted by ``key``.  The radius is
-    bounded by ``max_radius`` (a nonnegative int) if given, else by the
-    environment variable BSK_MAX_BALL, else by ``default``; a larger radius
-    raises ResourceBoundError.
+    against every node seen so far and sorted by ``key``.  The radius, a
+    nonnegative int, is bounded by ``max_radius`` (one too) if given, else
+    by the environment variable BSK_MAX_BALL, else by ``default``; a larger
+    radius raises ResourceBoundError.
     """
+    if type(radius) is not int:  # no str, float or bool
+        raise ValueError(f"radius {radius!r} is not a nonnegative int")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     bound, advice = max_radius, ""

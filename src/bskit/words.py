@@ -16,8 +16,8 @@ import re
 from operator import add
 from typing import NamedTuple
 
-from .arith import (ConfigurationError, IntVector, vec_add, vec_neg,
-                    zero_vector)
+from .arith import (ConfigurationError, IntVector, _wrong_size, vec_add,
+                    vec_neg, zero_vector)
 from .presentation import GroupSpec
 
 
@@ -246,37 +246,21 @@ class _Builder:
         return NormalForm(tuple(self.syl), self.tail)
 
 
-def _wrong_size(z: IntVector, n: int) -> ConfigurationError:
-    """The error for an x-letter whose vector is not in Z^n."""
-    return ConfigurationError(f"dimension mismatch: {z} in Z^{n}")
-
-
 def _wrong_letter(eps) -> ConfigurationError:
     """The error for a stable letter t^eps with eps not +1 or -1."""
     return ConfigurationError(f"T(eps={eps!r}) is neither t nor t^-1")
 
 
 def britton_reduce(w, spec: GroupSpec) -> NormalForm:
-    """Britton normal form of a word (or of an already-reduced form).
-    Each run of x-letters is summed and pushed once."""
+    """Britton normal form of a word (or form), pushed letter by letter."""
     if isinstance(w, NormalForm):
         return w
     b = _Builder(spec)
-    n = spec.n
-    run = None
     for letter in w:
         if isinstance(letter, X):
-            z = letter.z
-            if len(z) != n:
-                raise _wrong_size(z, n)
-            run = z if run is None else vec_add(run, z)
-            continue
-        if run is not None:
-            b.push_x(run)
-            run = None
-        b.push_t(letter.eps)
-    if run is not None:
-        b.push_x(run)
+            b.push_x(letter.z)
+        else:
+            b.push_t(letter.eps)
     return b.normal_form()
 
 

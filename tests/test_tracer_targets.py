@@ -7,6 +7,7 @@ read from its source here, without writing anything under ``bench/``.
 
 import importlib
 import random
+import sys
 import types
 from pathlib import Path
 
@@ -17,8 +18,8 @@ import bskit.haagerup
 import bskit.tree
 from bskit.affine import j_affine
 from bskit.arith import IntMatrix, Lattice
-from bskit.embedding import enumerate_ball
-from bskit.haagerup import cocycle, translate_cocycle, tree_gram
+from bskit.embedding import check_injectivity, check_stabilizer, enumerate_ball
+from bskit.haagerup import cocycle, translate_cocycle, tree_gram, witness_gram
 from bskit.presentation import make_bs
 from bskit.words import T, X, _Builder, britton_reduce, parse_word
 
@@ -139,6 +140,37 @@ def test_translation_decomposes_once_per_edge_and_multiplies_nothing(
             assert len(decomposed) <= len(cv.edges), name
             longest = max(longest, len(cv.edges))
         assert longest >= 3, name
+
+
+def test_consumers_holding_forms_read_their_vertex_without_vertex_of(
+        monkeypatch, bs23_ball6):
+    # the ball checks and the Gram samples hold normal forms, so they read
+    # nf.vertex; vertex_of is rebound to a counter in every bskit module,
+    # as the tracer rebinds its targets, and the reports stay the same
+    spec = bs23_ball6.spec
+    sample = random.Random(28).sample(bs23_ball6.elements, 40)
+
+    def reports():
+        checks = [check(bs23_ball6, spec).to_json_dict()
+                  for check in (check_injectivity, check_stabilizer)]
+        grams = [gram(sample, 0.5, spec) for gram in (tree_gram, witness_gram)]
+        return checks, [(g.matrix.tolist(), g.min_eigenvalue) for g in grams]
+    expected = reports()
+    calls = []
+    original = bskit.tree.vertex_of
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "bskit"
+                                   or name.startswith("bskit.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert bskit.tree.vertex_of is counted
+    assert reports() == expected
+    assert calls == []
 
 
 def test_tracer_value_hooks_read_real_return_values():

@@ -284,6 +284,13 @@ def test_ball_resource_bound(bs23, monkeypatch):
     for bad in (-1, 0.5, "3", True):
         with pytest.raises(ValueError, match="is not a nonnegative int"):
             ball(BASE, 0, bs23, max_radius=bad)
+    # so is a radius that is not an int; a negative int keeps its own text
+    for bad in ("3", 2.5, 1.0, True):
+        with pytest.raises(ValueError) as err:
+            ball(BASE, bad, bs23)
+        assert str(err.value) == f"radius {bad!r} is not a nonnegative int"
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        ball(BASE, -1, bs23)
 
 
 @pytest.mark.parametrize("spec", [

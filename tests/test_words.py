@@ -365,6 +365,18 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
                 nf_append(nf, X(z), spec)
 
 
+def test_refusals_within_an_x_run_come_in_letter_order(bs23):
+    # each letter is checked as it is pushed: the first bad letter of a
+    # word names the refusal, within a run of x-letters too
+    for word, message in (
+            ([X((1,)), X((1, 2)), T(0)], "dimension mismatch: (1, 2) in Z^1"),
+            ([X((1,)), T(0), X((1, 2))], "T(eps=0) is neither t nor t^-1"),
+            ([X((1,)), X((2,)), X(())], "dimension mismatch: () in Z^1")):
+        with pytest.raises(ConfigurationError) as err:
+            britton_reduce(word, bs23)
+        assert str(err.value) == message
+
+
 def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
     # T(eps) with eps not +1 or -1 is named where it is used: no entry point
     # fails with a bare KeyError or reads T(0) as the identity
