@@ -21,7 +21,7 @@ from .haagerup import (UnsupportedWitnessError, c0_profile, c0_profile_csv,
                        cocycle, cocycle_identity_check, tree_gram, witness,
                        witness_gram)
 from .presentation import GroupSpec, make_bs, spec_from_dict
-from .tree import (BASE, ResourceBoundError, ball, distance, edges_csv,
+from .tree import (BASE, ResourceBoundError, Vertex, ball, distance, edges_csv,
                    neighbors, to_dot, tree_edges, vertex_of)
 from .words import (ParseError, britton_reduce, nf_multiply, parse_word,
                     word_problem)
@@ -172,7 +172,7 @@ def orbit(spec, word, steps):
     g = britton_reduce(parse_word(word, spec), spec)
     acc = britton_reduce([], spec)
     for _ in range(steps + 1):
-        click.echo(str(vertex_of(acc, spec)))
+        click.echo(str(Vertex(acc.vertex)))
         acc = nf_multiply(acc, g, spec)
 
 

@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 from .affine import scaled
 from .presentation import GroupSpec
 from .embedding import ball_columns
-from .tree import BASE, Vertex, distance, geodesic, vertex_of
+from .tree import BASE, Vertex, distance
 from .words import T, X, britton_reduce, nf_append, nf_multiply
 
 
@@ -33,12 +33,12 @@ class UnsupportedWitnessError(RuntimeError):
 class CocycleVector(NamedTuple):
     """Finite signed edge set: a map from child vertex to coefficient.
 
-    An edge of the rooted tree is named by its child and oriented parent
-    -> child; reversing an edge negates its coefficient.  No coefficient
-    is zero, so a map comparison decides equality of cocycle values.
-    """
+    An edge of the rooted tree is named by its child's vertex tuple and
+    oriented parent -> child; reversing an edge negates its coefficient.
+    No coefficient is zero, so a map comparison decides equality of
+    cocycle values.  Values are built with ``tuple.__new__``."""
 
-    edges: dict  # child Vertex -> nonzero int
+    edges: dict  # child vertex tuple -> nonzero int
 
     @staticmethod
     def from_dict(d: dict) -> "CocycleVector":
@@ -46,8 +46,8 @@ class CocycleVector(NamedTuple):
 
     @property
     def coefficients(self) -> tuple:
-        """Display order: ((parent, child), coeff) by depth, then name."""
-        return tuple(sorted((((Vertex(w[:-1]), w), c)
+        """Display order: ((parent, child) Vertexes, coeff) by depth, name."""
+        return tuple(sorted((((Vertex(w[:-1]), Vertex(w)), c)
                              for w, c in self.edges.items()),
                             key=lambda item: (len(item[0][1]), str(item[0][1]),
                                               str(item[0][0]))))
@@ -58,25 +58,17 @@ class CocycleVector(NamedTuple):
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
         d = dict(self.edges)
         for w, c in other.edges.items():
-            d[w] = d.get(w, 0) + c
-        return CocycleVector.from_dict(d)
-
-
-def _canonical_edge(u: Vertex, w: Vertex):
-    """The child of an adjacent pair, with the sign of u -> w against
-    parent -> child."""
-    if len(w) == len(u) + 1:
-        return w, 1
-    if len(u) == len(w) + 1:
-        return u, -1
-    raise ValueError(f"vertices are not adjacent: {u} / {w}")
+            if c := d.pop(w, 0) + c:  # a cancelled edge stays dropped
+                d[w] = c
+        return tuple.__new__(CocycleVector, (d,))
 
 
 def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     """b(gamma): signed indicator of the geodesic from v to gamma v.  The
-    path runs down the prefixes of gamma v, each edge parent -> child."""
-    path = geodesic(BASE, vertex_of(gamma, spec))
-    return CocycleVector(dict.fromkeys(path[1:], 1))
+    path runs down the prefixes u[:m] of the vertex u of gamma's form."""
+    u = britton_reduce(gamma, spec).vertex
+    edges = dict.fromkeys([u[:m] for m in range(1, len(u) + 1)], 1)
+    return tuple.__new__(CocycleVector, (edges,))
 
 
 def translate_cocycle(gamma, cv: CocycleVector,
@@ -90,8 +82,8 @@ def translate_cocycle(gamma, cv: CocycleVector,
     shortest child first from gamma coset(v) = gamma, each vertex of b and
     each prefix it needs is moved once."""
     moved = {BASE: britton_reduce(gamma, spec)}  # vertex -> gamma coset(u)
-    table, d = {}, {}
-    for w, c in sorted(cv.edges.items(), key=lambda wc: len(wc[0])):
+    table, d, edges = {}, {}, cv.edges
+    for w in sorted(edges, key=len):
         up = [w]  # w, then the prefixes no shorter edge has moved
         while (image := moved.get(up[-1][:-1])) is None:
             up.append(up[-1][:-1])
@@ -99,9 +91,13 @@ def translate_cocycle(gamma, cv: CocycleVector,
             parent, (eps, r) = image, u[-1]
             image = moved[u] = nf_append(nf_append(parent, X(r), spec),
                                          T(eps), spec, table)
-        child, sign = _canonical_edge(parent.vertex, image.vertex)
-        d[Vertex(child)] = sign * c  # distinct edges stay distinct
-    return CocycleVector(d)
+        # distinct edges stay distinct: a split keeps the orientation
+        # parent -> child, a pinch (image one pair shorter) reverses it
+        if len(image.vertex) > len(parent.vertex):
+            d[image.vertex] = edges[w]
+        else:
+            d[parent.vertex] = -edges[w]
+    return tuple.__new__(CocycleVector, (d,))
 
 
 def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:

@@ -28,7 +28,7 @@ from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
                             translate_cocycle, witness, witness_gram)
 from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, distance,
-                        vertex_of)
+                        geodesic, vertex_of)
 from bskit.words import (NormalForm, T, X, _Builder, britton_reduce,
                          nf_append, nf_invert, nf_multiply, parse_word)
 
@@ -71,6 +71,40 @@ def test_cocycle_txt_norm(bs23):
 def test_cocycle_norm_equals_distance(bs23, bs23_ball6):
     for g in bs23_ball6.elements[:400]:
         assert cocycle(g, bs23).norm_sq() == distance(BASE, act(g, BASE, bs23))
+
+
+def _random_word(rng, n, length):
+    return [T(rng.choice((1, -1))) if rng.random() < 0.5
+            else X(tuple(rng.randint(-4, 4) for _ in range(n)))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_DATA))
+def test_cocycle_is_the_geodesic_to_the_vertex_of_its_argument(name):
+    # b(gamma) is read off gamma's normal form; its definition is the
+    # geodesic from the base vertex to vertex_of(gamma), one +1 per edge
+    # named by its child, and the display names both ends as Vertexes
+    spec = GENERAL_DATA[name]
+    n, rng = spec.n, random.Random(47)
+    one = tuple(range(1, n + 1))
+    raw = [[], [X(one)], [X(one), X(one)],
+           [T(1), T(-1)], [T(-1), T(1), X(one), T(-1)],
+           [T(1), X(one), T(1), T(-1), T(-1), T(1)]]
+    raw += [_random_word(rng, n, 40) for _ in range(20)]
+    words = [*raw, *enumerate_ball(4, spec).elements,
+             [X((1,) * n), T(1)] * 1200]
+    pinched = False
+    for gamma in words:
+        cv = cocycle(gamma, spec)
+        path = geodesic(BASE, vertex_of(gamma, spec))
+        assert cv.edges == dict.fromkeys(path[1:], 1), (name, gamma)
+        for (parent, child), c in cv.coefficients:
+            assert type(parent) is Vertex and type(child) is Vertex
+            assert child in cv.edges and str(child) == str(path[len(child)])
+        if not isinstance(gamma, NormalForm):
+            pinched |= britton_reduce(gamma, spec).t_length < sum(
+                isinstance(letter, T) for letter in gamma)
+    assert pinched and cv.norm_sq() == 1200
 
 
 def test_cocycle_identity_delta_trivial(bs23):
@@ -133,6 +167,36 @@ def test_translate_cocycle_matches_pair_reference(name):
         assert zero == CocycleVector.from_dict({})
     # the draws reach the cases a single geodesic never has
     assert down and cancelled and siblings
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_DATA))
+def test_sums_of_translated_cocycles_drop_cancelled_edges(name):
+    # a + b in one pass over b: a cancelled edge is dropped where it
+    # cancels.  g.b(d) + gd.b(e) = g.b(de) cancels where the path to dv
+    # turns back, and outright for e = d^-1; both bracketings of a third
+    # summand equal the sum of the three maps, with no zero stored
+    spec = GENERAL_DATA[name]
+    elements = enumerate_ball(4, spec).elements
+    rng = random.Random(43)
+    partial = False
+    for i in range(60):
+        g, d, e, h, f = (rng.choice(elements) for _ in range(5))
+        if i % 2:
+            e = nf_invert(d, spec)
+        a = translate_cocycle(g, cocycle(d, spec), spec)
+        b = translate_cocycle(nf_multiply(g, d, spec), cocycle(e, spec), spec)
+        c = translate_cocycle(h, cocycle(f, spec), spec)
+        if i % 2:
+            assert (a + b).edges == {}
+        total = {w: s for w in {**a.edges, **b.edges, **c.edges}
+                 if (s := sum(x.edges.get(w, 0) for x in (a, b, c)))}
+        left, right = (a + b) + c, a + (b + c)
+        assert left == right and left.edges == total, name
+        for cv in (a + b, b + c, left, right):
+            assert 0 not in cv.edges.values()
+        partial |= bool((a + b).edges) and any(
+            b.edges.get(w) == -v for w, v in a.edges.items())
+    assert partial, name
 
 
 def _never_pinch_decompose(spec, eps, tail):

@@ -11,6 +11,7 @@ import sys
 import types
 from pathlib import Path
 
+from click.testing import CliRunner
 from conftest import GENERAL_DATA
 
 import bskit.embedding
@@ -18,8 +19,10 @@ import bskit.haagerup
 import bskit.tree
 from bskit.affine import j_affine
 from bskit.arith import IntMatrix, Lattice
+from bskit.cli import main
 from bskit.embedding import check_injectivity, check_stabilizer, enumerate_ball
-from bskit.haagerup import cocycle, translate_cocycle, tree_gram, witness_gram
+from bskit.haagerup import (cocycle, cocycle_identity_check, translate_cocycle,
+                            tree_gram, witness_gram)
 from bskit.presentation import make_bs
 from bskit.words import T, X, _Builder, britton_reduce, parse_word
 
@@ -142,6 +145,25 @@ def test_translation_decomposes_once_per_edge_and_multiplies_nothing(
         assert longest >= 3, name
 
 
+def count_calls(monkeypatch, original) -> list:
+    """Rebind ``original`` to a counter in every bskit module, as the tracer
+    rebinds its targets; the list it returns collects each call's args."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "bskit"
+                                   or name.startswith("bskit.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert getattr(sys.modules[original.__module__],
+                   original.__name__) is not original
+    return calls
+
+
 def test_consumers_holding_forms_read_their_vertex_without_vertex_of(
         monkeypatch, bs23_ball6):
     # the ball checks and the Gram samples hold normal forms, so they read
@@ -156,21 +178,40 @@ def test_consumers_holding_forms_read_their_vertex_without_vertex_of(
         grams = [gram(sample, 0.5, spec) for gram in (tree_gram, witness_gram)]
         return checks, [(g.matrix.tolist(), g.min_eigenvalue) for g in grams]
     expected = reports()
-    calls = []
-    original = bskit.tree.vertex_of
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "bskit"
-                                   or name.startswith("bskit.")):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    assert bskit.tree.vertex_of is counted
+    calls = count_calls(monkeypatch, bskit.tree.vertex_of)
     assert reports() == expected
     assert calls == []
+
+
+def test_cocycles_and_orbit_read_the_form_without_vertex_of_or_geodesic(
+        monkeypatch):
+    # b(d) is keyed by the prefixes of d's own vertex, translation by the
+    # vertices of the moved forms, and bsk orbit prints each power's
+    # vertex: on normal forms none of them calls vertex_of or geodesic
+    rng, cases = random.Random(29), []
+    for name, spec in GENERAL_DATA.items():
+        elements = enumerate_ball(3, spec).elements
+        cases += [(spec, rng.choice(elements), rng.choice(elements))
+                  for _ in range(30)]
+    spec = make_bs(2, 3)
+    word = parse_word("t x t^-1 x t", spec)
+    orbit = ["--bs", "2", "3", "orbit", "t x t^-1 x t", "-k", "6"]
+
+    def results():
+        values = []
+        for spec_, g, d in cases:
+            cv = cocycle(d, spec_)
+            values.append((cv, translate_cocycle(g, cv, spec_),
+                           cocycle_identity_check(g, d, spec_)))
+        return values, CliRunner().invoke(main, orbit).output
+    expected = results()
+    assert all(law for _, _, law in expected[0])
+    assert expected[1].splitlines() == [
+        str(bskit.tree.vertex_of(word * j, spec)) for j in range(7)]
+    calls = [count_calls(monkeypatch, original)
+             for original in (bskit.tree.vertex_of, bskit.tree.geodesic)]
+    assert results() == expected
+    assert calls == [[], []]
 
 
 def test_tracer_value_hooks_read_real_return_values():
