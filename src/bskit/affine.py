@@ -100,51 +100,50 @@ def j_affine(w, spec: GroupSpec) -> AffineElement:
     return AffineElement(k, tuple(Fraction(c, den) for c in num))
 
 
-def ball_images(spheres, spec: GroupSpec):
-    """Yield, per sphere of a word-length ball, the images (k, num, den)
-    of its elements, as ``scaled`` gives them, with one step along a tree
-    edge per Bass-Serre vertex.
-
-    A normal form is coset(u) x^tail for its vertex u, so j = (k_u, a_u +
-    Lambda^{k_u} tail).  Each vertex u seen holds (k_u, rows_u, D_u) with
-    a_u + Lambda^{k_u} z = (N_u + Q_u z) / D_u, D_u > 0, and rows_u pairing
-    N_u[i] with row i of Q_u, all integers.  A new vertex u = parent +
-    (eps, r) takes its parent's entry and one step N <- (N + Q r) d, Q <- Q M
-    (on the columns of M), D <- D d, with (M, d) the pair of Lambda^eps.  A
-    residue or tail outside Z^n is refused.  The prefixes of a geodesic word
-    walk the tree from the base to its element's vertex, so in a word-length
-    ball each parent is held; where it is not, ValueError names the element.
-    """
-    n = spec.n
-    lam_int = spec.lam_int
+def vertex_memo(n: int) -> dict:
+    """A memo for ``ball_image``, holding the base vertex's entry."""
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    entries = {(): (0, tuple(zip((0,) * n, identity)), 1)}
+    return {(): (0, tuple(zip((0,) * n, identity)), 1)}
+
+
+def ball_image(nf: NormalForm, entries: dict, spec: GroupSpec) -> tuple:
+    """The image (k, num, den) of a normal form, as ``scaled`` gives it:
+    the entry (k, rows, D) of a vertex u in ``entries`` gives j(coset(u)
+    x^z) = (k, (N + Q z) / D) in integers, rows pairing N[i] with row i of
+    Q.  A vertex not held is stepped from its longest held prefix, parents
+    first, storing each entry: a child parent + (eps, r) takes N <- (N + Q
+    r) d, Q <- Q M, D <- D d for the pair (M, d) of Lambda^eps.  A residue
+    or tail outside Z^n is refused."""
+    u, tail = nf
+    n = spec.n
+    if len(tail) != n:
+        raise _wrong_size(tail, n)
+    entry = entries.get(u)
+    if entry is None:
+        m = len(u) - 1
+        while (entry := entries.get(u[:m])) is None:
+            m -= 1
+        k, rows, D = entry
+        for e, r in u[m:]:
+            if len(r) != n:
+                raise _wrong_size(r, n)
+            try:
+                M, d = spec.lam_int[e]
+            except KeyError:
+                raise _wrong_letter(e) from None
+            cols = tuple(zip(*M.rows))
+            rows = tuple(((c + sum(map(mul, row, r))) * d,
+                          tuple(sum(map(mul, row, col)) for col in cols))
+                         for c, row in rows)
+            k, D, m = k + e, D * d, m + 1
+            entry = entries[u[:m]] = k, rows, D
+    k, rows, D = entry
+    return k, [c + sum(map(mul, row, tail)) for c, row in rows], D
+
+
+def ball_images(spheres, spec: GroupSpec, entries: dict | None = None):
+    """Yield per sphere the images of its elements by ``ball_image``, from
+    ``entries`` or a fresh ``vertex_memo``."""
+    entries = vertex_memo(spec.n) if entries is None else entries
     for sphere in spheres:
-        images = []
-        for nf in sphere:
-            u, tail = nf
-            if len(tail) != n:
-                raise _wrong_size(tail, n)
-            entry = entries.get(u)
-            if entry is None:
-                parent = entries.get(u[:-1])
-                if parent is None:
-                    raise ValueError(f"{nf}: the parent of its vertex is held "
-                                     "by no element before it")
-                k, rows, D = parent
-                e, r = u[-1]
-                if len(r) != n:
-                    raise _wrong_size(r, n)
-                try:
-                    M, d = lam_int[e]
-                except KeyError:
-                    raise _wrong_letter(e) from None
-                cols = tuple(zip(*M.rows))
-                entry = entries[u] = (k + e, tuple(
-                    ((c + sum(map(mul, row, r))) * d,
-                     tuple(sum(map(mul, row, col)) for col in cols))
-                    for c, row in rows), D * d)
-            k, rows, D = entry
-            images.append((k, [c + sum(map(mul, row, tail))
-                               for c, row in rows], D))
-        yield images
+        yield [ball_image(nf, entries, spec) for nf in sphere]

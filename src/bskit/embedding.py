@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from numbers import Integral
 from typing import NamedTuple
 
-from .affine import ball_images, j_affine
+from .affine import ball_image, ball_images, j_affine, vertex_memo
+from .arith import _wrong_size, zero_vector
 from .presentation import GroupSpec
 from .tree import bfs_spheres
 from .words import NormalForm, T, X, nf_append, sphere_key
-from .arith import zero_vector
 
 
 def generator_letters(spec: GroupSpec) -> list:
@@ -34,9 +34,9 @@ class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
     ``spheres[L]`` holds the elements whose minimal word length is exactly
-    L; ``elements`` is their concatenation, and ``images[L]`` the affine
-    images (k, num, den) of ``spheres[L]`` under ``spec`` as ``ball_images``
-    yields them; both are built on first use and dropped with the ball.
+    L; ``elements`` is their concatenation, ``entries`` (once every tail is
+    in Z^n) the ``vertex_memo`` ``ball_image`` fills on demand, ``images[L]``
+    the images of ``spheres[L]`` from it; all are built on first use.
     """
 
     def __init__(self, radius: int, spheres: list, spec: GroupSpec):
@@ -47,8 +47,16 @@ class GroupBall:
         return tuple(nf for sphere in self.spheres for nf in sphere)
 
     @cached_property
+    def entries(self) -> dict:
+        n = self.spec.n
+        for _, tail in chain.from_iterable(self.spheres):
+            if len(tail) != n:
+                raise _wrong_size(tail, n)
+        return vertex_memo(n)
+
+    @cached_property
     def images(self) -> list:
-        return list(ball_images(self.spheres, self.spec))
+        return list(ball_images(self.spheres, self.spec, self.entries))
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.spheres)
@@ -77,17 +85,16 @@ def _require_datum(ball: GroupBall, spec: GroupSpec) -> None:
         raise ValueError(f"the given ball is of {ball.spec!r}, not {spec!r}")
 
 
-def ball_columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> zip:
-    """(sphere, images) pairs for the spheres 0..lmax of the given ball, or
-    of a fresh one if none is given; a ball of another datum, or lmax
-    outside 0..ball.radius, raises ValueError."""
+def _columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> tuple:
+    """Spheres 0..lmax of the given (or a fresh) ball and its vertex memo;
+    a ball of another datum, or lmax outside 0..radius, raises ValueError."""
     if ball is None:
         ball = enumerate_ball(lmax, spec)
     _require_datum(ball, spec)
     if not 0 <= lmax <= ball.radius:
         raise ValueError(f"lmax = {lmax} is outside 0..{ball.radius}, "
                          "the radius of the given ball")
-    return zip(ball.spheres[:lmax + 1], ball.images[:lmax + 1])
+    return ball.spheres[:lmax + 1], ball.entries
 
 
 class CheckReport(NamedTuple):
@@ -168,7 +175,7 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     equals the t-length of the normal form (distance consistency is itself
     a tested invariant).  With the image as integers num / den, den > 0, an
     element counts for each R >= max(t-length, |k|, ceil(max |num| / den)),
-    found by bisection; one whose t-length exceeds every R is not read.
+    found by bisection; one whose t-length exceeds every R is not imaged.
     """
     given = list(r_grid)
     r_grid = [int(r) for r in given if isinstance(r, Integral)
@@ -180,10 +187,12 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     top = order[-1] if order else -1
     counts = {r: [] for r in r_grid}
     hits = [0] * (len(order) + 1)  # elements so far by the first R they meet
-    for sphere, images in ball_columns(lmax, spec, ball):
-        for nf, (k, num, den) in zip(sphere, images):
+    spheres, entries = _columns(lmax, spec, ball)
+    for sphere in spheres:
+        for nf in sphere:
             m = len(nf.vertex)  # the t-length
             if m <= top:
+                k, num, den = ball_image(nf, entries, spec)
                 hits[bisect_left(order, max(
                     m, abs(k), -(-max(map(abs, num)) // den)))] += 1
         for r, c in zip(order, accumulate(hits)):

@@ -16,9 +16,9 @@ import json
 import math
 from typing import Any, NamedTuple
 
-from .affine import scaled
+from .affine import ball_image, scaled
 from .presentation import GroupSpec
-from .embedding import ball_columns
+from .embedding import _columns
 from .tree import BASE, Vertex, distance
 from .words import T, X, britton_reduce, nf_append, nf_multiply
 
@@ -39,10 +39,6 @@ class CocycleVector(NamedTuple):
     cocycle values.  Values are built with ``tuple.__new__``."""
 
     edges: dict  # child vertex tuple -> nonzero int
-
-    @staticmethod
-    def from_dict(d: dict) -> "CocycleVector":
-        return CocycleVector({w: c for w, c in d.items() if c != 0})
 
     @property
     def coefficients(self) -> tuple:
@@ -273,16 +269,27 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     """Rows (L, max psi_s over the sphere, argmax element rendering).
 
     The maxima trending to zero is the desk-scale shadow of the witness
-    being a C0 function.
+    being a C0 function.  As psi_s <= exp(-s m) at t-length m, only the
+    t-lengths whose bound reaches the best value at the sphere's least
+    t-length, less a relative 1e-9 past float rounding, are evaluated.
     """
     _check_scale(s)
+    spheres, entries = _columns(lmax, spec, ball)
     rows = []
-    for L, (sphere, images) in enumerate(ball_columns(lmax, spec, ball)):
-        # one distance row per sphere (never empty: t^L has length L) of
-        # the floats witness(nf, s, spec) gives, no NaN; the first max wins
-        vals = _witness_values(sphere, images, s, spec)
+    for L, sphere in enumerate(spheres):
+        # the floats witness(nf, s, spec) gives, no NaN, in sphere order
+        # (never empty: t^L has length L), so the first max wins
+        ms = [len(u) for u, _ in sphere]
+        low = min(ms)
+        least = [nf for nf, m in zip(sphere, ms) if m == low]
+        images = [ball_image(nf, entries, spec) for nf in least]
+        bound = max(_witness_values(least, images, s, spec)) * (1 - 1e-9)
+        keep = {m for m in set(ms) if math.exp(-s * m) >= bound}
+        picked = [nf for nf, m in zip(sphere, ms) if m in keep]
+        images = [ball_image(nf, entries, spec) for nf in picked]
+        vals = _witness_values(picked, images, s, spec)
         i = vals.index(max(vals))
-        rows.append((L, vals[i], str(sphere[i])))
+        rows.append((L, vals[i], str(picked[i])))
     return rows
 
 

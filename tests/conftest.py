@@ -25,6 +25,22 @@ IMAGE_DATA = {**GENERAL_DATA, "bs12": make_bs(1, 2), "bs35": make_bs(3, 5),
 ASC2 = make_matrix_group([[2, 1], [0, 2]], [[1, 0], [0, 1]])
 
 
+class CountingPairs(dict):
+    """lam_int that counts its lookups: one per step along a tree edge."""
+
+    lookups = 0
+
+    def __getitem__(self, eps):
+        self.lookups += 1
+        return super().__getitem__(eps)
+
+
+def counting_spec(spec):
+    fresh = make_matrix_group(spec.A, spec.B)
+    fresh.lam_int = CountingPairs(fresh.lam_int)
+    return fresh
+
+
 @pytest.fixture(scope="session")
 def image_balls():
     return {name: (spec, enumerate_ball(6 if spec.n == 1 else 3, spec))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GENERAL_DATA
+from conftest import GENERAL_DATA, counting_spec
 from oracles import aff_identity, invert_letters, nf_letters
 
 from bskit.affine import (AffineElement, aff_compose, aff_invert, ball_images,
@@ -13,7 +13,6 @@ from bskit.affine import (AffineElement, aff_compose, aff_invert, ball_images,
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball
 from bskit.haagerup import witness
-from bskit.presentation import make_matrix_group
 from bskit.tree import vertex_of
 from bskit.words import NormalForm, T, X, britton_reduce, parse_word
 
@@ -147,22 +146,6 @@ def test_compose_with_inverse_at_large_height(bs23):
         tk = j_affine(w(f"t^{k}", bs23), bs23)
         assert aff_compose(tk, x, bs23) == AffineElement(
             k, (Fraction(2, 3) ** k,))
-
-
-class CountingPairs(dict):
-    """lam_int that counts its lookups: one per step along a tree edge."""
-
-    lookups = 0
-
-    def __getitem__(self, eps):
-        self.lookups += 1
-        return super().__getitem__(eps)
-
-
-def counting_spec(spec):
-    fresh = make_matrix_group(spec.A, spec.B)
-    fresh.lam_int = CountingPairs(fresh.lam_int)
-    return fresh
 
 
 @pytest.fixture(scope="module")

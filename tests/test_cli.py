@@ -319,8 +319,12 @@ def test_resource_bound_exit_2(runner, monkeypatch):
 
 
 def test_numeric_range_exit_2(runner):
-    for word in ("t^1100", "t^-1100"):
-        result = runner.invoke(main, ["--bs", "1", "2", "witness", word])
+    # c0 on BS(1, 10^200) evaluates t^-1 x at sphere 2, whose witness
+    # leaves the float range
+    for args in (["--bs", "1", "2", "witness", "t^1100"],
+                 ["--bs", "1", "2", "witness", "t^-1100"],
+                 ["--bs", "1", str(10 ** 200), "c0", "--lmax", "2"]):
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "numeric range exceeded" in result.output
         assert "Usage" not in result.output

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,16 +9,16 @@ from hypothesis import strategies as st
 
 import bskit.embedding
 from bskit.affine import AffineElement, ball_images, j_affine
-from bskit.arith import IntMatrix
+from bskit.arith import ConfigurationError, IntMatrix
 from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
                              properness_profile)
-from bskit.haagerup import c0_profile
+from bskit.haagerup import c0_profile, witness
 from bskit.presentation import make_bs, make_matrix_group
 from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
-from conftest import ASC2, GENERAL_DATA, IMAGE_DATA
+from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
 from oracles import (affine_model_spheres, nf_letters, reference_spheres,
                      sublevel_counts)
 
@@ -321,7 +320,7 @@ def test_profile_memory_does_not_grow_with_r(bs12):
     # counts are kept per threshold, never per unit of R: a grid holding
     # R = 10^6 or 10^12 allocates no more than one of small thresholds
     ball = enumerate_ball(6, bs12)
-    ball.images  # built once, outside the measured calls
+    ball.images  # fills the vertex memo, outside the measured calls
 
     def peak(grid):
         tracemalloc.start()
@@ -382,20 +381,46 @@ def test_profile_reads_lmax_spheres_of_a_given_ball(bs12, bs12_ball10):
                                ball=enumerate_ball(6, bs12))
 
 
-def test_profiles_share_one_image_pass_per_ball(bs12, monkeypatch):
-    # the profiles read the ball's image column, built on first read
-    calls = 0
+class StepOnce(dict):
+    """A vertex memo that refuses to store a vertex twice."""
 
-    def counting(spheres, spec):
-        nonlocal calls
-        calls += 1
-        return ball_images(spheres, spec)
-    monkeypatch.setattr(bskit.embedding, "ball_images", counting)
-    ball = enumerate_ball(6, bs12)
-    first = properness_profile(6, [1, 2, 4], bs12, ball=ball).to_csv()
-    c0_profile(6, 1.0, bs12, ball=ball)
-    again = properness_profile(6, [1, 2, 4], bs12, ball=ball).to_csv()
-    assert calls == 1 and again == first
+    def __setitem__(self, u, entry):
+        assert u not in self, f"{u} stepped twice"
+        super().__setitem__(u, entry)
+
+
+def test_profiles_share_one_vertex_memo_per_ball(bs12):
+    # properness, C0 and properness again read images through the ball's
+    # one vertex memo: each vertex is stepped at most once (a step is one
+    # lam_int lookup and one stored entry), and the second properness pass
+    # steps none and gives the same CSV
+    spec = counting_spec(bs12)
+    ball = enumerate_ball(6, spec)
+    ball.entries = StepOnce(ball.entries)
+    first = properness_profile(6, [1, 2, 4], spec, ball=ball).to_csv()
+    assert spec.lam_int.lookups == len(ball.entries) - 1 > 0
+    c0_profile(6, 1.0, spec, ball=ball)
+    held, lookups = len(ball.entries), spec.lam_int.lookups
+    again = properness_profile(6, [1, 2, 4], spec, ball=ball).to_csv()
+    assert again == first
+    assert (len(ball.entries), spec.lam_int.lookups) == (held, lookups)
+    assert set(ball.entries) <= {nf.vertex for nf in ball.elements}
+
+
+def test_properness_steps_only_vertices_within_the_largest_threshold(
+        bs12, bs12_ball10):
+    # an element of t-length above every R counts for none, so its vertex
+    # is never stepped: the memo holds exactly the vertices of t-length
+    # <= 4, a parent-closed set (46 of 562 vertices of the L = 10 ball)
+    spec = counting_spec(bs12)
+    ball = GroupBall(10, bs12_ball10.spheres, spec)
+    profile = properness_profile(10, [1, 2, 4], spec, ball=ball)
+    assert profile.counts == sublevel_counts(bs12_ball10, [1, 2, 4], bs12)
+    vertices = {nf.vertex for nf in ball.elements}
+    needed = {u for u in vertices if len(u) <= 4}
+    assert set(ball.entries) == needed
+    assert spec.lam_int.lookups == len(needed) - 1
+    assert (len(needed), len(vertices)) == (46, 562)
 
 
 def test_profiles_refuse_a_ball_of_another_datum(bs12, bs23):
@@ -424,16 +449,36 @@ def test_checks_refuse_a_ball_of_another_datum(check, bs12, bs23):
     assert check(ball, make_bs(1, 2)).ok
 
 
-def test_profiles_refuse_a_ball_missing_a_parent(bs23):
+def test_profiles_step_a_vertex_whose_parent_no_element_holds(bs23):
     # a hand-built ball whose deep element has no parent vertex before it
-    # is not a word-length ball; its image is not computed some other way
+    # is not a word-length ball; its image is stepped from the base, so
+    # both profiles equal the per-element references
     deep = britton_reduce(parse_word("t x t", bs23), bs23)
     ball = GroupBall(1, [[britton_reduce([], bs23)], [deep]], bs23)
-    for profile in (lambda: properness_profile(1, [1], bs23, ball=ball),
-                    lambda: c0_profile(1, 1.0, bs23, ball=ball)):
-        with pytest.raises(ValueError,
-                           match="^" + re.escape(f"{deep}: the parent")):
-            profile()
+    grid = [1, 2, 3]
+    assert (properness_profile(1, grid, bs23, ball=ball).counts
+            == sublevel_counts(ball, grid, bs23))
+    assert c0_profile(1, 1.0, bs23, ball=ball) == [
+        (L, witness(nf, 1.0, bs23), str(nf))
+        for L, [nf] in enumerate(ball.spheres)]
+
+
+def test_profiles_refuse_a_tail_outside_z_n_anywhere_in_the_ball(bs23):
+    # every tail of a given ball is read, its element evaluated or not:
+    # here one at t-length 2, above the only threshold, in sphere 2 of a
+    # radius-2 ball, and read at lmax 2 and past lmax 1
+    t = britton_reduce(parse_word("t", bs23), bs23)
+    deep = britton_reduce(parse_word("t x t", bs23), bs23)
+    for bad in ((0, 0), ()):
+        ball = GroupBall(2, [[britton_reduce([], bs23)], [t],
+                             [NormalForm(deep.vertex, bad)]], bs23)
+        for lmax in (1, 2):
+            for profile in (
+                    lambda: properness_profile(lmax, [1], bs23, ball=ball),
+                    lambda: c0_profile(lmax, 1.0, bs23, ball=ball)):
+                with pytest.raises(ConfigurationError,
+                                   match="dimension mismatch"):
+                    profile()
 
 
 def test_profile_late_stabilization_r4(bs12):

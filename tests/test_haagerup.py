@@ -164,7 +164,7 @@ def test_translate_cocycle_matches_pair_reference(name):
         siblings |= len(set(depths)) < len(depths)
         zero = cocycle(ginv, spec) + translate_cocycle(
             ginv, cocycle(g, spec), spec)
-        assert zero == CocycleVector.from_dict({})
+        assert zero == CocycleVector({})
     # the draws reach the cases a single geodesic never has
     assert down and cancelled and siblings
 
@@ -618,12 +618,16 @@ def test_c0_profile_matches_per_element_witness(bs12, bs23):
     # the batched profile takes, per sphere, the maximum of the very
     # floats witness() gives, and the first element attaining it; its
     # images come per vertex, and vertices are shared across spheres
-    # (lambda = 3/5, -1 for BS(2,-2) and BS(1,-1), and the NEGATIVE data)
+    # (lambda = 3/5, -1 for BS(2,-2) and BS(1,-1), |lambda| = 1 for BS(1,1)
+    # and BS(2,2), and the NEGATIVE data); BS(3,5) at L = 6 holds exact
+    # ties at its sphere-5 maximum, and s = 0.05 and 2.5 move the t-length
+    # bound exp(-s m) far from and close to the sphere maxima
     for spec, L in ((bs12, 8), (bs23, 5), (make_bs(1, -1), 6),
-                    (make_bs(3, 5), 5), (make_bs(2, -2), 6),
+                    (make_bs(3, 5), 6), (make_bs(2, -2), 6),
+                    (make_bs(1, 1), 6), (make_bs(2, 2), 6),
                     *((make_bs(p, q), 5) for p, q in NEGATIVE)):
         ball = enumerate_ball(L, spec)
-        for s in (1.0, 0.3):
+        for s in (1.0, 0.3, 0.05, 2.5):
             rows = c0_profile(L, s, spec, ball=ball)
             assert len(rows) == L + 1
             for i, ((row_L, best, name), sphere) in enumerate(
@@ -631,6 +635,22 @@ def test_c0_profile_matches_per_element_witness(bs12, bs23):
                 vals = [witness(g, s, spec) for g in sphere]
                 assert row_L == i and best == max(vals)
                 assert name == str(sphere[vals.index(max(vals))])
+
+
+def test_c0_profile_evaluates_no_element_its_bound_rules_out():
+    # on BS(1, 10^200) the witness of t^-1 leaves the float range; sphere
+    # 1's maximum is psi(x^-1) = 0.38 > exp(-1) >= psi(t^+-1), so t^+-1 are
+    # not evaluated and lmax 1 gives rows.  Sphere 2's maximum, psi(x^2) =
+    # 0.17 < exp(-1), lets its elements of t-length 1 in, t^-1 x among
+    # them, so lmax 2 still fails where an evaluated element does
+    spec = make_bs(1, 10 ** 200)
+    with pytest.raises(OverflowError):
+        witness(nf("t^-1", spec), 1.0, spec)
+    x = witness(nf("x^-1", spec), 1.0, spec)
+    assert math.exp(-1.0) < x
+    assert c0_profile(1, 1.0, spec) == [(0, 1.0, "1"), (1, x, "x^-1")]
+    with pytest.raises(OverflowError):
+        c0_profile(2, 1.0, spec)
 
 
 def test_c0_profile_only_raises_like_witness(asc2):
