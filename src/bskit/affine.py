@@ -140,10 +140,3 @@ def ball_image(nf: NormalForm, entries: dict, spec: GroupSpec) -> tuple:
     k, rows, D = entry
     return k, [c + sum(map(mul, row, tail)) for c, row in rows], D
 
-
-def ball_images(spheres, spec: GroupSpec, entries: dict | None = None):
-    """Yield per sphere the images of its elements by ``ball_image``, from
-    ``entries`` or a fresh ``vertex_memo``."""
-    entries = vertex_memo(spec.n) if entries is None else entries
-    for sphere in spheres:
-        yield [ball_image(nf, entries, spec) for nf in sphere]

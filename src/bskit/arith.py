@@ -119,9 +119,8 @@ class IntMatrix(NamedTuple):
 def column_hnf(M: IntMatrix) -> IntMatrix:
     """Column-style Hermite normal form of a nonsingular integer matrix.
 
-    Returns a lower-triangular H with positive diagonal, the entries left
-    of each pivot reduced into [0, pivot), and H Z^n = M Z^n (only
-    unimodular column operations are used).
+    Returns a lower-triangular H with positive diagonal and H Z^n = M Z^n
+    (only unimodular column operations are used).
     """
     if M.det == 0:
         raise ConfigurationError(f"singular matrix: {M}")
@@ -143,11 +142,6 @@ def column_hnf(M: IntMatrix) -> IntMatrix:
                 break
         if cols[i][i] < 0:
             cols[i] = [-a for a in cols[i]]
-    for i in range(n):
-        for j in range(i):
-            q = cols[j][i] // cols[i][i]
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
     return IntMatrix(tuple(tuple(cols[c][r] for c in range(n))
                            for r in range(n)))
 

@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 from numbers import Integral
 from typing import NamedTuple
 
-from .affine import ball_image, ball_images, j_affine, vertex_memo
+from .affine import ball_image, j_affine, vertex_memo
 from .arith import _wrong_size, zero_vector
 from .presentation import GroupSpec
 from .tree import bfs_spheres
@@ -34,9 +34,9 @@ class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
     ``spheres[L]`` holds the elements whose minimal word length is exactly
-    L; ``elements`` is their concatenation, ``entries`` (once every tail is
-    in Z^n) the ``vertex_memo`` ``ball_image`` fills on demand, ``images[L]``
-    the images of ``spheres[L]`` from it; all are built on first use.
+    L; ``elements`` is their concatenation and ``entries`` (once every tail
+    is in Z^n) the ``vertex_memo`` ``ball_image`` fills on demand; both are
+    built on first use.
     """
 
     def __init__(self, radius: int, spheres: list, spec: GroupSpec):
@@ -53,10 +53,6 @@ class GroupBall:
             if len(tail) != n:
                 raise _wrong_size(tail, n)
         return vertex_memo(n)
-
-    @cached_property
-    def images(self) -> list:
-        return list(ball_images(self.spheres, self.spec, self.entries))
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.spheres)

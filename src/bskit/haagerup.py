@@ -85,8 +85,8 @@ def translate_cocycle(gamma, cv: CocycleVector,
             up.append(up[-1][:-1])
         for u in reversed(up):  # parents first, one edge at a time
             parent, (eps, r) = image, u[-1]
-            image = moved[u] = nf_append(nf_append(parent, X(r), spec),
-                                         T(eps), spec, table)
+            image = moved[u] = nf_append(
+                nf_append(parent, X(r), spec, table), T(eps), spec, table)
         # distinct edges stay distinct: a split keeps the orientation
         # parent -> child, a pinch (image one pair shorter) reverses it
         if len(image.vertex) > len(parent.vertex):
@@ -177,20 +177,27 @@ def _half_plane_points(images, spec: GroupSpec) -> list:
     """The half-plane points of several images (k, num, den), the orbit of
     the base point (0, 1) under the isometry (x, y) -> (lambda^k x + a,
     |lambda|^k y) with a = num / den (a reflection when lambda^k < 0): the
-    point (a, |lambda|^k), with one float |lambda|^k per distinct height k
-    (first-seen order names the failing height)."""
+    point (a, |lambda|^k), with one float |lambda|^k per distinct height k.
+    The first point outside the float range is refused by its height; n > 1
+    has no witness."""
+    if spec.n != 1:
+        raise UnsupportedWitnessError(
+            f"no explicit affine witness for this datum ({spec!r}); "
+            "tree_gram and properness profiles remain available")
     lam = abs(spec.lam_scalar)
-    ys = {}
-    for k in dict.fromkeys([k for k, _, _ in images]):
+    ys, points = {}, []
+    for k, num, den in images:
         try:
-            ys[k] = float(lam ** k)
+            if k not in ys:
+                ys[k] = float(lam ** k)
+            x, y = num[0] / den, ys[k]
         except OverflowError:
-            ys[k] = 0.0
-        if ys[k] == 0.0:
-            raise OverflowError(
-                f"the half-plane point at height k = {k} is outside the "
-                "float range")
-    return [(num[0] / den, ys[k]) for k, num, den in images]
+            y = 0.0
+        if y == 0.0:  # also where |lambda|^k underflows
+            raise OverflowError(f"the half-plane point at height k = {k} "
+                                "is outside the float range")
+        points.append((x, y))
+    return points
 
 
 def hyperbolic_distance(p, q) -> float:
@@ -213,10 +220,13 @@ def _distances_from(p, qs) -> list:
         if px == qx and py == qy:  # also where 2 py qy would underflow to 0.0
             out.append(0.0)
             continue
-        if qy not in heights:  # den is 0.0 where the product underflows
-            heights[qy] = (qy - py) ** 2, 2.0 * py * qy
-        dy2, den = heights[qy]
-        arg = 1.0 + ((qx - px) ** 2 + dy2) / den if den else math.inf
+        try:
+            if qy not in heights:  # den is 0.0 where the product underflows
+                heights[qy] = (qy - py) ** 2, 2.0 * py * qy
+            dy2, den = heights[qy]
+            arg = 1.0 + ((qx - px) ** 2 + dy2) / den if den else math.inf
+        except OverflowError:  # a square past the range
+            arg = math.inf
         if not arg < math.inf:  # a difference or a quotient past the range
             raise OverflowError(f"the distance of {p} and {q} is not a float")
         out.append(math.acosh(arg if arg > 1.0 else 1.0))
@@ -231,10 +241,6 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
     affine.scaled gives them, as a matrix of half-plane distances.  Each
     image is mapped to the half-plane once, and a rational becomes a float
     by one correctly rounded division of integers."""
-    if spec.n != 1:
-        raise UnsupportedWitnessError(
-            f"no explicit affine witness for this datum ({spec!r}); "
-            "tree_gram and properness profiles remain available")
     ps = _half_plane_points(rows, spec)
     qs = _half_plane_points(cols, spec)
     return [_distances_from(p, qs) for p in ps]
@@ -242,9 +248,9 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
 
 def _witness_values(nfs, images, s: float, spec: GroupSpec) -> list:
     """psi_s of each normal form, given its affine image (k, num, den):
-    exp(-s (t-length + the distance of that image from the identity's
-    image (0, 0, 1))), one distance loop over the images."""
-    dists, = affine_distances([(0, (0,) * spec.n, 1)], images, spec)
+    exp(-s (t-length + the distance of that image's point from the base
+    point (0, 1))), one distance loop over the images."""
+    dists = _distances_from((0.0, 1.0), _half_plane_points(images, spec))
     return [math.exp(-s * (len(nf.vertex) + d)) for nf, d in zip(nfs, dists)]
 
 

@@ -265,7 +265,7 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
 
 
 def nf_append(nf: NormalForm, letter, spec: GroupSpec,
-              table: dict | None = None) -> NormalForm:
+              table: dict) -> NormalForm:
     """The normal form of nf * letter: an x-letter only moves the tail; a
     t-letter splits or pinches as ``_Builder.push_t`` does, reading
     (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss;
@@ -273,8 +273,6 @@ def nf_append(nf: NormalForm, letter, spec: GroupSpec,
     u, tail = nf
     if isinstance(letter, T):
         eps = letter.eps
-        if table is None:
-            table = {}
         rc = table.get((eps, tail))
         if rc is None:
             try:

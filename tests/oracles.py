@@ -7,14 +7,15 @@ image into integers, the letters of a word's formal inverse or of a
 normal form, the translation of a cocycle on (parent, child) pairs, the
 plain breadth-first search of a word-length ball, a breadth-first search
 of the affine model that never reduces a word, a renderer of normal forms
-and vertex names that formats every pair afresh, and a per-element count
-of properness sublevel sets, which only the tests ask for, live here too.
+and vertex names that formats every pair afresh, a per-element count of
+properness sublevel sets and the image column of a ball's spheres, which
+only the tests ask for, live here too.
 """
 
 import math
 from fractions import Fraction
 
-from bskit.affine import AffineElement, j_affine
+from bskit.affine import AffineElement, ball_image, j_affine, vertex_memo
 from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.embedding import generator_letters
 from bskit.presentation import GroupSpec
@@ -54,6 +55,12 @@ def scaled_image(e: AffineElement):
     the form affine.scaled gives and affine_distances reads."""
     den = math.lcm(*(x.denominator for x in e.a))
     return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
+
+
+def ball_images(spheres, spec: GroupSpec) -> list:
+    """Per sphere, the images ``ball_image`` gives from one fresh memo."""
+    entries = vertex_memo(spec.n)
+    return [[ball_image(nf, entries, spec) for nf in s] for s in spheres]
 
 
 def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:
@@ -100,7 +107,7 @@ def reference_spheres(L: int, spec: GroupSpec) -> list:
         nxt = []
         for nf in spheres[-1]:
             for letter in letters:
-                w = nf_append(nf, letter, spec)
+                w = nf_append(nf, letter, spec, {})
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

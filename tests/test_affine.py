@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA, counting_spec
-from oracles import aff_identity, invert_letters, nf_letters
+from oracles import aff_identity, ball_images, invert_letters, nf_letters
 
-from bskit.affine import (AffineElement, aff_compose, aff_invert, ball_images,
+from bskit.affine import (AffineElement, aff_compose, aff_invert, ball_image,
                           j_affine, scaled)
 from bskit.arith import ConfigurationError
-from bskit.embedding import enumerate_ball
-from bskit.haagerup import witness
+from bskit.embedding import GroupBall, enumerate_ball, properness_profile
+from bskit.haagerup import c0_profile, witness
 from bskit.tree import vertex_of
 from bskit.words import NormalForm, T, X, britton_reduce, parse_word
 
@@ -161,7 +161,7 @@ def word_length_balls(image_balls, bs12, bs12_ball10, asc2):
 def test_every_vertex_parent_is_the_vertex_of_an_earlier_sphere(
         word_length_balls):
     # a geodesic word's prefixes walk the tree from the base to the
-    # element's vertex: the premise of ball_images' one step per vertex
+    # element's vertex: the premise of ball_image's one step per vertex
     for name, (spec, ball) in word_length_balls.items():
         held = set()
         for sphere in ball.spheres:
@@ -172,13 +172,20 @@ def test_every_vertex_parent_is_the_vertex_of_an_earlier_sphere(
 
 def test_ball_images_equal_the_per_element_fold(word_length_balls):
     # one step per vertex against each element's own fold: the same
-    # integers, not only the same fractions; the ball's image column is
-    # that one pass
-    for name, (spec, ball) in word_length_balls.items():
-        per_sphere = list(ball_images(ball.spheres, spec))
-        assert ball.images == per_sphere, name
-        images = [image for sphere in per_sphere for image in sphere]
-        assert images == [scaled(nf, spec) for nf in ball.elements], name
+    # integers, not only the same fractions, read through the ball's own
+    # memo after the profiles have partly filled it and from a fresh one
+    for name, (spec, given) in word_length_balls.items():
+        ball = GroupBall(given.radius, given.spheres, spec)  # an empty memo
+        properness_profile(ball.radius, [2], spec, ball=ball)
+        if spec.n == 1:
+            c0_profile(ball.radius, 1.0, spec, ball=ball)
+        vertices = {nf.vertex for nf in ball.elements}
+        assert 1 < len(ball.entries) < len(vertices), name
+        own = [ball_image(nf, ball.entries, spec) for nf in ball.elements]
+        fresh = [i for sphere in ball_images(ball.spheres, spec)
+                 for i in sphere]
+        assert own == fresh == [scaled(nf, spec) for nf in ball.elements], name
+        assert len(ball.entries) == len(vertices), name
 
 
 def test_ball_images_step_once_per_vertex(image_balls):

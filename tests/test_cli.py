@@ -320,13 +320,20 @@ def test_resource_bound_exit_2(runner, monkeypatch):
 
 def test_numeric_range_exit_2(runner):
     # c0 on BS(1, 10^200) evaluates t^-1 x at sphere 2, whose witness
-    # leaves the float range
-    for args in (["--bs", "1", "2", "witness", "t^1100"],
-                 ["--bs", "1", "2", "witness", "t^-1100"],
-                 ["--bs", "1", str(10 ** 200), "c0", "--lmax", "2"]):
+    # leaves the float range; so do the distance of t^-1 x t and the
+    # coordinate of t^-2 x t^2 there, each named in the module's words
+    huge = ["--bs", "1", str(10 ** 200)]
+    for args, named in (
+            (["--bs", "1", "2", "witness", "t^1100"], "height k = 1100 "),
+            (["--bs", "1", "2", "witness", "t^-1100"], "height k = -1100 "),
+            ([*huge, "c0", "--lmax", "2"], "the distance of (0.0, 1.0) and "),
+            ([*huge, "witness", "t^-1 x t"],
+             "the distance of (0.0, 1.0) and (1e+200, 1.0) "),
+            ([*huge, "witness", "t^-2 x t^2"], "height k = 0 ")):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert "numeric range exceeded" in result.output
+        assert "numeric range exceeded: " in result.output
+        assert named in result.output and "(34, " not in result.output
         assert "Usage" not in result.output
 
 

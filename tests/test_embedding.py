@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bskit.embedding
-from bskit.affine import AffineElement, ball_images, j_affine
+from bskit.affine import AffineElement, j_affine
 from bskit.arith import ConfigurationError, IntMatrix
 from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
                              enumerate_ball, generator_letters,
@@ -19,8 +19,8 @@ from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
-from oracles import (affine_model_spheres, nf_letters, reference_spheres,
-                     sublevel_counts)
+from oracles import (affine_model_spheres, ball_images, nf_letters,
+                     reference_spheres, sublevel_counts)
 
 
 def test_ball_radius_zero(bs23):
@@ -181,8 +181,8 @@ def test_letter_i_xor_1_inverts_letter_i(name):
     letters = generator_letters(spec)
     for g in enumerate_ball(3, spec).elements:
         for i, letter in enumerate(letters):
-            there = nf_append(g, letter, spec)
-            assert nf_append(there, letters[i ^ 1], spec) == g
+            there = nf_append(g, letter, spec, {})
+            assert nf_append(there, letters[i ^ 1], spec, {}) == g
 
 
 def test_ball_strictly_increasing(bs23, bs12):
@@ -232,7 +232,8 @@ def test_ball_images_equal_the_affine_model_search(spec, L):
     ball = enumerate_ball(L, spec)
     model = affine_model_spheres(L, spec)
     assert [len(s) for s in model] == [len(s) for s in ball.spheres]
-    for images, expected in zip(ball.images, model, strict=True):
+    for images, expected in zip(ball_images(ball.spheres, spec), model,
+                                strict=True):
         assert {(k, tuple(Fraction(c, den) for c in num))
                 for k, num, den in images} == set(expected)
 
@@ -320,7 +321,9 @@ def test_profile_memory_does_not_grow_with_r(bs12):
     # counts are kept per threshold, never per unit of R: a grid holding
     # R = 10^6 or 10^12 allocates no more than one of small thresholds
     ball = enumerate_ball(6, bs12)
-    ball.images  # fills the vertex memo, outside the measured calls
+    # an R past every t-length fills the vertex memo, outside the measured
+    # calls
+    properness_profile(6, [BIG], bs12, ball=ball)
 
     def peak(grid):
         tracemalloc.start()

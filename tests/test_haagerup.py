@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 import random
+import re
 import sys
 import typing
 from fractions import Fraction
@@ -12,12 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import scaled_image, translate_reference
+from oracles import ball_images, scaled_image, translate_reference
 
 import bskit
 import bskit.haagerup
-from bskit.affine import (AffineElement, aff_compose, ball_images, j_affine,
-                          scaled)
+from bskit.affine import AffineElement, aff_compose, j_affine, scaled
 from bskit.arith import IntMatrix
 from bskit.embedding import (CheckReport, PropernessProfile, check_stabilizer,
                              enumerate_ball, properness_profile)
@@ -209,11 +209,11 @@ def _never_pinch_push_t(builder, eps):
     builder.syl.append((eps, r))
 
 
-def _never_pinch_append(nf, letter, spec, table=None):
+def _never_pinch_append(nf, letter, spec, table):
     if isinstance(letter, T):
         r, carry = _never_pinch_decompose(spec, letter.eps, nf.tail)
         return NormalForm(nf.vertex + ((letter.eps, r),), carry)
-    return nf_append(nf, letter, spec)
+    return nf_append(nf, letter, spec, table)
 
 
 @pytest.mark.parametrize("owner, attr, mutant", [
@@ -437,9 +437,10 @@ def test_half_plane_rejects_bad_point():
     far = [((0.0, 1e300), (0.0, 1e-300)), ((0.0, 1e-200), (1e200, 1e-200)),
            ((-1e308, 1.0), (1e308, 1.0))]
     for p, q in far:
-        for pair in ((p, q), (q, p)):
-            with pytest.raises(OverflowError):
-                hyperbolic_distance(*pair)
+        for a, b in ((p, q), (q, p)):
+            message = f"the distance of {a} and {b} is not a float"
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                hyperbolic_distance(a, b)
     # two heights whose doubled product underflows to 0.0
     tiny = 2.0 ** -600
     with pytest.raises(OverflowError):
@@ -654,8 +655,14 @@ def test_c0_profile_evaluates_no_element_its_bound_rules_out():
 
 
 def test_c0_profile_only_raises_like_witness(asc2):
+    # one refusal text on every witness path, also for empty image lists
+    t = nf("t", asc2)
     with pytest.raises(UnsupportedWitnessError) as per_element:
-        witness(nf("t", asc2), 1.0, asc2)
-    with pytest.raises(UnsupportedWitnessError) as batched:
-        c0_profile(2, 1.0, asc2)
-    assert str(batched.value) == str(per_element.value)
+        witness(t, 1.0, asc2)
+    for call in (lambda: c0_profile(2, 1.0, asc2),
+                 lambda: witness_gram([t], 1.0, asc2),
+                 lambda: affine_distances([scaled(t, asc2)], [], asc2),
+                 lambda: affine_distances([], [], asc2)):
+        with pytest.raises(UnsupportedWitnessError) as batched:
+            call()
+        assert str(batched.value) == str(per_element.value)

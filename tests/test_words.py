@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import (in_lattice, invert_letters, nf_letters,
+from oracles import (ball_images, in_lattice, invert_letters, nf_letters,
                      nf_text_reference, reduce_with_strategy,
                      vertex_text_reference)
 
 from bskit import words
-from bskit.affine import ball_images, j_affine, scaled
+from bskit.affine import j_affine, scaled
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
 from bskit.haagerup import cocycle, witness
@@ -123,7 +123,8 @@ def test_nf_append_matches_full_reduction():
         for _ in range(200):
             word = [rng.choice(letters) for _ in range(rng.randrange(0, 10))]
             extra = rng.choice(letters)
-            via_append = nf_append(britton_reduce(word, spec), extra, spec)
+            via_append = nf_append(britton_reduce(word, spec), extra, spec,
+                                   {})
             assert via_append == britton_reduce(word + [extra], spec)
         # every letter after every element of a ball, with one table shared
         # across the ball as enumerate_ball shares it: a split adds a pair
@@ -132,7 +133,7 @@ def test_nf_append_matches_full_reduction():
         for g in enumerate_ball(3, spec).elements:
             for letter in letters:
                 via_table = nf_append(g, letter, spec, table)
-                assert via_table == nf_append(g, letter, spec)
+                assert via_table == nf_append(g, letter, spec, {})
                 assert via_table == britton_reduce(nf_letters(g) + [letter],
                                                    spec)
                 if isinstance(letter, T):
@@ -362,7 +363,7 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
                 britton_reduce(word, spec)
         for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
-                nf_append(nf, X(z), spec)
+                nf_append(nf, X(z), spec, {})
 
 
 def test_refusals_within_an_x_run_come_in_letter_order(bs23):
@@ -401,7 +402,6 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
                      lambda: britton_reduce([X((1,)), bad], bs23),
                      lambda: word_problem([bad], bs23),
                      lambda: vertex_of([bad], bs23),
-                     lambda: nf_append(one, bad, bs23),
                      lambda: nf_append(one, bad, bs23, {}),
                      lambda: j_affine([bad, X((1,))], bs23),
                      lambda: scaled([X((1,)), bad], bs23),
