@@ -45,8 +45,8 @@ class CocycleVector(NamedTuple):
         """Display order: ((parent, child) Vertexes, coeff) by depth, name."""
         return tuple(sorted((((Vertex(w[:-1]), Vertex(w)), c)
                              for w, c in self.edges.items()),
-                            key=lambda item: (len(item[0][1]), str(item[0][1]),
-                                              str(item[0][0]))))
+                            key=lambda item: (len(item[0][1]),
+                                              str(item[0][1]))))
 
     def norm_sq(self) -> int:
         return sum(c * c for c in self.edges.values())
@@ -212,19 +212,18 @@ def hyperbolic_distance(p, q) -> float:
 
 def _distances_from(p, qs) -> list:
     """hyperbolic_distance(p, q) for several points q checked by the caller,
-    with (qy - py)^2 and 2 py qy taken once per distinct height qy."""
+    each from (qx - px)^2 + (qy - py)^2 over 2 py qy."""
     px, py = p
-    heights, out = {}, []
+    out = []
     for q in qs:
         qx, qy = q
         if px == qx and py == qy:  # also where 2 py qy would underflow to 0.0
             out.append(0.0)
             continue
+        den = 2.0 * py * qy  # 0.0 where the product underflows
         try:
-            if qy not in heights:  # den is 0.0 where the product underflows
-                heights[qy] = (qy - py) ** 2, 2.0 * py * qy
-            dy2, den = heights[qy]
-            arg = 1.0 + ((qx - px) ** 2 + dy2) / den if den else math.inf
+            arg = (1.0 + ((qx - px) ** 2 + (qy - py) ** 2) / den if den
+                   else math.inf)
         except OverflowError:  # a square past the range
             arg = math.inf
         if not arg < math.inf:  # a difference or a quotient past the range

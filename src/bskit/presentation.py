@@ -16,10 +16,9 @@ from .arith import ConfigurationError, IntMatrix, Lattice
 
 
 class GroupSpec:
-    """Validated HNN datum (n, A, B) and its derived constants.
-
-    Immutable after construction; safe to share between tasks.
-    """
+    """Validated HNN datum (n, A, B) and the constants derived from it in
+    __init__; residues are not held but read from the two lattices where
+    needed.  Immutable after construction; safe to share between tasks."""
 
     def __init__(self, A: IntMatrix, B: IntMatrix):
         if A.n != B.n:
@@ -38,7 +37,6 @@ class GroupSpec:
         # Hermite quotients k (h = U_A k resp. U_B k), formed by decompose
         self.carry = {1: B @ self.lattice_a.unimodular,
                       -1: A @ self.lattice_b.unimodular}
-        self._residues = None
         # Lambda = A B^-1 generates the Z-action on the rational span.  As
         # integer pairs over a positive denominator: Lambda = M/d with
         # M = s A adj B, d = |det B|, s = sign det B, and Lambda^-1 = M'/d'
@@ -48,17 +46,6 @@ class GroupSpec:
             s = 1 if lat.det > 0 else -1
             M = tuple(tuple(s * x for x in r) for r in (P @ lat.adjugate).rows)
             self.lam_int[eps] = (IntMatrix(M), abs(lat.det))
-
-    @property
-    def residues(self) -> dict:
-        """Residues of A (key 1) and B (key -1), the edge labels at a tree
-        vertex; built on first read, as |det A| + |det B| can be huge.
-        (Not a cached_property: filling __dict__ directly slows every
-        later attribute read of this object.)"""
-        if self._residues is None:
-            self._residues = {1: self.lattice_a.residues(),
-                              -1: self.lattice_b.residues()}
-        return self._residues
 
     @property
     def lam_scalar(self) -> Fraction:

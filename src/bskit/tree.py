@@ -128,7 +128,9 @@ def _checked(u: Vertex) -> Vertex:
 
 
 def _pairs(spec: GroupSpec) -> list:
-    return [(eps, r) for eps in (1, -1) for r in spec.residues[eps]]
+    # read from the lattices per call: |det A| + |det B| can be huge
+    return [(1, r) for r in spec.lattice_a.residues()] + [
+        (-1, r) for r in spec.lattice_b.residues()]
 
 
 def _step(u: Vertex, pair) -> Vertex:

@@ -6,12 +6,14 @@ Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
 normal form, the translation of a cocycle on (parent, child) pairs, the
 plain breadth-first search of a word-length ball, a breadth-first search
-of the affine model that never reduces a word, a renderer of normal forms
+of the affine model that never reduces a word, another over pairs
+(vertex, image) that never reduces one either, a renderer of normal forms
 and vertex names that formats every pair afresh, a per-element count of
 properness sublevel sets and the image column of a ball's spheres, which
 only the tests ask for, live here too.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -136,14 +138,13 @@ def _fraction_product(P, Q) -> list:
     return [[sum(a * b for a, b in zip(r, c)) for c in zip(*Q)] for r in P]
 
 
-def affine_model_spheres(L: int, spec: GroupSpec) -> list:
-    """Spheres 0..L of the word-length ball of the image group in Z x Q^n:
-    a breadth-first search over exact images (k, a), with a a tuple of
-    Fractions, each right-multiplied by the 2n + 2 generators, x^{+-e_i}
-    giving (k, a + Lambda^k (+-e_i)) and t^{+-1} giving (k +- 1, a), where
-    Lambda = A B^-1 and Lambda^k is cached per k.  No normal form is
-    formed.  Where the image map is injective (an ascending datum), these
-    are the images of the group's spheres, as sets."""
+def _fraction_apply(P, v) -> list:
+    return [sum(a * b for a, b in zip(r, v)) for r in P]
+
+
+def _lambda_powers(spec: GroupSpec):
+    """k -> Lambda^k as Fraction rows, Lambda = A B^-1, cached per k; reads
+    only spec.A.rows, spec.B.rows and spec.n."""
     n = spec.n
     lam = {1: _fraction_product(spec.A.rows, _fraction_inverse(spec.B.rows)),
            -1: _fraction_product(spec.B.rows, _fraction_inverse(spec.A.rows))}
@@ -155,8 +156,19 @@ def affine_model_spheres(L: int, spec: GroupSpec) -> list:
             step = 1 if k > 0 else -1
             powers[k] = _fraction_product(power(k - step), lam[step])
         return powers[k]
+    return power
 
-    root = (0, (Fraction(0),) * n)
+
+def affine_model_spheres(L: int, spec: GroupSpec) -> list:
+    """Spheres 0..L of the word-length ball of the image group in Z x Q^n:
+    a breadth-first search over exact images (k, a), with a a tuple of
+    Fractions, each right-multiplied by the 2n + 2 generators, x^{+-e_i}
+    giving (k, a + Lambda^k (+-e_i)) and t^{+-1} giving (k +- 1, a), where
+    Lambda = A B^-1 and Lambda^k is cached per k.  No normal form is
+    formed.  Where the image map is injective (an ascending datum), these
+    are the images of the group's spheres, as sets."""
+    power = _lambda_powers(spec)
+    root = (0, (Fraction(0),) * spec.n)
     seen = {root}
     spheres = [[root]]
     for _ in range(L):
@@ -169,6 +181,79 @@ def affine_model_spheres(L: int, spec: GroupSpec) -> list:
                 if g not in seen:
                     seen.add(g)
                     nxt.append(g)
+        spheres.append(nxt)
+    return spheres
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by cofactors along row 0."""
+    if not rows:
+        return 1
+    return sum((-1) ** c * x * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c, x in enumerate(rows[0]) if x)
+
+
+def _hermite_diagonal(rows) -> list:
+    """The diagonal H_jj of the lower column Hermite form of M: d_j / d_{j-1},
+    d_j the gcd of the j x j minors of M's first j rows (d_0 = 1)."""
+    n = len(rows)
+    d = [1] + [math.gcd(*(_det([[r[c] for c in cs] for r in rows[:j]])
+                          for cs in itertools.combinations(range(n), j)))
+               for j in range(1, n + 1)]
+    return [d[j] // d[j - 1] for j in range(1, n + 1)]
+
+
+def embedding_spheres(L: int, spec: GroupSpec) -> list:
+    """Spheres 0..L of the word-length ball as sets of pairs (vertex, j),
+    by a breadth-first search that right-multiplies each pair by the 2n + 2
+    generators, with no Britton code: it reads only spec.A.rows,
+    spec.B.rows and spec.n.  x^{+-e_i} keeps the vertex u and moves j as
+    in ``affine_model_spheres``.  For t^eps, gamma = coset(u) x^z with
+    z = Lambda^-k (a - a_u), (k, a_u) the image of coset(u); r is the one
+    member of the residue box prod [0, H_jj) of A (eps = 1) or B (eps = -1)
+    with the matrix's inverse times z - r integral; u drops its last pair
+    if that has sign -eps and r = 0, and gains (eps, r) otherwise; j
+    becomes (k + eps, a).  The pair map is injective for every datum, so
+    these are the group's spheres."""
+    n = spec.n
+    power = _lambda_powers(spec)
+    rows = {1: spec.A.rows, -1: spec.B.rows}
+    inverse = {eps: _fraction_inverse(m) for eps, m in rows.items()}
+    box = {eps: list(itertools.product(*map(range, _hermite_diagonal(m))))
+           for eps, m in rows.items()}
+    coset = {(): (Fraction(0),) * n}  # vertex u -> a_u of coset(u)
+
+    def coset_image(u):
+        if u not in coset:  # coset(u) = coset(u[:-1]) x^r t^eps
+            k = sum(eps for eps, _ in u[:-1])
+            coset[u] = tuple(x + y for x, y in zip(
+                coset_image(u[:-1]), _fraction_apply(power(k), u[-1][1])))
+        return coset[u]
+
+    def times_t(u, k, a, eps):
+        z = _fraction_apply(power(-k),
+                            [x - y for x, y in zip(a, coset_image(u))])
+        assert all(x.denominator == 1 for x in z), "tail is not integral"
+        r = next(r for r in box[eps] if all(
+            x.denominator == 1 for x in
+            _fraction_apply(inverse[eps], [x - y for x, y in zip(z, r)])))
+        if u and u[-1][0] == -eps and not any(r):
+            return u[:-1], (k + eps, a)
+        return u + ((eps, r),), (k + eps, a)
+
+    root = ((), (0, (Fraction(0),) * n))
+    seen = {root}
+    spheres = [{root}]
+    for _ in range(L):
+        nxt = set()
+        for u, (k, a) in spheres[-1]:
+            cols = list(zip(*power(k)))  # Lambda^k e_i is column i
+            moves = [(u, (k, tuple(x + s * y for x, y in zip(a, col))))
+                     for col in cols for s in (1, -1)]
+            for g in moves + [times_t(u, k, a, 1), times_t(u, k, a, -1)]:
+                if g not in seen:
+                    seen.add(g)
+                    nxt.add(g)
         spheres.append(nxt)
     return spheres
 

@@ -252,6 +252,21 @@ def test_usage_errors_exit_2(runner, tmp_path):
         assert str(name) in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["ball", "-R", "2", "--format", "dot"], ["proper", "--lmax", "5"],
+    ["gram", "-L", "3", "--size", "10"], ["c0", "--lmax", "5"]])
+def test_out_writes_the_printed_bytes(runner, tmp_path, args):
+    # --out FILE writes what the command prints without it, and prints
+    # nothing
+    printed = runner.invoke(main, ["--bs", "2", "3", *args])
+    path = tmp_path / "out.txt"
+    result = runner.invoke(main, ["--bs", "2", "3", *args, "--out",
+                                  str(path)])
+    assert printed.exit_code == 0 == result.exit_code
+    assert result.output == ""
+    assert path.read_bytes() == printed.stdout_bytes
+
+
 @pytest.mark.parametrize("command", ["reduce", "wp", "vertex", "dist",
                                      "neighbors", "orbit", "affine",
                                      "cocycle", "witness"])

@@ -19,8 +19,8 @@ from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word, sphere_key)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
-from oracles import (affine_model_spheres, ball_images, nf_letters,
-                     reference_spheres, sublevel_counts)
+from oracles import (affine_model_spheres, ball_images, embedding_spheres,
+                     nf_letters, reference_spheres, sublevel_counts)
 
 
 def test_ball_radius_zero(bs23):
@@ -236,6 +236,19 @@ def test_ball_images_equal_the_affine_model_search(spec, L):
                                 strict=True):
         assert {(k, tuple(Fraction(c, den) for c in num))
                 for k, num, den in images} == set(expected)
+
+
+@pytest.mark.parametrize("name, L", [("bs23", 6), ("z2_nonasc", 5)])
+def test_spheres_equal_the_vertex_image_search(name, L):
+    # (vertex, image) is injective for every datum, so a search over such
+    # pairs that never reduces a word finds the same spheres, non-ascending
+    # data included
+    spec = GENERAL_DATA[name]
+    ball = enumerate_ball(L, spec)
+    for sphere, expected in zip(ball.spheres, embedding_spheres(L, spec),
+                                strict=True):
+        assert {(nf.vertex, tuple(j_affine(nf, spec)))
+                for nf in sphere} == expected
 
 
 def test_injectivity_examples(bs23):

@@ -79,18 +79,21 @@ def test_constructor_consistency():
         w1 = britton_reduce(parse_word(text, s1), s1)
         w2 = britton_reduce(parse_word(text, s2), s2)
         assert w1 == w2
-    assert s1.residues == s2.residues
+    for lat1, lat2 in ((s1.lattice_a, s2.lattice_a),
+                       (s1.lattice_b, s2.lattice_b)):
+        assert lat1.residues() == lat2.residues()
 
 
 def test_residue_sizes_match_determinants():
     spec = make_matrix_group([[2, 1], [0, 2]], [[3, 0], [0, 1]])
-    assert len(spec.residues[1]) == 4
-    assert len(spec.residues[-1]) == 3
+    assert len(spec.lattice_a.residues()) == 4
+    assert len(spec.lattice_b.residues()) == 3
 
 
 def test_residues_are_built_on_first_read(monkeypatch):
     # |det A| + |det B| residues may not fit in memory (BS(10^8, 3)): only
-    # the tree's neighbours read them, once per datum
+    # the tree's neighbours read them, once per lattice per call, and no
+    # datum holds them
     calls = []
     original = Lattice.residues
     monkeypatch.setattr(Lattice, "residues",
@@ -105,7 +108,7 @@ def test_residues_are_built_on_first_read(monkeypatch):
         assert calls == []
         neighbors(BASE, spec)
         neighbors(BASE, spec)
-        assert calls == [spec.A.det, spec.B.det]
+        assert calls == [spec.A.det, spec.B.det] * 2
         calls.clear()
 
 
@@ -133,6 +136,9 @@ def test_lambda_pairs_match_a_b_inverse():
             assert d > 0
             assert (M @ P).rows == tuple(tuple(d * x for x in r)
                                          for r in Q.rows)
+        if spec.n > 1:  # lambda is a fraction only for n = 1
+            with pytest.raises(ConfigurationError, match="requires n = 1"):
+                spec.lam_scalar
     # the sign moves into M: lambda keeps its value
     for (p, q), lam in (((2, -2), -1), ((1, -2), Fraction(-1, 2)),
                         ((-2, 3), Fraction(-2, 3))):

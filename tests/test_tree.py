@@ -176,7 +176,8 @@ def test_neighbors_and_act_match_reduction_of_coset_words():
         for u in verts:
             assert neighbors(u, spec) == [
                 vertex_of(_coset_word(u) + [X(r), T(eps)], spec)
-                for eps in (1, -1) for r in spec.residues[eps]]
+                for eps, lat in ((1, spec.lattice_a), (-1, spec.lattice_b))
+                for r in lat.residues()]
         for _ in range(300):
             word = [rng.choice([T(1), T(-1), X(tuple(
                 rng.randrange(-9, 10) for _ in range(spec.n)))])
