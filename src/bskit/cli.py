@@ -57,7 +57,7 @@ def _load_spec(ctx) -> GroupSpec:
 def _emit(text: str, out) -> None:
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
             _exit_2(f"cannot write {out}: {exc.strerror}")

@@ -18,7 +18,7 @@ from .affine import ball_image, j_affine, vertex_memo
 from .arith import _wrong_size, zero_vector
 from .presentation import GroupSpec
 from .tree import bfs_spheres
-from .words import NormalForm, T, X, nf_append, sphere_key
+from .words import NormalForm, T, VertexTrie, X, nf_append
 
 
 def generator_letters(spec: GroupSpec) -> list:
@@ -63,15 +63,18 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
     """BFS over generator letters, deduplicated by normal form; letter i ^ 1
     inverts letter i, so is never appended where letter i led, nor are the
     x-letters 0..i-1 where x-letter i led first (they commute, see
-    ``bfs_spheres``); t-appends share one ``nf_append`` table per call."""
+    ``bfs_spheres``); it runs on keys (node, tail) of one ``VertexTrie``."""
     moves = [(1 << i, letter, 1 << (i ^ 1),
               1 << (i ^ 1) | ((1 << i) - 1 if i < 2 * spec.n else 0))
              for i, letter in enumerate(generator_letters(spec))]
-    table = {}
+    trie = VertexTrie()
     spheres = bfs_spheres(
-        NormalForm((), zero_vector(spec.n)), L, moves,
-        lambda nf, a: nf_append(nf, a, spec, table),
-        max_length, default=12 if spec.n == 1 else 8, key=sphere_key())
+        (0, zero_vector(spec.n)), L, moves,
+        lambda key, a: nf_append(key, a, spec, trie),
+        max_length, default=12 if spec.n == 1 else 8, key=trie.text)
+    vertex, new = trie.vertex, tuple.__new__
+    for sphere in spheres:  # one vertex tuple per node; the keys are dropped
+        sphere[:] = [new(NormalForm, (vertex(u), tail)) for u, tail in sphere]
     return GroupBall(L, spheres, spec)
 
 

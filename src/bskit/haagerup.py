@@ -20,7 +20,7 @@ from .affine import ball_image, scaled
 from .presentation import GroupSpec
 from .embedding import _columns
 from .tree import BASE, Vertex, distance
-from .words import T, X, britton_reduce, nf_append, nf_multiply
+from .words import T, VertexTrie, X, britton_reduce, nf_append, nf_multiply
 
 
 class UnsupportedWitnessError(RuntimeError):
@@ -74,11 +74,14 @@ def translate_cocycle(gamma, cv: CocycleVector,
     A tree automorphism carries the edge (parent, w) onto (gamma parent,
     gamma w), and gamma coset(w) = gamma coset(parent) x^r t^eps for w's
     last pair (eps, r): each vertex is moved from its parent's image by
-    two ``nf_append`` steps sharing one (eps, tail) table.  By a loop,
-    shortest child first from gamma coset(v) = gamma, each vertex of b and
-    each prefix it needs is moved once."""
-    moved = {BASE: britton_reduce(gamma, spec)}  # vertex -> gamma coset(u)
-    table, d, edges = {}, {}, cv.edges
+    two ``nf_append`` steps on keys (node, tail) of one ``VertexTrie``.  By
+    a loop, shortest child first from gamma coset(v) = gamma, each vertex
+    of b and each prefix it needs is moved once."""
+    g, trie, node = britton_reduce(gamma, spec), VertexTrie(), 0
+    for pair in g.vertex:
+        node = trie.add(node, pair)
+    moved = {BASE: (node, g.tail)}  # vertex u -> key of gamma coset(u)
+    d, edges = {}, cv.edges
     for w in sorted(edges, key=len):
         up = [w]  # w, then the prefixes no shorter edge has moved
         while (image := moved.get(up[-1][:-1])) is None:
@@ -86,13 +89,13 @@ def translate_cocycle(gamma, cv: CocycleVector,
         for u in reversed(up):  # parents first, one edge at a time
             parent, (eps, r) = image, u[-1]
             image = moved[u] = nf_append(
-                nf_append(parent, X(r), spec, table), T(eps), spec, table)
+                nf_append(parent, X(r), spec, trie), T(eps), spec, trie)
         # distinct edges stay distinct: a split keeps the orientation
-        # parent -> child, a pinch (image one pair shorter) reverses it
-        if len(image.vertex) > len(parent.vertex):
-            d[image.vertex] = edges[w]
+        # parent -> child, a pinch (image the parent's parent) reverses it
+        if trie.parent[image[0]] == parent[0]:
+            d[trie.vertex(image[0])] = edges[w]
         else:
-            d[parent.vertex] = -edges[w]
+            d[trie.vertex(parent[0])] = -edges[w]
     return tuple.__new__(CocycleVector, (d,))
 
 

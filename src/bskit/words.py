@@ -152,7 +152,7 @@ class NormalForm(NamedTuple):
 
     def __str__(self) -> str:
         tail = f" {_render_x(self.tail)}" if any(self.tail) else ""
-        pairs = _render_pairs(self.vertex)
+        pairs = " ".join([_PAIR_TEXT[pair][0] for pair in self.vertex])
         return pairs + tail if pairs else tail[1:] or "1"
 
 
@@ -181,28 +181,51 @@ class _PairText(dict):
 _PAIR_TEXT = _PairText()
 
 
-def _render_pairs(vertex: tuple) -> str:
-    """The pairs of a vertex as a word, one space apart; "" for the base
-    vertex."""
-    return " ".join([_PAIR_TEXT[pair][0] for pair in vertex])
+class VertexTrie:
+    """A call-local trie of Bass-Serre vertices: node 0 is the base vertex,
+    node i the child of ``parent[i]`` by ``pair[i]`` = (eps, r), found by
+    (node, pair) in ``child``; ``table`` holds ``nf_append``'s (pair, carry)
+    by (eps, tail).  Nodes are ints, meaningful only in their own trie."""
 
+    __slots__ = ("parent", "pair", "child", "table", "_vertex", "_text")
 
-def sphere_key():
-    """A key function equal to ``str`` on normal forms, the sphere order of
-    a ball: one dict holds the text of each vertex's pairs and of each tail
-    (tuples of pairs and of ints never meet), rendered on first sight."""
-    text = {}
+    def __init__(self):
+        self.parent, self.pair = [0], [(0, ())]  # node 0 pinches nothing
+        self.child, self.table, self._vertex, self._text = {}, {}, {0: ()}, {}
 
-    def key(nf):
-        u, tail = nf
-        pairs = text.get(u)
+    def add(self, node: int, pair) -> int:
+        """The child of node by pair, made on first sight."""
+        child = self.child.setdefault((node, pair), len(self.parent))
+        if child == len(self.parent):
+            self.parent.append(node)
+            self.pair.append(pair)
+        return child
+
+    def vertex(self, node: int) -> tuple:
+        """Node's vertex tuple, one per node, built by a loop on first read."""
+        held = self._vertex
+        u = held.get(node)
+        if u is None:
+            pairs, up = [], node
+            while (u := held.get(up)) is None:
+                pairs.append(self.pair[up])
+                up = self.parent[up]
+            u = held[node] = u + tuple(reversed(pairs))
+        return u
+
+    def text(self, key) -> str:
+        """``str`` of the form of key (node, tail), a sphere's sort key; one
+        dict holds each node's and each tail's text, rendered once."""
+        node, tail = key
+        text = self._text
+        pairs = text.get(node)
         if pairs is None:
-            pairs = text[u] = _render_pairs(u)
+            pairs = text[node] = " ".join(
+                [_PAIR_TEXT[pair][0] for pair in self.vertex(node)])
         x = text.get(tail)
         if x is None:
             x = text[tail] = f" {_render_x(tail)}" if any(tail) else ""
         return pairs + x if pairs else x[1:] or "1"
-    return key
 
 
 class _Builder:
@@ -264,32 +287,32 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
     return b.normal_form()
 
 
-def nf_append(nf: NormalForm, letter, spec: GroupSpec,
-              table: dict) -> NormalForm:
-    """The normal form of nf * letter: an x-letter only moves the tail; a
-    t-letter splits or pinches as ``_Builder.push_t`` does, reading
-    (r, carry) from ``table`` keyed by (eps, tail), decomposing on a miss;
-    it builds forms with ``tuple.__new__``, not NormalForm's Python one."""
-    u, tail = nf
+def nf_append(key, letter, spec: GroupSpec, trie: VertexTrie) -> tuple:
+    """The key (node, tail) in ``trie`` of the form of key * letter: an
+    x-letter moves the tail; a t-letter pinches to the node's parent or
+    splits to a child as ``_Builder.push_t`` does, reading (pair, carry)
+    from ``trie.table`` by (eps, tail), decomposing on a miss."""
+    node, tail = key
     if isinstance(letter, T):
         eps = letter.eps
-        rc = table.get((eps, tail))
-        if rc is None:
+        pc = trie.table.get((eps, tail))
+        if pc is None:
             try:
                 C = spec.carry[eps]
             except KeyError:
                 raise _wrong_letter(eps) from None
             lattice = spec.lattice_a if eps == 1 else spec.lattice_b
-            rc = table[eps, tail] = lattice.decompose(tail, C)
-        r, carry = rc
-        if u and u[-1][0] == -eps and not any(r):
-            return tuple.__new__(NormalForm,
-                                 (u[:-1], tuple(map(add, u[-1][1], carry))))
-        return tuple.__new__(NormalForm, (u + ((eps, r),), carry))
+            r, carry = lattice.decompose(tail, C)
+            pc = trie.table[eps, tail] = ((eps, r), carry)
+        pair, carry = pc
+        last = trie.pair[node]
+        if last[0] == -eps and not any(pair[1]):
+            return trie.parent[node], tuple(map(add, last[1], carry))
+        return trie.child.get((node, pair)) or trie.add(node, pair), carry
     z = letter.z
     if len(z) != spec.n:
         raise _wrong_size(z, spec.n)
-    return tuple.__new__(NormalForm, (u, tuple(map(add, tail, z))))
+    return node, tuple(map(add, tail, z))
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

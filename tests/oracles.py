@@ -4,7 +4,9 @@ Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
-normal form, the translation of a cocycle on (parent, child) pairs, the
+normal form, a normal form's key in a vertex trie (and the sort key and
+one-letter append read on forms through it), the translation of a
+cocycle on (parent, child) pairs, the
 plain breadth-first search of a word-length ball, a breadth-first search
 of the affine model that never reduces a word, another over pairs
 (vertex, image) that never reduces one either, a renderer of normal forms
@@ -22,7 +24,8 @@ from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.embedding import generator_letters
 from bskit.presentation import GroupSpec
 from bskit.tree import act
-from bskit.words import NormalForm, T, Word, X, britton_reduce, nf_append
+from bskit.words import (NormalForm, T, VertexTrie, Word, X, britton_reduce,
+                         nf_append)
 
 
 def invert_letters(w: Word) -> Word:
@@ -97,6 +100,32 @@ def sublevel_counts(ball, r_grid, spec: GroupSpec) -> dict:
             for r in r_grid}
 
 
+def interned(nf: NormalForm, trie: VertexTrie) -> tuple:
+    """The key (node, tail) of a normal form in a ``VertexTrie``, the nodes
+    of its vertex made on first sight."""
+    node = 0
+    for pair in nf.vertex:
+        node = trie.add(node, pair)
+    return node, nf.tail
+
+
+def trie_key():
+    """A key function on normal forms, ``text`` of one fresh ``VertexTrie``
+    in which each form's vertex is interned: the sort key of a ball's
+    spheres, read on forms."""
+    trie = VertexTrie()
+    return lambda nf: trie.text(interned(nf, trie))
+
+
+def appended(nf: NormalForm, letter, spec: GroupSpec,
+             trie: VertexTrie | None = None) -> NormalForm:
+    """The normal form of nf * letter by ``nf_append``, in the given (or a
+    fresh) trie."""
+    trie = VertexTrie() if trie is None else trie
+    node, tail = nf_append(interned(nf, trie), letter, spec, trie)
+    return NormalForm(trie.vertex(node), tail)
+
+
 def reference_spheres(L: int, spec: GroupSpec) -> list:
     """Spheres 0..L of the word-length ball by the plain breadth-first
     search: every generator letter appended to every element of the last
@@ -109,7 +138,7 @@ def reference_spheres(L: int, spec: GroupSpec) -> list:
         nxt = []
         for nf in spheres[-1]:
             for letter in letters:
-                w = nf_append(nf, letter, spec, {})
+                w = appended(nf, letter, spec)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

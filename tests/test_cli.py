@@ -267,6 +267,23 @@ def test_out_writes_the_printed_bytes(runner, tmp_path, args):
     assert path.read_bytes() == printed.stdout_bytes
 
 
+def test_out_writes_utf8_under_an_ascii_locale(tmp_path):
+    # vertex names hold "·": --out writes the UTF-8 bytes that stdout
+    # prints, whatever the locale's encoding
+    src = str(Path(bskit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "LC_ALL": "C"}
+    args = [sys.executable, "-m", "bskit.cli", "--bs", "2", "3", "ball",
+            "-R", "1", "--format", "dot"]
+    path = tmp_path / "out.dot"
+    printed = subprocess.run(args, capture_output=True, env=env)
+    written = subprocess.run([*args, "--out", str(path)],
+                             capture_output=True, env=env)
+    assert printed.returncode == 0 == written.returncode, written.stderr
+    assert "·".encode() in printed.stdout
+    assert written.stdout == b""
+    assert path.read_bytes() == printed.stdout
+
+
 @pytest.mark.parametrize("command", ["reduce", "wp", "vertex", "dist",
                                      "neighbors", "orbit", "affine",
                                      "cocycle", "witness"])

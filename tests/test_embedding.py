@@ -17,10 +17,11 @@ from bskit.haagerup import c0_profile, witness
 from bskit.presentation import make_bs, make_matrix_group
 from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
-                         nf_multiply, parse_word, sphere_key)
+                         nf_multiply, parse_word)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
-from oracles import (affine_model_spheres, ball_images, embedding_spheres,
-                     nf_letters, reference_spheres, sublevel_counts)
+from oracles import (affine_model_spheres, appended, ball_images,
+                     embedding_spheres, nf_letters, reference_spheres,
+                     sublevel_counts, trie_key)
 
 
 def test_ball_radius_zero(bs23):
@@ -51,22 +52,22 @@ def test_spheres_are_sorted_by_str(name):
     ball = enumerate_ball(5 if spec.n == 1 else 4, spec)
     for sphere in ball.spheres:
         assert sphere == sorted(sphere, key=str)
-    key = sphere_key()
+    key = trie_key()
     for nf in ball.elements:
         assert key(nf) == str(nf)
 
 
 def test_sphere_key_text(bs12, bs23):
-    key = sphere_key()
+    key = trie_key()
     assert [key(nf) for nf in enumerate_ball(2, bs12).spheres[2]] == [
         "t t", "t x^-1", "t x^-2", "t x^1", "t x^2", "t^-1 t^-1",
         "t^-1 x^-1", "t^-1 x^1", "x^-2", "x^1 t^-1", "x^1 t^-1 x^-1",
         "x^2"]
-    key = sphere_key()
+    key = trie_key()
     assert [key(nf) for nf in enumerate_ball(2, bs23).spheres[2]] == [
         "t t", "t x^-1", "t x^1", "t^-1 t^-1", "t^-1 x^-1", "t^-1 x^1",
         "x^-2", "x^1 t", "x^1 t x^-3", "x^1 t^-1", "x^2", "x^2 t^-1 x^-2"]
-    key = sphere_key()
+    key = trie_key()
     for nf, text in ((NormalForm((), (0, 0)), "1"),
                      (NormalForm((), (0, -3)), "v[0,-3]"),
                      (NormalForm(((1, (0, 0)),), (0, 0)), "t"),
@@ -181,8 +182,18 @@ def test_letter_i_xor_1_inverts_letter_i(name):
     letters = generator_letters(spec)
     for g in enumerate_ball(3, spec).elements:
         for i, letter in enumerate(letters):
-            there = nf_append(g, letter, spec, {})
-            assert nf_append(there, letters[i ^ 1], spec, {}) == g
+            there = appended(g, letter, spec)
+            assert appended(there, letters[i ^ 1], spec) == g
+
+
+@pytest.mark.parametrize("spec, L", [
+    (make_bs(2, 3), 6), (GENERAL_DATA["z2_nonasc"], 5)],
+    ids=["bs23", "z2_nonasc"])
+def test_forms_of_a_ball_share_one_vertex_tuple_per_vertex(spec, L):
+    # the search interns vertices as trie nodes, and each node becomes one
+    # tuple that every form at that vertex holds
+    vertices = [nf.vertex for nf in enumerate_ball(L, spec).elements]
+    assert len({id(u) for u in vertices}) == len(set(vertices))
 
 
 def test_ball_strictly_increasing(bs23, bs12):

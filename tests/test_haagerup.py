@@ -209,11 +209,12 @@ def _never_pinch_push_t(builder, eps):
     builder.syl.append((eps, r))
 
 
-def _never_pinch_append(nf, letter, spec, table):
+def _never_pinch_append(key, letter, spec, trie):
+    # every t-letter makes (or finds) a child node, never the parent
     if isinstance(letter, T):
-        r, carry = _never_pinch_decompose(spec, letter.eps, nf.tail)
-        return NormalForm(nf.vertex + ((letter.eps, r),), carry)
-    return nf_append(nf, letter, spec, table)
+        r, carry = _never_pinch_decompose(spec, letter.eps, key[1])
+        return trie.add(key[0], (letter.eps, r)), carry
+    return nf_append(key, letter, spec, trie)
 
 
 @pytest.mark.parametrize("owner, attr, mutant", [

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import (ball_images, in_lattice, invert_letters, nf_letters,
-                     nf_text_reference, reduce_with_strategy,
-                     vertex_text_reference)
+from oracles import (appended, ball_images, in_lattice, invert_letters,
+                     nf_letters, nf_text_reference, reduce_with_strategy,
+                     trie_key, vertex_text_reference)
 
 from bskit import words
 from bskit.affine import j_affine, scaled
@@ -17,9 +17,9 @@ from bskit.embedding import enumerate_ball, generator_letters
 from bskit.haagerup import cocycle, witness
 from bskit.presentation import make_matrix_group
 from bskit.tree import BASE, Vertex, act, ball, neighbors, vertex_of
-from bskit.words import (NormalForm, ParseError, T, X, _Builder,
+from bskit.words import (NormalForm, ParseError, T, VertexTrie, X, _Builder,
                          britton_reduce, nf_append, nf_invert, nf_multiply,
-                         parse_word, sphere_key, word_problem)
+                         parse_word, word_problem)
 
 
 def w(text, spec):
@@ -123,21 +123,20 @@ def test_nf_append_matches_full_reduction():
         for _ in range(200):
             word = [rng.choice(letters) for _ in range(rng.randrange(0, 10))]
             extra = rng.choice(letters)
-            via_append = nf_append(britton_reduce(word, spec), extra, spec,
-                                   {})
+            via_append = appended(britton_reduce(word, spec), extra, spec)
             assert via_append == britton_reduce(word + [extra], spec)
-        # every letter after every element of a ball, with one table shared
+        # every letter after every element of a ball, with one trie shared
         # across the ball as enumerate_ball shares it: a split adds a pair
         # to the vertex and a pinch removes one, and both occur
-        table, steps = {}, set()
+        trie, steps = VertexTrie(), set()
         for g in enumerate_ball(3, spec).elements:
             for letter in letters:
-                via_table = nf_append(g, letter, spec, table)
-                assert via_table == nf_append(g, letter, spec, {})
-                assert via_table == britton_reduce(nf_letters(g) + [letter],
-                                                   spec)
+                via_trie = appended(g, letter, spec, trie)
+                assert via_trie == appended(g, letter, spec)
+                assert via_trie == britton_reduce(nf_letters(g) + [letter],
+                                                  spec)
                 if isinstance(letter, T):
-                    steps.add(via_table.t_length - g.t_length)
+                    steps.add(via_trie.t_length - g.t_length)
         assert steps == {1, -1}
 
 
@@ -345,7 +344,7 @@ def test_text_of_forms_and_vertices_equals_a_fresh_renderer(name,
     words._PAIR_TEXT.clear()
     elements = enumerate_ball(L, spec).elements
     vertices = {*ball(BASE, L, spec), *(Vertex(nf.vertex) for nf in elements)}
-    key = sphere_key()
+    key = trie_key()
     for nf in elements:
         assert str(nf) == key(nf) == nf_text_reference(nf)
     for u in vertices:
@@ -353,6 +352,17 @@ def test_text_of_forms_and_vertices_equals_a_fresh_renderer(name,
     pairs = {pair for u in vertices for pair in u}
     assert len(misses) == len(pairs) == len(words._PAIR_TEXT)
     assert set(misses) == pairs
+
+
+def test_a_t_run_appends_one_trie_node_per_letter(bs23):
+    # a split is one child node, not a copy of the vertex: t^20000 by
+    # nf_append on one trie makes exactly 20 000 nodes besides the base
+    trie, key = VertexTrie(), (0, (0,))
+    for _ in range(20000):
+        key = nf_append(key, T(1), bs23, trie)
+    assert len(trie.parent) - 1 == 20000
+    assert (NormalForm(trie.vertex(key[0]), key[1])
+            == britton_reduce([T(1)] * 20000, bs23))
 
 
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
@@ -363,7 +373,7 @@ def test_wrong_size_x_letter_is_refused(bs23, asc2):
                 britton_reduce(word, spec)
         for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
-                nf_append(nf, X(z), spec, {})
+                appended(nf, X(z), spec)
 
 
 def test_refusals_within_an_x_run_come_in_letter_order(bs23):
@@ -394,7 +404,7 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
                      lambda: ball(inner, 2, bs23),
                      lambda: ball(inner, 0, bs23),
                      lambda: str(nf),
-                     lambda: sphere_key()(nf),
+                     lambda: trie_key()(nf),
                      lambda: str(Vertex(nf.vertex)),
                      lambda: scaled(nf, bs23),
                      lambda: list(ball_images([[nf]], bs23)),
@@ -402,7 +412,8 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
                      lambda: britton_reduce([X((1,)), bad], bs23),
                      lambda: word_problem([bad], bs23),
                      lambda: vertex_of([bad], bs23),
-                     lambda: nf_append(one, bad, bs23, {}),
+                     lambda: nf_append((0, one.tail), bad, bs23,
+                                       VertexTrie()),
                      lambda: j_affine([bad, X((1,))], bs23),
                      lambda: scaled([X((1,)), bad], bs23),
                      lambda: witness([bad], 1.0, bs23),
