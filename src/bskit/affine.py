@@ -100,33 +100,25 @@ def j_affine(w, spec: GroupSpec) -> AffineElement:
     return AffineElement(k, tuple(Fraction(c, den) for c in num))
 
 
-def vertex_memo(n: int) -> dict:
-    """A memo for ``ball_image``, holding the base vertex's entry."""
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return {(): (0, tuple(zip((0,) * n, identity)), 1)}
-
-
-def ball_image(nf: NormalForm, entries: dict, spec: GroupSpec) -> tuple:
-    """The image (k, num, den) of a normal form, as ``scaled`` gives it:
-    the entry (k, rows, D) of a vertex u in ``entries`` gives j(coset(u)
-    x^z) = (k, (N + Q z) / D) in integers, rows pairing N[i] with row i of
-    Q.  A vertex not held is stepped from its longest held prefix, parents
-    first, storing each entry: a child parent + (eps, r) takes N <- (N + Q
-    r) d, Q <- Q M, D <- D d for the pair (M, d) of Lambda^eps.  A residue
-    or tail outside Z^n is refused."""
-    u, tail = nf
-    n = spec.n
-    if len(tail) != n:
-        raise _wrong_size(tail, n)
-    entry = entries.get(u)
-    if entry is None:
-        m = len(u) - 1
-        while (entry := entries.get(u[:m])) is None:
-            m -= 1
+def ball_image(key, ball) -> tuple:
+    """The image (k, num, den) of key (node, tail) of a ``GroupBall``, as
+    ``scaled`` gives it: the entry (k, rows, D) of node u in ``ball.entries``
+    gives j(coset(u) x^z) = (k, (N + Q z) / D) in integers, rows pairing
+    N[i] with row i of Q.  A node not held is stepped from its nearest held
+    ancestor along ``trie.parent``, parents first, storing each entry: a step
+    by (eps, r) = ``trie.pair[node]`` takes N <- (N + Q r) d, Q <- Q M, D <-
+    D d for the pair (M, d) of Lambda^eps, and refuses a bad eps or r."""
+    node, tail = key
+    if (entry := ball.entries.get(node)) is None:
+        entries, trie, spec, path = ball.entries, ball.trie, ball.spec, []
+        while (entry := entries.get(node)) is None:
+            path.append(node)
+            node = trie.parent[node]
         k, rows, D = entry
-        for e, r in u[m:]:
-            if len(r) != n:
-                raise _wrong_size(r, n)
+        for node in reversed(path):
+            e, r = trie.pair[node]
+            if len(r) != spec.n:
+                raise _wrong_size(r, spec.n)
             try:
                 M, d = spec.lam_int[e]
             except KeyError:
@@ -135,8 +127,7 @@ def ball_image(nf: NormalForm, entries: dict, spec: GroupSpec) -> tuple:
             rows = tuple(((c + sum(map(mul, row, r))) * d,
                           tuple(sum(map(mul, row, col)) for col in cols))
                          for c, row in rows)
-            k, D, m = k + e, D * d, m + 1
-            entry = entries[u[:m]] = k, rows, D
+            k, D = k + e, D * d
+            entry = entries[node] = k, rows, D
     k, rows, D = entry
     return k, [c + sum(map(mul, row, tail)) for c, row in rows], D
-

@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 from numbers import Integral
 from typing import NamedTuple
 
-from .affine import ball_image, j_affine, vertex_memo
+from .affine import ball_image, j_affine
 from .arith import _wrong_size, zero_vector
 from .presentation import GroupSpec
 from .tree import bfs_spheres
@@ -33,14 +33,21 @@ def generator_letters(spec: GroupSpec) -> list:
 class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
-    ``spheres[L]`` holds the elements whose minimal word length is exactly
-    L; ``elements`` is their concatenation and ``entries`` (once every tail
-    is in Z^n) the ``vertex_memo`` ``ball_image`` fills on demand; both are
-    built on first use.
+    ``keys[L]`` holds the keys (node, tail) in ``trie`` of the elements of
+    minimal word length exactly L.  Built on first use: ``spheres``, their
+    forms (one vertex tuple per node), ``elements``, the concatenation, and
+    ``entries`` (once every tail is in Z^n), the per-node ``ball_image`` memo.
     """
 
-    def __init__(self, radius: int, spheres: list, spec: GroupSpec):
-        self.radius, self.spheres, self.spec = radius, spheres, spec
+    def __init__(self, keys: list, trie: VertexTrie, spec: GroupSpec):
+        self.keys, self.trie, self.spec = keys, trie, spec
+        self.radius = len(keys) - 1
+
+    @cached_property
+    def spheres(self) -> list:
+        vertex, new = self.trie.vertex, tuple.__new__
+        return [[new(NormalForm, (vertex(u), tail)) for u, tail in sphere]
+                for sphere in self.keys]
 
     @cached_property
     def elements(self) -> tuple:
@@ -49,13 +56,14 @@ class GroupBall:
     @cached_property
     def entries(self) -> dict:
         n = self.spec.n
-        for _, tail in chain.from_iterable(self.spheres):
+        for _, tail in chain.from_iterable(self.keys):
             if len(tail) != n:
                 raise _wrong_size(tail, n)
-        return vertex_memo(n)
+        return {0: (0, tuple((0, tuple(int(i == j) for j in range(n)))
+                             for i in range(n)), 1)}
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self.spheres)
+        return sum(map(len, self.keys))
 
 
 def enumerate_ball(L: int, spec: GroupSpec, *,
@@ -68,14 +76,11 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
               1 << (i ^ 1) | ((1 << i) - 1 if i < 2 * spec.n else 0))
              for i, letter in enumerate(generator_letters(spec))]
     trie = VertexTrie()
-    spheres = bfs_spheres(
+    keys = bfs_spheres(
         (0, zero_vector(spec.n)), L, moves,
         lambda key, a: nf_append(key, a, spec, trie),
         max_length, default=12 if spec.n == 1 else 8, key=trie.text)
-    vertex, new = trie.vertex, tuple.__new__
-    for sphere in spheres:  # one vertex tuple per node; the keys are dropped
-        sphere[:] = [new(NormalForm, (vertex(u), tail)) for u, tail in sphere]
-    return GroupBall(L, spheres, spec)
+    return GroupBall(keys, trie, spec)
 
 
 def _require_datum(ball: GroupBall, spec: GroupSpec) -> None:
@@ -85,15 +90,16 @@ def _require_datum(ball: GroupBall, spec: GroupSpec) -> None:
 
 
 def _columns(lmax: int, spec: GroupSpec, ball: GroupBall | None) -> tuple:
-    """Spheres 0..lmax of the given (or a fresh) ball and its vertex memo;
-    a ball of another datum, or lmax outside 0..radius, raises ValueError."""
+    """Key spheres 0..lmax, node depths and the (given or fresh) ball, tails
+    checked; another datum, or lmax outside 0..radius, raises ValueError."""
     if ball is None:
         ball = enumerate_ball(lmax, spec)
     _require_datum(ball, spec)
     if not 0 <= lmax <= ball.radius:
         raise ValueError(f"lmax = {lmax} is outside 0..{ball.radius}, "
                          "the radius of the given ball")
-    return ball.spheres[:lmax + 1], ball.entries
+    ball.entries  # the one scan of every tail
+    return ball.keys[:lmax + 1], ball.trie.depth, ball
 
 
 class CheckReport(NamedTuple):
@@ -186,12 +192,11 @@ def properness_profile(lmax: int, r_grid, spec: GroupSpec, *,
     top = order[-1] if order else -1
     counts = {r: [] for r in r_grid}
     hits = [0] * (len(order) + 1)  # elements so far by the first R they meet
-    spheres, entries = _columns(lmax, spec, ball)
-    for sphere in spheres:
-        for nf in sphere:
-            m = len(nf.vertex)  # the t-length
-            if m <= top:
-                k, num, den = ball_image(nf, entries, spec)
+    keys, depth, ball = _columns(lmax, spec, ball)
+    for sphere in keys:
+        for key in sphere:
+            if (m := depth[key[0]]) <= top:  # m the t-length
+                k, num, den = ball_image(key, ball)
                 hits[bisect_left(order, max(
                     m, abs(k), -(-max(map(abs, num)) // den)))] += 1
         for r, c in zip(order, accumulate(hits)):

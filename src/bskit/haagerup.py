@@ -248,19 +248,19 @@ def affine_distances(rows, cols, spec: GroupSpec) -> list:
     return [_distances_from(p, qs) for p in ps]
 
 
-def _witness_values(nfs, images, s: float, spec: GroupSpec) -> list:
-    """psi_s of each normal form, given its affine image (k, num, den):
-    exp(-s (t-length + the distance of that image's point from the base
+def _witness_values(ms, images, s: float, spec: GroupSpec) -> list:
+    """psi_s of each element, given its t-length m and affine image (k,
+    num, den): exp(-s (m + the distance of that image's point from the base
     point (0, 1))), one distance loop over the images."""
     dists = _distances_from((0.0, 1.0), _half_plane_points(images, spec))
-    return [math.exp(-s * (len(nf.vertex) + d)) for nf, d in zip(nfs, dists)]
+    return [math.exp(-s * (m + d)) for m, d in zip(ms, dists)]
 
 
 def witness(gamma, s: float, spec: GroupSpec) -> float:
     """psi_s(gamma) = exp(-s (d_T(v, gamma v) + affine displacement))."""
     _check_scale(s)
     nf = britton_reduce(gamma, spec)
-    return _witness_values([nf], [scaled(nf, spec)], s, spec)[0]
+    return _witness_values([len(nf.vertex)], [scaled(nf, spec)], s, spec)[0]
 
 
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
@@ -282,22 +282,22 @@ def c0_profile(lmax: int, s: float, spec: GroupSpec, *, ball=None) -> list:
     t-length, less a relative 1e-9 past float rounding, are evaluated.
     """
     _check_scale(s)
-    spheres, entries = _columns(lmax, spec, ball)
+    keys, depth, ball = _columns(lmax, spec, ball)
     rows = []
-    for L, sphere in enumerate(spheres):
+    for L, sphere in enumerate(keys):
         # the floats witness(nf, s, spec) gives, no NaN, in sphere order
         # (never empty: t^L has length L), so the first max wins
-        ms = [len(u) for u, _ in sphere]
+        ms = [depth[u] for u, _ in sphere]
         low = min(ms)
-        least = [nf for nf, m in zip(sphere, ms) if m == low]
-        images = [ball_image(nf, entries, spec) for nf in least]
-        bound = max(_witness_values(least, images, s, spec)) * (1 - 1e-9)
-        keep = {m for m in set(ms) if math.exp(-s * m) >= bound}
-        picked = [nf for nf, m in zip(sphere, ms) if m in keep]
-        images = [ball_image(nf, entries, spec) for nf in picked]
-        vals = _witness_values(picked, images, s, spec)
+        images = [ball_image(key, ball)
+                  for key, m in zip(sphere, ms) if m == low]
+        bound = max(_witness_values([low] * len(images), images, s, spec))
+        keep = {m for m in set(ms) if math.exp(-s * m) >= bound * (1 - 1e-9)}
+        picked = [(key, m) for key, m in zip(sphere, ms) if m in keep]
+        images = [ball_image(key, ball) for key, _ in picked]
+        vals = _witness_values([m for _, m in picked], images, s, spec)
         i = vals.index(max(vals))
-        rows.append((L, vals[i], str(picked[i])))
+        rows.append((L, vals[i], ball.trie.text(picked[i][0])))
     return rows
 
 

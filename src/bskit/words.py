@@ -182,15 +182,17 @@ _PAIR_TEXT = _PairText()
 
 
 class VertexTrie:
-    """A call-local trie of Bass-Serre vertices: node 0 is the base vertex,
-    node i the child of ``parent[i]`` by ``pair[i]`` = (eps, r), found by
-    (node, pair) in ``child``; ``table`` holds ``nf_append``'s (pair, carry)
-    by (eps, tail).  Nodes are ints, meaningful only in their own trie."""
+    """A call-local trie of Bass-Serre vertices: node 0 is the base, node i
+    the child of ``parent[i]`` by ``pair[i]`` = (eps, r) at ``depth[i]``,
+    found by (node, pair) in ``child``; ``table`` holds ``nf_append``'s
+    (pair, carry) by (eps, tail).  Nodes are ints, meaningful in one trie."""
 
-    __slots__ = ("parent", "pair", "child", "table", "_vertex", "_text")
+    __slots__ = ("parent", "pair", "depth", "child", "table", "_vertex",
+                 "_text")
 
     def __init__(self):
         self.parent, self.pair = [0], [(0, ())]  # node 0 pinches nothing
+        self.depth = [0]
         self.child, self.table, self._vertex, self._text = {}, {}, {0: ()}, {}
 
     def add(self, node: int, pair) -> int:
@@ -199,6 +201,7 @@ class VertexTrie:
         if child == len(self.parent):
             self.parent.append(node)
             self.pair.append(pair)
+            self.depth.append(self.depth[node] + 1)
         return child
 
     def vertex(self, node: int) -> tuple:

@@ -4,8 +4,8 @@ Independent of the stack reducer in ``bskit.words``; the tests use it to
 probe uniqueness of the normal form under different rewriting orders.
 Lattice membership, the affine identity, the turning of a Fraction
 image into integers, the letters of a word's formal inverse or of a
-normal form, a normal form's key in a vertex trie (and the sort key and
-one-letter append read on forms through it), the translation of a
+normal form, a normal form's key in a vertex trie (and the sort key,
+one-letter append and ball read on forms through it), the translation of a
 cocycle on (parent, child) pairs, the
 plain breadth-first search of a word-length ball, a breadth-first search
 of the affine model that never reduces a word, another over pairs
@@ -19,9 +19,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from bskit.affine import AffineElement, ball_image, j_affine, vertex_memo
+from bskit.affine import AffineElement, ball_image, j_affine
 from bskit.arith import vec_add, vec_neg, zero_vector
-from bskit.embedding import generator_letters
+from bskit.embedding import GroupBall, generator_letters
 from bskit.presentation import GroupSpec
 from bskit.tree import act
 from bskit.words import (NormalForm, T, VertexTrie, Word, X, britton_reduce,
@@ -62,10 +62,18 @@ def scaled_image(e: AffineElement):
     return e.k, [x.numerator * (den // x.denominator) for x in e.a], den
 
 
+def ball_of(spheres, spec: GroupSpec) -> GroupBall:
+    """A ball of the given spheres of normal forms, their vertices interned
+    into one fresh ``VertexTrie``, with a fresh memo."""
+    trie = VertexTrie()
+    return GroupBall([[interned(nf, trie) for nf in s] for s in spheres],
+                     trie, spec)
+
+
 def ball_images(spheres, spec: GroupSpec) -> list:
     """Per sphere, the images ``ball_image`` gives from one fresh memo."""
-    entries = vertex_memo(spec.n)
-    return [[ball_image(nf, entries, spec) for nf in s] for s in spheres]
+    ball = ball_of(spheres, spec)
+    return [[ball_image(key, ball) for key in s] for s in ball.keys]
 
 
 def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:

@@ -175,13 +175,13 @@ def test_ball_images_equal_the_per_element_fold(word_length_balls):
     # integers, not only the same fractions, read through the ball's own
     # memo after the profiles have partly filled it and from a fresh one
     for name, (spec, given) in word_length_balls.items():
-        ball = GroupBall(given.radius, given.spheres, spec)  # an empty memo
+        ball = GroupBall(given.keys, given.trie, spec)  # an empty memo
         properness_profile(ball.radius, [2], spec, ball=ball)
         if spec.n == 1:
             c0_profile(ball.radius, 1.0, spec, ball=ball)
         vertices = {nf.vertex for nf in ball.elements}
         assert 1 < len(ball.entries) < len(vertices), name
-        own = [ball_image(nf, ball.entries, spec) for nf in ball.elements]
+        own = [ball_image(key, ball) for s in ball.keys for key in s]
         fresh = [i for sphere in ball_images(ball.spheres, spec)
                  for i in sphere]
         assert own == fresh == [scaled(nf, spec) for nf in ball.elements], name

@@ -19,7 +19,7 @@ from bskit.tree import ResourceBoundError, vertex_of
 from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
                          nf_multiply, parse_word)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
-from oracles import (affine_model_spheres, appended, ball_images,
+from oracles import (affine_model_spheres, appended, ball_images, ball_of,
                      embedding_spheres, nf_letters, reference_spheres,
                      sublevel_counts, trie_key)
 
@@ -194,6 +194,15 @@ def test_forms_of_a_ball_share_one_vertex_tuple_per_vertex(spec, L):
     # tuple that every form at that vertex holds
     vertices = [nf.vertex for nf in enumerate_ball(L, spec).elements]
     assert len({id(u) for u in vertices}) == len(set(vertices))
+
+
+def test_profiles_build_no_normal_form(bs23):
+    # properness and C0 read keys (node, tail), the t-length as the node's
+    # depth and the argmax name as the node's text: neither builds a form
+    ball = enumerate_ball(5, bs23)
+    properness_profile(5, [1, 2, 4], bs23, ball=ball)
+    c0_profile(5, 1.0, bs23, ball=ball)
+    assert "spheres" not in vars(ball) and "elements" not in vars(ball)
 
 
 def test_ball_strictly_increasing(bs23, bs12):
@@ -431,7 +440,8 @@ def test_profiles_share_one_vertex_memo_per_ball(bs12):
     again = properness_profile(6, [1, 2, 4], spec, ball=ball).to_csv()
     assert again == first
     assert (len(ball.entries), spec.lam_int.lookups) == (held, lookups)
-    assert set(ball.entries) <= {nf.vertex for nf in ball.elements}
+    assert ({ball.trie.vertex(u) for u in ball.entries}
+            <= {nf.vertex for nf in ball.elements})
 
 
 def test_properness_steps_only_vertices_within_the_largest_threshold(
@@ -440,12 +450,12 @@ def test_properness_steps_only_vertices_within_the_largest_threshold(
     # is never stepped: the memo holds exactly the vertices of t-length
     # <= 4, a parent-closed set (46 of 562 vertices of the L = 10 ball)
     spec = counting_spec(bs12)
-    ball = GroupBall(10, bs12_ball10.spheres, spec)
+    ball = GroupBall(bs12_ball10.keys, bs12_ball10.trie, spec)
     profile = properness_profile(10, [1, 2, 4], spec, ball=ball)
     assert profile.counts == sublevel_counts(bs12_ball10, [1, 2, 4], bs12)
     vertices = {nf.vertex for nf in ball.elements}
     needed = {u for u in vertices if len(u) <= 4}
-    assert set(ball.entries) == needed
+    assert {ball.trie.vertex(u) for u in ball.entries} == needed
     assert spec.lam_int.lookups == len(needed) - 1
     assert (len(needed), len(vertices)) == (46, 562)
 
@@ -481,7 +491,7 @@ def test_profiles_step_a_vertex_whose_parent_no_element_holds(bs23):
     # is not a word-length ball; its image is stepped from the base, so
     # both profiles equal the per-element references
     deep = britton_reduce(parse_word("t x t", bs23), bs23)
-    ball = GroupBall(1, [[britton_reduce([], bs23)], [deep]], bs23)
+    ball = ball_of([[britton_reduce([], bs23)], [deep]], bs23)
     grid = [1, 2, 3]
     assert (properness_profile(1, grid, bs23, ball=ball).counts
             == sublevel_counts(ball, grid, bs23))
@@ -497,8 +507,8 @@ def test_profiles_refuse_a_tail_outside_z_n_anywhere_in_the_ball(bs23):
     t = britton_reduce(parse_word("t", bs23), bs23)
     deep = britton_reduce(parse_word("t x t", bs23), bs23)
     for bad in ((0, 0), ()):
-        ball = GroupBall(2, [[britton_reduce([], bs23)], [t],
-                             [NormalForm(deep.vertex, bad)]], bs23)
+        ball = ball_of([[britton_reduce([], bs23)], [t],
+                        [NormalForm(deep.vertex, bad)]], bs23)
         for lmax in (1, 2):
             for profile in (
                     lambda: properness_profile(lmax, [1], bs23, ball=ball),
