@@ -101,14 +101,14 @@ def j_affine(w, spec: GroupSpec) -> AffineElement:
 
 
 def ball_image(key, ball) -> tuple:
-    """The image (k, num, den) of key (node, tail) of a ``GroupBall``, as
+    """The image (k, num, den) of key (node, tail id) of a ``GroupBall``, as
     ``scaled`` gives it: the entry (k, rows, D) of node u in ``ball.entries``
     gives j(coset(u) x^z) = (k, (N + Q z) / D) in integers, rows pairing
     N[i] with row i of Q.  A node not held is stepped from its nearest held
     ancestor along ``trie.parent``, parents first, storing each entry: a step
     by (eps, r) = ``trie.pair[node]`` takes N <- (N + Q r) d, Q <- Q M, D <-
     D d for the pair (M, d) of Lambda^eps, and refuses a bad eps or r."""
-    node, tail = key
+    node, tail = key[0], ball.trie.tails[key[1]]
     if (entry := ball.entries.get(node)) is None:
         entries, trie, spec, path = ball.entries, ball.trie, ball.spec, []
         while (entry := entries.get(node)) is None:

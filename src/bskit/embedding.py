@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from numbers import Integral
 from typing import NamedTuple
 
@@ -33,10 +33,10 @@ def generator_letters(spec: GroupSpec) -> list:
 class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
-    ``keys[L]`` holds the keys (node, tail) in ``trie`` of the elements of
-    minimal word length exactly L.  Built on first use: ``spheres``, their
-    forms (one vertex tuple per node), ``elements``, the concatenation, and
-    ``entries`` (once every tail is in Z^n), the per-node ``ball_image`` memo.
+    ``keys[L]`` holds the keys (node, tail id) in ``trie`` of the elements
+    of minimal word length exactly L.  Built on first use: ``spheres``, of
+    forms sharing one tuple per vertex and tail, ``elements``, their join,
+    and ``entries`` (once every tail is in Z^n), the ``ball_image`` memo.
     """
 
     def __init__(self, keys: list, trie: VertexTrie, spec: GroupSpec):
@@ -45,8 +45,8 @@ class GroupBall:
 
     @cached_property
     def spheres(self) -> list:
-        vertex, new = self.trie.vertex, tuple.__new__
-        return [[new(NormalForm, (vertex(u), tail)) for u, tail in sphere]
+        vertex, tails, new = self.trie.vertex, self.trie.tails, tuple.__new__
+        return [[new(NormalForm, (vertex(u), tails[t])) for u, t in sphere]
                 for sphere in self.keys]
 
     @cached_property
@@ -56,7 +56,7 @@ class GroupBall:
     @cached_property
     def entries(self) -> dict:
         n = self.spec.n
-        for _, tail in chain.from_iterable(self.keys):
+        for tail in self.trie.tails:
             if len(tail) != n:
                 raise _wrong_size(tail, n)
         return {0: (0, tuple((0, tuple(int(i == j) for j in range(n)))
@@ -71,15 +71,16 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
     """BFS over generator letters, deduplicated by normal form; letter i ^ 1
     inverts letter i, so is never appended where letter i led, nor are the
     x-letters 0..i-1 where x-letter i led first (they commute, see
-    ``bfs_spheres``); it runs on keys (node, tail) of one ``VertexTrie``."""
+    ``bfs_spheres``); it runs on keys (node, tail id) of one ``VertexTrie``."""
     moves = [(1 << i, letter, 1 << (i ^ 1),
               1 << (i ^ 1) | ((1 << i) - 1 if i < 2 * spec.n else 0))
              for i, letter in enumerate(generator_letters(spec))]
     trie = VertexTrie()
     keys = bfs_spheres(
-        (0, zero_vector(spec.n)), L, moves,
+        (0, trie.intern(zero_vector(spec.n))), L, moves,
         lambda key, a: nf_append(key, a, spec, trie),
         max_length, default=12 if spec.n == 1 else 8, key=trie.text)
+    trie.drop_texts()  # the sort's texts, read by no one after it
     return GroupBall(keys, trie, spec)
 
 

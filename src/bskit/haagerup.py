@@ -74,13 +74,13 @@ def translate_cocycle(gamma, cv: CocycleVector,
     A tree automorphism carries the edge (parent, w) onto (gamma parent,
     gamma w), and gamma coset(w) = gamma coset(parent) x^r t^eps for w's
     last pair (eps, r): each vertex is moved from its parent's image by
-    two ``nf_append`` steps on keys (node, tail) of one ``VertexTrie``.  By
+    two ``nf_append`` steps on keys (node, tail id) of one ``VertexTrie``.  By
     a loop, shortest child first from gamma coset(v) = gamma, each vertex
     of b and each prefix it needs is moved once."""
     g, trie, node = britton_reduce(gamma, spec), VertexTrie(), 0
     for pair in g.vertex:
         node = trie.add(node, pair)
-    moved = {BASE: (node, g.tail)}  # vertex u -> key of gamma coset(u)
+    moved = {BASE: (node, trie.intern(g.tail))}  # u -> key of gamma coset(u)
     d, edges = {}, cv.edges
     for w in sorted(edges, key=len):
         up = [w]  # w, then the prefixes no shorter edge has moved

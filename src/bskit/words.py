@@ -184,16 +184,17 @@ _PAIR_TEXT = _PairText()
 class VertexTrie:
     """A call-local trie of Bass-Serre vertices: node 0 is the base, node i
     the child of ``parent[i]`` by ``pair[i]`` = (eps, r) at ``depth[i]``,
-    found by (node, pair) in ``child``; ``table`` holds ``nf_append``'s
-    (pair, carry) by (eps, tail).  Nodes are ints, meaningful in one trie."""
+    found by (node, pair) in ``child``; tail i is ``tails[i]``, found by
+    ``intern``.  ``table`` holds ``nf_append``'s steps by (~tail id, eps)
+    and (tail id, z).  Nodes and tail ids are ints, meaningful in one trie."""
 
-    __slots__ = ("parent", "pair", "depth", "child", "table", "_vertex",
-                 "_text")
+    __slots__ = ("parent", "pair", "depth", "child", "tails", "_tail_id",
+                 "table", "_vertex", "_text")
 
     def __init__(self):
-        self.parent, self.pair = [0], [(0, ())]  # node 0 pinches nothing
-        self.depth = [0]
-        self.child, self.table, self._vertex, self._text = {}, {}, {0: ()}, {}
+        self.parent, self.pair, self.depth = [0], [(0, ())], [0]  # no pinch
+        self.tails, self._tail_id, self.child, self.table = [], {}, {}, {}
+        self._vertex, self._text = {0: ()}, {0: ""}
 
     def add(self, node: int, pair) -> int:
         """The child of node by pair, made on first sight."""
@@ -203,6 +204,17 @@ class VertexTrie:
             self.pair.append(pair)
             self.depth.append(self.depth[node] + 1)
         return child
+
+    def intern(self, tail) -> int:
+        """The id of tail, made on first sight."""
+        i = self._tail_id.setdefault(tail, len(self.tails))
+        if i == len(self.tails):
+            self.tails.append(tail)
+        return i
+
+    def drop_texts(self) -> None:
+        """Forget every text ``text`` holds but the base's, which ends it."""
+        self._text = {0: ""}
 
     def vertex(self, node: int) -> tuple:
         """Node's vertex tuple, one per node, built by a loop on first read."""
@@ -217,17 +229,20 @@ class VertexTrie:
         return u
 
     def text(self, key) -> str:
-        """``str`` of the form of key (node, tail), a sphere's sort key; one
-        dict holds each node's and each tail's text, rendered once."""
+        """``str`` of the form of key (node, tail id), a sphere's sort key.
+        ``_text`` holds a node's text by node (the base's empty), extended
+        from its nearest held ancestor's by a loop, and a tail's by ~id."""
         node, tail = key
-        text = self._text
-        pairs = text.get(node)
-        if pairs is None:
-            pairs = text[node] = " ".join(
-                [_PAIR_TEXT[pair][0] for pair in self.vertex(node)])
-        x = text.get(tail)
-        if x is None:
-            x = text[tail] = f" {_render_x(tail)}" if any(tail) else ""
+        held = self._text
+        if (pairs := held.get(node)) is None:
+            up, below = node, []
+            while (pairs := held.get(up)) is None:
+                below.append(_PAIR_TEXT[self.pair[up]][0])
+                up = self.parent[up]
+            pairs = held[node] = " ".join([pairs, *below[::-1]]).lstrip()
+        if (x := held.get(~tail)) is None:
+            z = self.tails[tail]
+            x = held[~tail] = f" {_render_x(z)}" if any(z) else ""
         return pairs + x if pairs else x[1:] or "1"
 
 
@@ -291,31 +306,35 @@ def britton_reduce(w, spec: GroupSpec) -> NormalForm:
 
 
 def nf_append(key, letter, spec: GroupSpec, trie: VertexTrie) -> tuple:
-    """The key (node, tail) in ``trie`` of the form of key * letter: an
+    """The key (node, tail id) in ``trie`` of the form of key * letter: an
     x-letter moves the tail; a t-letter pinches to the node's parent or
-    splits to a child as ``_Builder.push_t`` does, reading (pair, carry)
-    from ``trie.table`` by (eps, tail), decomposing on a miss."""
+    splits to a child as ``_Builder.push_t`` does.  Steps are read from
+    ``trie.table``, by (~tail id, eps) for t (decomposing on a miss) and by
+    (tail id, z) for x (z's size checked on a miss): apart by the sign."""
     node, tail = key
     if isinstance(letter, T):
         eps = letter.eps
-        pc = trie.table.get((eps, tail))
+        pc = trie.table.get((~tail, eps))
         if pc is None:
             try:
                 C = spec.carry[eps]
             except KeyError:
                 raise _wrong_letter(eps) from None
             lattice = spec.lattice_a if eps == 1 else spec.lattice_b
-            r, carry = lattice.decompose(tail, C)
-            pc = trie.table[eps, tail] = ((eps, r), carry)
+            r, carry = lattice.decompose(trie.tails[tail], C)
+            pc = trie.table[~tail, eps] = ((eps, r), trie.intern(carry))
         pair, carry = pc
         last = trie.pair[node]
         if last[0] == -eps and not any(pair[1]):
-            return trie.parent[node], tuple(map(add, last[1], carry))
+            return trie.parent[node], trie.intern(
+                tuple(map(add, last[1], trie.tails[carry])))
         return trie.child.get((node, pair)) or trie.add(node, pair), carry
-    z = letter.z
-    if len(z) != spec.n:
-        raise _wrong_size(z, spec.n)
-    return node, tuple(map(add, tail, z))
+    if (step := trie.table.get((tail, z := letter.z))) is None:
+        if len(z) != spec.n:
+            raise _wrong_size(z, spec.n)
+        step = trie.table[tail, z] = trie.intern(
+            tuple(map(add, trie.tails[tail], z)))
+    return node, step
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

@@ -109,12 +109,12 @@ def sublevel_counts(ball, r_grid, spec: GroupSpec) -> dict:
 
 
 def interned(nf: NormalForm, trie: VertexTrie) -> tuple:
-    """The key (node, tail) of a normal form in a ``VertexTrie``, the nodes
-    of its vertex made on first sight."""
+    """The key (node, tail id) of a normal form in a ``VertexTrie``, the
+    nodes of its vertex and its tail made on first sight."""
     node = 0
     for pair in nf.vertex:
         node = trie.add(node, pair)
-    return node, nf.tail
+    return node, trie.intern(nf.tail)
 
 
 def trie_key():
@@ -131,7 +131,7 @@ def appended(nf: NormalForm, letter, spec: GroupSpec,
     fresh) trie."""
     trie = VertexTrie() if trie is None else trie
     node, tail = nf_append(interned(nf, trie), letter, spec, trie)
-    return NormalForm(trie.vertex(node), tail)
+    return NormalForm(trie.vertex(node), trie.tails[tail])
 
 
 def reference_spheres(L: int, spec: GroupSpec) -> list:

@@ -16,8 +16,8 @@ from bskit.embedding import (GroupBall, check_injectivity, check_stabilizer,
 from bskit.haagerup import c0_profile, witness
 from bskit.presentation import make_bs, make_matrix_group
 from bskit.tree import ResourceBoundError, vertex_of
-from bskit.words import (NormalForm, britton_reduce, nf_append, nf_invert,
-                         nf_multiply, parse_word)
+from bskit.words import (NormalForm, VertexTrie, britton_reduce, nf_append,
+                         nf_invert, nf_multiply, parse_word)
 from conftest import ASC2, GENERAL_DATA, IMAGE_DATA, counting_spec
 from oracles import (affine_model_spheres, appended, ball_images, ball_of,
                      embedding_spheres, nf_letters, reference_spheres,
@@ -190,19 +190,35 @@ def test_letter_i_xor_1_inverts_letter_i(name):
     (make_bs(2, 3), 6), (GENERAL_DATA["z2_nonasc"], 5)],
     ids=["bs23", "z2_nonasc"])
 def test_forms_of_a_ball_share_one_vertex_tuple_per_vertex(spec, L):
-    # the search interns vertices as trie nodes, and each node becomes one
-    # tuple that every form at that vertex holds
-    vertices = [nf.vertex for nf in enumerate_ball(L, spec).elements]
+    # the search interns vertices as trie nodes and tails by id, and each
+    # node or id becomes one tuple that every form holding it shares
+    elements = enumerate_ball(L, spec).elements
+    vertices = [nf.vertex for nf in elements]
     assert len({id(u) for u in vertices}) == len(set(vertices))
+    tails = [nf.tail for nf in elements]
+    assert len({id(z) for z in tails}) == len(set(tails))
 
 
-def test_profiles_build_no_normal_form(bs23):
-    # properness and C0 read keys (node, tail), the t-length as the node's
-    # depth and the argmax name as the node's text: neither builds a form
+def test_profiles_build_no_normal_form(bs23, monkeypatch):
+    # properness and C0 read keys (node, tail id), the t-length as the node's
+    # depth and the argmax name as the node's text: neither builds a form.
+    # The sort key extends a parent's text, so neither they nor the search
+    # calls VertexTrie.vertex, and the search keeps no text but the base's
+    calls = [0]
+    vertex = VertexTrie.vertex
+
+    def counting(trie, node):
+        calls[0] += 1
+        return vertex(trie, node)
+    monkeypatch.setattr(VertexTrie, "vertex", counting)
     ball = enumerate_ball(5, bs23)
+    assert ball.trie._text == {0: ""}
     properness_profile(5, [1, 2, 4], bs23, ball=ball)
     c0_profile(5, 1.0, bs23, ball=ball)
     assert "spheres" not in vars(ball) and "elements" not in vars(ball)
+    assert calls[0] == 0
+    ball.elements
+    assert calls[0] > 0  # the counter sees the calls the forms make
 
 
 def test_ball_strictly_increasing(bs23, bs12):

@@ -212,8 +212,9 @@ def _never_pinch_push_t(builder, eps):
 def _never_pinch_append(key, letter, spec, trie):
     # every t-letter makes (or finds) a child node, never the parent
     if isinstance(letter, T):
-        r, carry = _never_pinch_decompose(spec, letter.eps, key[1])
-        return trie.add(key[0], (letter.eps, r)), carry
+        r, carry = _never_pinch_decompose(spec, letter.eps,
+                                          trie.tails[key[1]])
+        return trie.add(key[0], (letter.eps, r)), trie.intern(carry)
     return nf_append(key, letter, spec, trie)
 
 

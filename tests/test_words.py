@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import (appended, ball_images, in_lattice, invert_letters,
-                     nf_letters, nf_text_reference, reduce_with_strategy,
-                     trie_key, vertex_text_reference)
+from oracles import (appended, ball_images, in_lattice, interned,
+                     invert_letters, nf_letters, nf_text_reference,
+                     reduce_with_strategy, trie_key, vertex_text_reference)
 
 from bskit import words
 from bskit.affine import j_affine, scaled
@@ -357,23 +357,31 @@ def test_text_of_forms_and_vertices_equals_a_fresh_renderer(name,
 def test_a_t_run_appends_one_trie_node_per_letter(bs23):
     # a split is one child node, not a copy of the vertex: t^20000 by
     # nf_append on one trie makes exactly 20 000 nodes besides the base
-    trie, key = VertexTrie(), (0, (0,))
+    trie = VertexTrie()
+    key = 0, trie.intern((0,))
     for _ in range(20000):
         key = nf_append(key, T(1), bs23, trie)
     assert len(trie.parent) - 1 == 20000
-    assert (NormalForm(trie.vertex(key[0]), key[1])
+    assert (NormalForm(trie.vertex(key[0]), trie.tails[key[1]])
             == britton_reduce([T(1)] * 20000, bs23))
 
 
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
-    # refused where the letter enters, not truncated or kept until a t-letter
+    # refused where the letter enters, not truncated or kept until a
+    # t-letter; nf_append reads x-steps by (tail id, z) from its trie and
+    # checks z's size before storing one, so on one trie a bad z is refused
+    # on every call, also beside a valid step stored from the same tail id
     for spec, z in ((bs23, (1, 2)), (asc2, (3,))):
         for word in ([X(z)], [T(1), X(z)], [X(z), T(1)]):
             with pytest.raises(ConfigurationError, match="dimension mismatch"):
                 britton_reduce(word, spec)
+        trie = VertexTrie()
         for nf in (britton_reduce([], spec), britton_reduce([T(1)], spec)):
-            with pytest.raises(ConfigurationError, match="dimension mismatch"):
-                appended(nf, X(z), spec)
+            for _ in range(2):
+                with pytest.raises(ConfigurationError,
+                                   match="dimension mismatch"):
+                    appended(nf, X(z), spec, trie)
+                assert appended(nf, X((1,) * spec.n), spec, trie) != nf
 
 
 def test_refusals_within_an_x_run_come_in_letter_order(bs23):
@@ -393,7 +401,7 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
     # fails with a bare KeyError or reads T(0) as the identity
     # (raw words), nor renders or maps a hand-built form or vertex holding
     # the pair (eps, 0), last or not
-    one = britton_reduce([], bs23)
+    one, trie = britton_reduce([], bs23), VertexTrie()
     for eps in (0, 2, -3):
         bad = T(eps)
         nf = NormalForm(((eps, (0,)),), (0,))
@@ -412,8 +420,7 @@ def test_stable_letter_other_than_t_or_its_inverse_is_refused(bs23):
                      lambda: britton_reduce([X((1,)), bad], bs23),
                      lambda: word_problem([bad], bs23),
                      lambda: vertex_of([bad], bs23),
-                     lambda: nf_append((0, one.tail), bad, bs23,
-                                       VertexTrie()),
+                     lambda: nf_append(interned(one, trie), bad, bs23, trie),
                      lambda: j_affine([bad, X((1,))], bs23),
                      lambda: scaled([X((1,)), bad], bs23),
                      lambda: witness([bad], 1.0, bs23),
