@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .arith import _wrong_size
 from .presentation import GroupSpec
-from .words import NormalForm, X, _wrong_letter
+from .words import NormalForm, T, X, _wrong_letter
 
 
 class AffineElement(NamedTuple):
@@ -36,14 +36,12 @@ class AffineElement(NamedTuple):
 
 
 def _lam_apply(k: int, a, spec: GroupSpec) -> tuple:
-    """Lambda^k a: |k| steps of the integer pair (M, d) of Lambda^{+-1}
-    on a held as integers over one denominator, as in j_affine."""
+    """Lambda^k a: ``scaled`` of the raw word t^k x^{den a}, over den, for
+    den the least common denominator of a; j(t^k x^z) = (k, Lambda^k z)."""
     den = math.lcm(*(x.denominator for x in a))
-    num = [x.numerator * (den // x.denominator) for x in a]
-    M, d = spec.lam_int[1 if k > 0 else -1]
-    for _ in range(abs(k)):
-        num, den = M.apply(num), den * d
-    return tuple(Fraction(c, den) for c in num)
+    z = tuple(x.numerator * (den // x.denominator) for x in a)
+    _, num, d = scaled([T(1 if k > 0 else -1)] * abs(k) + [X(z)], spec)
+    return tuple(Fraction(c, d * den) for c in num)
 
 
 def aff_compose(e1: AffineElement, e2: AffineElement,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from functools import cache
 
 import click
 
@@ -243,10 +244,12 @@ def cocycle_cmd(spec, word):
 @click.pass_obj
 def cocycle_check(spec, length, pairs, seed):
     """Random-pair check of the 1-cocycle law over the ball."""
-    elements = enumerate_ball(length, spec).elements
+    ball = enumerate_ball(length, spec)
+    keys = [key for sphere in ball.keys for key in sphere]
+    form = cache(ball.form)  # one form per key, however often it is drawn
     rng = random.Random(seed)
-    bad = sum(not cocycle_identity_check(rng.choice(elements),
-                                         rng.choice(elements), spec)
+    bad = sum(not cocycle_identity_check(form(rng.choice(keys)),
+                                         form(rng.choice(keys)), spec)
               for _ in range(pairs))
     status = "OK" if bad == 0 else "FAIL"
     click.echo(f"{status}: {bad} violations / {pairs} pairs")
@@ -264,9 +267,10 @@ def cocycle_check(spec, length, pairs, seed):
 @click.pass_obj
 def gram(spec, length, scale, size, seed, kernel, out):
     """Kernel PSD certificate on a random sample from the ball (JSON)."""
-    elements = enumerate_ball(length, spec).elements
-    rng = random.Random(seed)
-    sample = rng.sample(elements, min(size, len(elements)))
+    ball = enumerate_ball(length, spec)
+    keys = [key for sphere in ball.keys for key in sphere]
+    rng = random.Random(seed)  # reads len and indices: keys draw as forms
+    sample = [ball.form(k) for k in rng.sample(keys, min(size, len(keys)))]
     fn = tree_gram if kernel == "tree" else witness_gram
     _emit(fn(sample, scale, spec).to_json(), out)
 

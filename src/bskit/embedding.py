@@ -14,7 +14,7 @@ from itertools import accumulate
 from numbers import Integral
 from typing import NamedTuple
 
-from .affine import ball_image, j_affine
+from .affine import ball_image
 from .arith import _wrong_size, zero_vector
 from .presentation import GroupSpec
 from .tree import bfs_spheres
@@ -34,8 +34,8 @@ class GroupBall:
     """All group elements of word length <= radius, deduped by normal form.
 
     ``keys[L]`` holds the keys (node, tail id) in ``trie`` of the elements
-    of minimal word length exactly L.  Built on first use: ``spheres``, of
-    forms sharing one tuple per vertex and tail, ``elements``, their join,
+    of minimal word length exactly L, and ``form(key)`` its form.  Built on
+    first use: ``spheres``, their forms, ``elements``, the forms joined,
     and ``entries`` (once every tail is in Z^n), the ``ball_image`` memo.
     """
 
@@ -43,11 +43,13 @@ class GroupBall:
         self.keys, self.trie, self.spec = keys, trie, spec
         self.radius = len(keys) - 1
 
+    def form(self, key) -> NormalForm:
+        return tuple.__new__(NormalForm, (self.trie.vertex(key[0]),
+                                          self.trie.tails[key[1]]))
+
     @cached_property
     def spheres(self) -> list:
-        vertex, tails, new = self.trie.vertex, self.trie.tails, tuple.__new__
-        return [[new(NormalForm, (vertex(u), tails[t])) for u, t in sphere]
-                for sphere in self.keys]
+        return [list(map(self.form, sphere)) for sphere in self.keys]
 
     @cached_property
     def elements(self) -> tuple:
@@ -80,7 +82,7 @@ def enumerate_ball(L: int, spec: GroupSpec, *,
         (0, trie.intern(zero_vector(spec.n))), L, moves,
         lambda key, a: nf_append(key, a, spec, trie),
         max_length, default=12 if spec.n == 1 else 8, key=trie.text)
-    trie.drop_texts()  # the sort's texts, read by no one after it
+    trie.drop_texts()  # the sort's texts and the search's child index
     return GroupBall(keys, trie, spec)
 
 
@@ -125,32 +127,27 @@ class CheckReport(NamedTuple):
 
 
 def check_injectivity(ball: GroupBall, spec: GroupSpec) -> CheckReport:
-    """Every nontrivial element either moves the base vertex or has a
-    nontrivial affine image (and fixing elements must be pure x-powers)."""
-    _require_datum(ball, spec)
+    """Every nontrivial element either moves the base vertex (its node is
+    not the base's, 0) or has a nontrivial affine image; read on keys."""
+    keys, _, ball = _columns(ball.radius, spec, ball)
     report = CheckReport("injectivity", len(ball), [])
-    for nf in ball.elements:
-        if nf.is_identity or nf.vertex:
-            continue
-        if nf.t_length != 0:
-            report.violations.append(
-                f"{nf}: fixes the base vertex but has t-length {nf.t_length}")
-        elif j_affine(nf, spec).is_identity:
-            report.violations.append(
-                f"{nf}: nontrivial but invisible to both coordinates")
+    for key in (key for sphere in keys for key in sphere if not key[0]):
+        k, num, _ = ball_image(key, ball)
+        if any(ball.trie.tails[key[1]]) and not (k or any(num)):
+            report.violations.append(f"{ball.trie.text(key)}: nontrivial "
+                                     "but invisible to both coordinates")
     return report
 
 
 def check_stabilizer(ball: GroupBall, spec: GroupSpec) -> CheckReport:
-    """{gamma : gamma v = v} must equal {gamma : t-length 0}, elementwise."""
-    _require_datum(ball, spec)
+    """{gamma : gamma v = v} must equal {gamma : t-length 0}, elementwise:
+    an element fixes the base iff its node is 0, the t-length its depth."""
+    keys, depth, ball = _columns(ball.radius, spec, ball)
     report = CheckReport("stabilizer", len(ball), [])
-    for nf in ball.elements:
-        fixes = not nf.vertex
-        in_g = nf.t_length == 0
-        if fixes != in_g:
-            report.violations.append(
-                f"{nf}: fixes base = {fixes}, t-length = {nf.t_length}")
+    for key in (key for sphere in keys for key in sphere):
+        if (not key[0]) != ((m := depth[key[0]]) == 0):
+            report.violations.append(f"{ball.trie.text(key)}: fixes base = "
+                                     f"{not key[0]}, t-length = {m}")
     return report
 
 

@@ -213,8 +213,9 @@ class VertexTrie:
         return i
 
     def drop_texts(self) -> None:
-        """Forget every text ``text`` holds but the base's, which ends it."""
+        """End the search: drop ``child`` and every text but the base's."""
         self._text = {0: ""}
+        del self.child
 
     def vertex(self, node: int) -> tuple:
         """Node's vertex tuple, one per node, built by a loop on first read."""

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,10 @@ from click.testing import CliRunner
 import bskit
 from bskit import cli
 from bskit.cli import main
-from bskit.embedding import CheckReport
+from bskit.embedding import CheckReport, GroupBall, enumerate_ball
+from bskit.haagerup import tree_gram
+from bskit.words import VertexTrie
+from conftest import GENERAL_DATA
 
 
 @pytest.fixture
@@ -154,6 +158,62 @@ def test_gram_json(runner):
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["psd"] is True and data["dimension"] == 10
+
+
+def test_ball_commands_build_forms_only_for_what_they_draw(runner,
+                                                          monkeypatch):
+    # the checks, gram and cocycle-check read the ball's keys: neither view
+    # of forms is read (elements joins spheres), the checks build no vertex
+    # tuple, and gram builds one per element it draws (the cocycle law
+    # reads vertex tuples of its own trie, so cocycle-check is not counted)
+    monkeypatch.setattr(GroupBall, "spheres", property(
+        lambda ball: pytest.fail("a ball command read GroupBall.spheres")))
+    calls = [0]
+    vertex = VertexTrie.vertex
+
+    def counting(trie, node):
+        calls[0] += 1
+        return vertex(trie, node)
+    monkeypatch.setattr(VertexTrie, "vertex", counting)
+    for args, most in ((["inject-check"], 0), (["stab-check"], 0),
+                       (["cocycle-check", "--pairs", "30"], None),
+                       (["gram", "--size", "40"], 40),
+                       (["gram", "--size", "40", "--kernel", "witness"], 40)):
+        calls[0] = 0
+        result = runner.invoke(main, ["--bs", "2", "3", *args, "-L", "6"])
+        assert result.exit_code == 0, args
+        assert most is None or calls[0] <= most, args
+    assert calls[0] > 0  # the counter sees the calls the forms make
+
+
+@pytest.mark.parametrize("name, L", [("bs23", 6), ("z2_nonasc", 4)])
+def test_gram_and_cocycle_check_draw_what_random_draws_from_the_elements(
+        runner, monkeypatch, tmp_path, name, L):
+    # element order is output: for each seed the forms of the drawn keys
+    # are the forms random.Random(seed).sample and .choice draw from the
+    # ball's elements, since both read a sequence only by len and index
+    spec = GENERAL_DATA[name]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"n": spec.n, "A": [*map(list, spec.A.rows)],
+                                "B": [*map(list, spec.B.rows)]}))
+    elements = enumerate_ball(L, spec).elements
+    drawn = []
+    monkeypatch.setattr(cli, "tree_gram", lambda sample, s, spec: (
+        drawn.append(sample) or tree_gram(sample, s, spec)))
+    monkeypatch.setattr(cli, "cocycle_identity_check",
+                        lambda gamma, delta, spec: not drawn.append(
+                            (gamma, delta)))
+    for seed in range(5):
+        drawn.clear()
+        for args in (["gram", "--size", "40"], ["cocycle-check", "--pairs",
+                                                "30"]):
+            result = runner.invoke(main, ["--spec", str(path), *args, "-L",
+                                          str(L), "--seed", str(seed)])
+            assert result.exit_code == 0, (args, result.output)
+        sample = random.Random(seed).sample(elements, 40)
+        rng = random.Random(seed)
+        assert drawn == [sample, *((rng.choice(elements),
+                                    rng.choice(elements)) for _ in range(30))]
 
 
 def test_witness(runner):

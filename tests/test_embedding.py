@@ -200,10 +200,11 @@ def test_forms_of_a_ball_share_one_vertex_tuple_per_vertex(spec, L):
 
 
 def test_profiles_build_no_normal_form(bs23, monkeypatch):
-    # properness and C0 read keys (node, tail id), the t-length as the node's
-    # depth and the argmax name as the node's text: neither builds a form.
-    # The sort key extends a parent's text, so neither they nor the search
-    # calls VertexTrie.vertex, and the search keeps no text but the base's
+    # properness, C0 and both checks read keys (node, tail id), the t-length
+    # as the node's depth, the image from ball_image and the argmax or
+    # violation name as the node's text: none builds a form. The sort key
+    # extends a parent's text, so neither they nor the search calls
+    # VertexTrie.vertex, and the search keeps no text but the base's
     calls = [0]
     vertex = VertexTrie.vertex
 
@@ -215,10 +216,33 @@ def test_profiles_build_no_normal_form(bs23, monkeypatch):
     assert ball.trie._text == {0: ""}
     properness_profile(5, [1, 2, 4], bs23, ball=ball)
     c0_profile(5, 1.0, bs23, ball=ball)
+    assert check_injectivity(ball, bs23).ok and check_stabilizer(ball, bs23).ok
     assert "spheres" not in vars(ball) and "elements" not in vars(ball)
     assert calls[0] == 0
     ball.elements
     assert calls[0] > 0  # the counter sees the calls the forms make
+
+
+def test_a_finished_ball_sheds_its_search_index(bs23):
+    # drop_texts ends the search: the sort's texts and the child index go,
+    # so adding a node to a finished ball's trie raises rather than making
+    # a second node for a vertex the trie holds
+    trie = VertexTrie()
+    child = trie.add(0, (1, (0,)))
+    assert trie.add(0, (1, (0,))) == child == 1
+    assert trie.text((child, trie.intern((0,)))) == "t"
+    trie.drop_texts()
+    assert trie._text == {0: ""} and not hasattr(trie, "child")
+    with pytest.raises(AttributeError):
+        trie.add(0, (1, (0,)))
+    assert trie.parent == [0, 0] and trie.text((1, 0)) == "t"
+    ball = enumerate_ball(4, bs23)
+    nodes = len(ball.trie.parent)
+    assert not hasattr(ball.trie, "child") and ball.trie._text == {0: ""}
+    with pytest.raises(AttributeError):
+        ball.trie.add(0, ball.trie.pair[1])
+    assert len(ball.trie.parent) == nodes
+    assert check_injectivity(ball, bs23).ok  # the finished ball still reads
 
 
 def test_ball_strictly_increasing(bs23, bs12):
@@ -519,7 +543,8 @@ def test_profiles_step_a_vertex_whose_parent_no_element_holds(bs23):
 def test_profiles_refuse_a_tail_outside_z_n_anywhere_in_the_ball(bs23):
     # every tail of a given ball is read, its element evaluated or not:
     # here one at t-length 2, above the only threshold, in sphere 2 of a
-    # radius-2 ball, and read at lmax 2 and past lmax 1
+    # radius-2 ball, and read at lmax 2 and past lmax 1; the checks read
+    # the whole ball through the same scan
     t = britton_reduce(parse_word("t", bs23), bs23)
     deep = britton_reduce(parse_word("t x t", bs23), bs23)
     for bad in ((0, 0), ()):
@@ -528,7 +553,9 @@ def test_profiles_refuse_a_tail_outside_z_n_anywhere_in_the_ball(bs23):
         for lmax in (1, 2):
             for profile in (
                     lambda: properness_profile(lmax, [1], bs23, ball=ball),
-                    lambda: c0_profile(lmax, 1.0, bs23, ball=ball)):
+                    lambda: c0_profile(lmax, 1.0, bs23, ball=ball),
+                    lambda: check_injectivity(ball, bs23),
+                    lambda: check_stabilizer(ball, bs23)):
                 with pytest.raises(ConfigurationError,
                                    match="dimension mismatch"):
                     profile()

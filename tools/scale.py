@@ -29,6 +29,9 @@ COMMANDS = [
     ["--bs", "2", "3", "proper", "--lmax", "12", "-R", "1,2,4"],
     ["--bs", "2", "3", "c0", "--lmax", "12"],
     ["--bs", "1", "2", "proper", "--lmax", "12", "-R", "1,2,4"],
+    ["--bs", "2", "3", "gram", "-L", "12"],
+    ["--bs", "2", "3", "cocycle-check", "-L", "12"],
+    ["--bs", "2", "3", "inject-check", "-L", "12"],
 ]
 
 
