@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
 from typing import Any, NamedTuple
 
 from .affine import ball_image, scaled
 from .presentation import GroupSpec
 from .embedding import _columns
 from .tree import BASE, Vertex, distance
-from .words import T, VertexTrie, X, britton_reduce, nf_append, nf_multiply
+from .words import T, VertexTrie, britton_reduce, nf_append, nf_multiply
 
 
 class UnsupportedWitnessError(RuntimeError):
@@ -67,47 +68,53 @@ def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     return tuple.__new__(CocycleVector, (edges,))
 
 
+def _step(key, pair, spec: GroupSpec, trie: VertexTrie) -> tuple:
+    """(key, edge, sign) of gamma coset(u) x^r t^eps from gamma coset(u)'s
+    key, for pair (eps, r): an x-step read from ``trie.table`` (no letter),
+    ``nf_append``'s t-step, the edge's child node, -1 if walked upwards."""
+    (node, tail), (eps, r) = key, pair
+    if (x := trie.table.get((tail, r))) is None:
+        x = trie.shift(tail, r, spec.n)
+    key = nf_append((node, x), T(eps), spec, trie)
+    return (key, key[0], 1) if trie.parent[key[0]] == node else (key, node, -1)
+
+
 def translate_cocycle(gamma, cv: CocycleVector,
                       spec: GroupSpec) -> CocycleVector:
     """gamma . b: relabel each edge (u, w) to (gamma u, gamma w).
 
-    A tree automorphism carries the edge (parent, w) onto (gamma parent,
-    gamma w), and gamma coset(w) = gamma coset(parent) x^r t^eps for w's
-    last pair (eps, r): each vertex is moved from its parent's image by
-    two ``nf_append`` steps on keys (node, tail id) of one ``VertexTrie``.  By
-    a loop, shortest child first from gamma coset(v) = gamma, each vertex
-    of b and each prefix it needs is moved once."""
-    g, trie, node = britton_reduce(gamma, spec), VertexTrie(), 0
-    for pair in g.vertex:
-        node = trie.add(node, pair)
-    moved = {BASE: (node, trie.intern(g.tail))}  # u -> key of gamma coset(u)
-    d, edges = {}, cv.edges
+    gamma coset(w) = gamma coset(u) x^r t^eps for w's last pair (eps, r): by
+    a loop, shortest first from gamma coset(v) = gamma, each vertex of b and
+    each prefix it needs is moved once, by ``_step`` in one ``VertexTrie``."""
+    g, trie, d = britton_reduce(gamma, spec), VertexTrie(), {}
+    key = reduce(trie.add, g.vertex, 0), trie.intern(g.tail)
+    moved, edges = {BASE: key}, cv.edges  # u -> key of gamma coset(u)
     for w in sorted(edges, key=len):
         up = [w]  # w, then the prefixes no shorter edge has moved
-        while (image := moved.get(up[-1][:-1])) is None:
+        while (key := moved.get(up[-1][:-1])) is None:
             up.append(up[-1][:-1])
         for u in reversed(up):  # parents first, one edge at a time
-            parent, (eps, r) = image, u[-1]
-            image = moved[u] = nf_append(
-                nf_append(parent, X(r), spec, trie), T(eps), spec, trie)
-        # distinct edges stay distinct: a split keeps the orientation
-        # parent -> child, a pinch (image the parent's parent) reverses it
-        if trie.parent[image[0]] == parent[0]:
-            d[trie.vertex(image[0])] = edges[w]
-        else:
-            d[trie.vertex(parent[0])] = -edges[w]
+            key, edge, c = _step(key, u[-1], spec, trie)
+            moved[u] = key
+        d[trie.vertex(edge)] = c * edges[w]  # distinct edges stay distinct
     return tuple.__new__(CocycleVector, (d,))
 
 
 def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:
-    """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d): its left side
-    reduces by ``_Builder.push_t``, its right side by ``nf_append``, the
-    two copies of the split/pinch rule."""
-    g = britton_reduce(gamma, spec)
-    d = britton_reduce(delta, spec)
-    lhs = cocycle(nf_multiply(g, d, spec), spec)
-    rhs = cocycle(g, spec) + translate_cocycle(g, cocycle(d, spec), spec)
-    return lhs == rhs
+    """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d) on the nodes
+    of one ``VertexTrie``: g.b(d) moves d's path by ``_step`` (``nf_append``),
+    b(gd) is the path of ``nf_multiply``'s form (``_Builder.push_t``)."""
+    g, d = britton_reduce(gamma, spec), britton_reduce(delta, spec)
+    trie, node = VertexTrie(), 0  # b(g): the nodes of g's path
+    rhs = {(node := trie.add(node, pair)): 1 for pair in g.vertex}
+    key = node, trie.intern(g.tail)
+    for pair in d.vertex:  # plus g.b(d), edge by edge
+        key, edge, c = _step(key, pair, spec, trie)
+        rhs[edge] = rhs.get(edge, 0) + c
+    node = 0
+    lhs = {(node := trie.add(node, pair)): 1
+           for pair in nf_multiply(g, d, spec).vertex}
+    return lhs == {edge: c for edge, c in rhs.items() if c}
 
 
 # ---------------------------------------------------------------------------

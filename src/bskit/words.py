@@ -212,6 +212,13 @@ class VertexTrie:
             self.tails.append(tail)
         return i
 
+    def shift(self, tail: int, z, n: int) -> int:
+        """The id of tail + z, stored by (tail, z) once z is in Z^n."""
+        if len(z) != n:
+            raise _wrong_size(z, n)
+        self.table[tail, z] = self.intern(tuple(map(add, self.tails[tail], z)))
+        return self.table[tail, z]
+
     def drop_texts(self) -> None:
         """End the search: drop ``child`` and every text but the base's."""
         self._text = {0: ""}
@@ -311,7 +318,7 @@ def nf_append(key, letter, spec: GroupSpec, trie: VertexTrie) -> tuple:
     x-letter moves the tail; a t-letter pinches to the node's parent or
     splits to a child as ``_Builder.push_t`` does.  Steps are read from
     ``trie.table``, by (~tail id, eps) for t (decomposing on a miss) and by
-    (tail id, z) for x (z's size checked on a miss): apart by the sign."""
+    (tail id, z) for x (``VertexTrie.shift`` on a miss): apart by the sign."""
     node, tail = key
     if isinstance(letter, T):
         eps = letter.eps
@@ -330,12 +337,8 @@ def nf_append(key, letter, spec: GroupSpec, trie: VertexTrie) -> tuple:
             return trie.parent[node], trie.intern(
                 tuple(map(add, last[1], trie.tails[carry])))
         return trie.child.get((node, pair)) or trie.add(node, pair), carry
-    if (step := trie.table.get((tail, z := letter.z))) is None:
-        if len(z) != spec.n:
-            raise _wrong_size(z, spec.n)
-        step = trie.table[tail, z] = trie.intern(
-            tuple(map(add, trie.tails[tail], z)))
-    return node, step
+    step = trie.table.get((tail, z := letter.z))
+    return node, trie.shift(tail, z, spec.n) if step is None else step
 
 
 def word_problem(w, spec: GroupSpec) -> bool:

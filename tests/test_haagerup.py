@@ -29,8 +29,9 @@ from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
 from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, distance,
                         geodesic, vertex_of)
-from bskit.words import (NormalForm, T, X, _Builder, britton_reduce,
-                         nf_append, nf_invert, nf_multiply, parse_word)
+from bskit.words import (NormalForm, T, VertexTrie, X, _Builder,
+                         britton_reduce, nf_append, nf_invert, nf_multiply,
+                         parse_word)
 
 # the identity's affine image (0, 0) as (k, num, den), n = 1
 ONE = (0, [0], 1)
@@ -231,6 +232,72 @@ def test_cocycle_law_cross_checks_the_two_pinch_rules(bs23, owner, attr,
     assert all(cocycle_identity_check(g, d, bs23) for g, d in pairs)
     monkeypatch.setattr(owner, attr, mutant)
     assert not all(cocycle_identity_check(g, d, bs23) for g, d in pairs)
+
+
+def _appended_t(g, d, spec):
+    # the left-side mutant: g d t in place of g d
+    return nf_multiply(nf_multiply(g, d, spec), nf("t", spec), spec)
+
+
+def test_cocycle_law_fails_on_a_wrong_left_side(bs23, monkeypatch):
+    # b(g d t) and b(g d) end at adjacent vertices, so no pair passes
+    elements = enumerate_ball(4, bs23).elements
+    rng = random.Random(47)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(100)]
+    monkeypatch.setattr(bskit.haagerup, "nf_multiply", _appended_t)
+    assert not any(cocycle_identity_check(g, d, bs23) for g, d in pairs)
+
+
+def _tuple_law(g, d, spec):
+    # the law on the public tuple-keyed values
+    return cocycle(nf_multiply(g, d, spec), spec) == cocycle(
+        g, spec) + translate_cocycle(g, cocycle(d, spec), spec)
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_DATA))
+def test_cocycle_law_agrees_with_the_tuple_formula(name, monkeypatch):
+    # pair by pair, on the true library and under each never-pinch mutant:
+    # the node-space law reads what the tuple-keyed values read, and each
+    # mutant makes it read False somewhere
+    spec = GENERAL_DATA[name]
+    elements = enumerate_ball(4, spec).elements
+    rng = random.Random(53)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    for owner, attr, mutant in ((None, None, None),
+                                (_Builder, "push_t", _never_pinch_push_t),
+                                (bskit.haagerup, "nf_append",
+                                 _never_pinch_append)):
+        with monkeypatch.context() as patch:
+            if mutant is not None:
+                patch.setattr(owner, attr, mutant)
+            verdicts = [cocycle_identity_check(g, d, spec) for g, d in pairs]
+            assert verdicts == [_tuple_law(g, d, spec) for g, d in pairs]
+        assert all(verdicts) == (mutant is None), (name, attr)
+
+
+def test_cocycle_law_is_linear_in_the_t_length(bs23, monkeypatch):
+    # one trie node per pair pushed, at most: |g| for g's path, |d| for d's
+    # path moved, |gd| for the left side's path; no vertex tuple and no
+    # tuple-keyed value is built, which made the law O(m^2) in the t-length
+    d = britton_reduce([X((1,)), T(1)] * 2400, bs23)
+    gs = random.Random(59).sample(enumerate_ball(3, bs23).elements, 5)
+    add, adds = VertexTrie.add, [0]
+
+    def counted(trie, node, pair):
+        adds[0] += 1
+        return add(trie, node, pair)
+
+    def refused(*args):
+        raise AssertionError("the law built a tuple-keyed value")
+    monkeypatch.setattr(VertexTrie, "add", counted)
+    monkeypatch.setattr(VertexTrie, "vertex", refused)
+    monkeypatch.setattr(bskit.haagerup, "cocycle", refused)
+    monkeypatch.setattr(bskit.haagerup, "translate_cocycle", refused)
+    for g in gs:
+        adds[0] = 0
+        assert cocycle_identity_check(g, d, bs23)
+        gd = nf_multiply(g, d, bs23)
+        assert 0 < adds[0] <= g.t_length + d.t_length + gd.t_length
 
 
 def test_cocycle_law_on_a_path_past_the_recursion_limit(bs23):

@@ -14,7 +14,8 @@ from bskit import words
 from bskit.affine import j_affine, scaled
 from bskit.arith import ConfigurationError
 from bskit.embedding import enumerate_ball, generator_letters
-from bskit.haagerup import cocycle, witness
+from bskit.haagerup import (cocycle, cocycle_identity_check,
+                            translate_cocycle, witness)
 from bskit.presentation import make_matrix_group
 from bskit.tree import BASE, Vertex, act, ball, neighbors, vertex_of
 from bskit.words import (NormalForm, ParseError, T, VertexTrie, X, _Builder,
@@ -446,9 +447,16 @@ def test_products_of_wrong_size_forms_are_refused(bs23, asc2):
         for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
                    NormalForm(((1, bad),), good)):
             for call in (lambda: nf_multiply(NormalForm((), good), nf, spec),
-                         lambda: nf_invert(nf, spec)):
+                         lambda: nf_invert(nf, spec),
+                         lambda: cocycle_identity_check(
+                             NormalForm((), good), nf, spec)):
                 with pytest.raises(ConfigurationError,
                                    match="dimension mismatch"):
                     call()
+        # translation steps by each edge's residue, checked on a miss
+        cv = cocycle(NormalForm(((1, good), (1, bad)), good), spec)
+        for gamma in (NormalForm((), good), NormalForm(((-1, good),), good)):
+            with pytest.raises(ConfigurationError, match="dimension mismatch"):
+                translate_cocycle(gamma, cv, spec)
         with pytest.raises(ConfigurationError, match="dimension mismatch"):
             nf_multiply(NormalForm((), bad), NormalForm((), good), spec)
