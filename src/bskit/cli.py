@@ -24,8 +24,8 @@ from .haagerup import (UnsupportedWitnessError, c0_profile, c0_profile_csv,
 from .presentation import GroupSpec, make_bs, spec_from_dict
 from .tree import (BASE, ResourceBoundError, Vertex, ball, distance, edges_csv,
                    neighbors, to_dot, tree_edges, vertex_of)
-from .words import (ParseError, britton_reduce, nf_multiply, parse_word,
-                    word_problem)
+from .words import (ParseError, VertexTrie, britton_reduce, nf_multiply,
+                    parse_word, word_problem)
 
 
 def _exit_2(message: str):
@@ -247,10 +247,10 @@ def cocycle_check(spec, length, pairs, seed):
     ball = enumerate_ball(length, spec)
     keys = [key for sphere in ball.keys for key in sphere]
     form = cache(ball.form)  # one form per key, however often it is drawn
-    rng = random.Random(seed)
-    bad = sum(not cocycle_identity_check(form(rng.choice(keys)),
-                                         form(rng.choice(keys)), spec)
-              for _ in range(pairs))
+    rng, trie = random.Random(seed), VertexTrie()  # one step table per run
+    bad = sum(not cocycle_identity_check(
+        form(rng.choice(keys)), form(rng.choice(keys)), spec, trie=trie)
+        for _ in range(pairs))
     status = "OK" if bad == 0 else "FAIL"
     click.echo(f"{status}: {bad} violations / {pairs} pairs")
     return bad == 0

@@ -18,10 +18,13 @@ from functools import reduce
 from typing import Any, NamedTuple
 
 from .affine import ball_image, scaled
+from .arith import _wrong_size
 from .presentation import GroupSpec
 from .embedding import _columns
 from .tree import BASE, Vertex, distance
 from .words import T, VertexTrie, britton_reduce, nf_append, nf_multiply
+
+_T = {1: T(1), -1: T(-1)}  # the stable letters _step appends
 
 
 class UnsupportedWitnessError(RuntimeError):
@@ -68,6 +71,14 @@ def cocycle(gamma, spec: GroupSpec) -> CocycleVector:
     return tuple.__new__(CocycleVector, (edges,))
 
 
+def _key(g, spec: GroupSpec, trie: VertexTrie) -> tuple:
+    """g's key (node, tail id) in ``trie``, its tail and residues in Z^n."""
+    for z in (g.tail, *[r for _, r in g.vertex]):
+        if len(z) != spec.n:
+            raise _wrong_size(z, spec.n)
+    return reduce(trie.add, g.vertex, 0), trie.intern(g.tail)
+
+
 def _step(key, pair, spec: GroupSpec, trie: VertexTrie) -> tuple:
     """(key, edge, sign) of gamma coset(u) x^r t^eps from gamma coset(u)'s
     key, for pair (eps, r): an x-step read from ``trie.table`` (no letter),
@@ -75,7 +86,7 @@ def _step(key, pair, spec: GroupSpec, trie: VertexTrie) -> tuple:
     (node, tail), (eps, r) = key, pair
     if (x := trie.table.get((tail, r))) is None:
         x = trie.shift(tail, r, spec.n)
-    key = nf_append((node, x), T(eps), spec, trie)
+    key = nf_append((node, x), _T.get(eps) or T(eps), spec, trie)
     return (key, key[0], 1) if trie.parent[key[0]] == node else (key, node, -1)
 
 
@@ -87,8 +98,7 @@ def translate_cocycle(gamma, cv: CocycleVector,
     a loop, shortest first from gamma coset(v) = gamma, each vertex of b and
     each prefix it needs is moved once, by ``_step`` in one ``VertexTrie``."""
     g, trie, d = britton_reduce(gamma, spec), VertexTrie(), {}
-    key = reduce(trie.add, g.vertex, 0), trie.intern(g.tail)
-    moved, edges = {BASE: key}, cv.edges  # u -> key of gamma coset(u)
+    moved, edges = {BASE: _key(g, spec, trie)}, cv.edges  # u -> gamma coset(u)
     for w in sorted(edges, key=len):
         up = [w]  # w, then the prefixes no shorter edge has moved
         while (key := moved.get(up[-1][:-1])) is None:
@@ -100,21 +110,22 @@ def translate_cocycle(gamma, cv: CocycleVector,
     return tuple.__new__(CocycleVector, (d,))
 
 
-def cocycle_identity_check(gamma, delta, spec: GroupSpec) -> bool:
-    """Exact check of the 1-cocycle law b(gd) = b(g) + g.b(d) on the nodes
-    of one ``VertexTrie``: g.b(d) moves d's path by ``_step`` (``nf_append``),
+def cocycle_identity_check(gamma, delta, spec: GroupSpec, *,
+                           trie=None) -> bool:
+    """The 1-cocycle law b(gd) = b(g) + g.b(d), exact, on the nodes of one
+    (lent) ``VertexTrie``: g.b(d) moves d's path by ``_step`` (``nf_append``),
     b(gd) is the path of ``nf_multiply``'s form (``_Builder.push_t``)."""
     g, d = britton_reduce(gamma, spec), britton_reduce(delta, spec)
-    trie, node = VertexTrie(), 0  # b(g): the nodes of g's path
-    rhs = {(node := trie.add(node, pair)): 1 for pair in g.vertex}
-    key = node, trie.intern(g.tail)
+    (trie := trie or VertexTrie()).drop_nodes()
+    key = _key(g, spec, trie)  # b(g): nodes 1..|g|, the base the only other
+    rhs, node = dict.fromkeys(range(1, key[0] + 1), 1), 0
     for pair in d.vertex:  # plus g.b(d), edge by edge
         key, edge, c = _step(key, pair, spec, trie)
         rhs[edge] = rhs.get(edge, 0) + c
-    node = 0
-    lhs = {(node := trie.add(node, pair)): 1
-           for pair in nf_multiply(g, d, spec).vertex}
-    return lhs == {edge: c for edge, c in rhs.items() if c}
+    for pair in nf_multiply(g, d, spec).vertex:  # minus b(gd), node by node
+        if rhs.pop(node := trie.add(node, pair), 0) != 1:
+            return False
+    return not any(rhs.values())
 
 
 # ---------------------------------------------------------------------------

@@ -182,19 +182,23 @@ _PAIR_TEXT = _PairText()
 
 
 class VertexTrie:
-    """A call-local trie of Bass-Serre vertices: node 0 is the base, node i
-    the child of ``parent[i]`` by ``pair[i]`` = (eps, r) at ``depth[i]``,
-    found by (node, pair) in ``child``; tail i is ``tails[i]``, found by
-    ``intern``.  ``table`` holds ``nf_append``'s steps by (~tail id, eps)
-    and (tail id, z).  Nodes and tail ids are ints, meaningful in one trie."""
+    """A trie of Bass-Serre vertices, local to one call or command: node 0 is
+    the base, node i the child of ``parent[i]`` by ``pair[i]`` = (eps, r) at
+    ``depth[i]``, found by (node, pair) in ``child``; tail i is ``tails[i]``,
+    found by ``intern``; ``table`` holds ``nf_append``'s steps by (~tail id,
+    eps) and (tail id, z).  Nodes and tail ids are ints, of one trie."""
 
     __slots__ = ("parent", "pair", "depth", "child", "tails", "_tail_id",
                  "table", "_vertex", "_text")
 
     def __init__(self):
+        self.tails, self._tail_id, self.table = [], {}, {}
+        self.drop_nodes()
+
+    def drop_nodes(self) -> None:
+        """Drop every node but the base; tails and ``table`` stay as hits."""
         self.parent, self.pair, self.depth = [0], [(0, ())], [0]  # no pinch
-        self.tails, self._tail_id, self.child, self.table = [], {}, {}, {}
-        self._vertex, self._text = {0: ()}, {0: ""}
+        self.child, self._vertex, self._text = {}, {0: ()}, {0: ""}
 
     def add(self, node: int, pair) -> int:
         """The child of node by pair, made on first sight."""

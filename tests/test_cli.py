@@ -13,9 +13,10 @@ import bskit
 from bskit import cli
 from bskit.cli import main
 from bskit.embedding import CheckReport, GroupBall, enumerate_ball
-from bskit.haagerup import tree_gram
+from bskit.haagerup import cocycle_identity_check, tree_gram
+from bskit.presentation import make_bs
 from bskit.words import VertexTrie
-from conftest import GENERAL_DATA
+from conftest import ASC2, GENERAL_DATA
 
 
 @pytest.fixture
@@ -201,7 +202,7 @@ def test_gram_and_cocycle_check_draw_what_random_draws_from_the_elements(
     monkeypatch.setattr(cli, "tree_gram", lambda sample, s, spec: (
         drawn.append(sample) or tree_gram(sample, s, spec)))
     monkeypatch.setattr(cli, "cocycle_identity_check",
-                        lambda gamma, delta, spec: not drawn.append(
+                        lambda gamma, delta, spec, trie=None: not drawn.append(
                             (gamma, delta)))
     for seed in range(5):
         drawn.clear()
@@ -214,6 +215,29 @@ def test_gram_and_cocycle_check_draw_what_random_draws_from_the_elements(
         rng = random.Random(seed)
         assert drawn == [sample, *((rng.choice(elements),
                                     rng.choice(elements)) for _ in range(30))]
+
+
+@pytest.mark.parametrize("spec", [make_bs(2, 3), make_bs(1, 2), ASC2,
+                                  GENERAL_DATA["z2_nonasc"]],
+                         ids=["bs23", "bs12", "asc2", "z2_nonasc"])
+def test_cocycle_check_prints_what_a_fresh_trie_per_pair_prints(
+        runner, tmp_path, spec):
+    # the command lends one trie to every pair; its bytes are those of the
+    # law run pair by pair, each pair on a trie of its own
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"n": spec.n, "A": [*map(list, spec.A.rows)],
+                                "B": [*map(list, spec.B.rows)]}))
+    elements = enumerate_ball(4, spec).elements
+    for seed in range(5):
+        rng = random.Random(seed)
+        bad = sum(not cocycle_identity_check(rng.choice(elements),
+                                             rng.choice(elements), spec)
+                  for _ in range(300))
+        result = runner.invoke(main, ["--spec", str(path), "cocycle-check",
+                                      "--pairs", "300", "--seed", str(seed)])
+        assert result.exit_code == (bad > 0)
+        assert result.output == (f"{'FAIL' if bad else 'OK'}: {bad} "
+                                 "violations / 300 pairs\n")
 
 
 def test_witness(runner):
@@ -364,7 +388,7 @@ def test_failed_checks_exit_1(runner, monkeypatch):
     monkeypatch.setattr(cli, "check_injectivity", planted("injectivity"))
     monkeypatch.setattr(cli, "check_stabilizer", planted("stabilizer"))
     monkeypatch.setattr(cli, "cocycle_identity_check",
-                        lambda gamma, delta, spec: False)
+                        lambda gamma, delta, spec, trie=None: False)
     for args, first in (
             (["inject-check", "-L", "2"],
              "FAIL: 1 violations / 17 elements [injectivity]"),

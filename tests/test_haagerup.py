@@ -275,10 +275,46 @@ def test_cocycle_law_agrees_with_the_tuple_formula(name, monkeypatch):
         assert all(verdicts) == (mutant is None), (name, attr)
 
 
+@pytest.mark.parametrize("name", sorted(GENERAL_DATA))
+def test_a_lent_trie_changes_no_verdict(name, monkeypatch):
+    # pair by pair, one trie lent to every pair reads what a fresh trie per
+    # pair reads, on the true library, under each never-pinch mutant and
+    # under the wrong left side; on the true library each call leaves at
+    # most 1 + |g| + |d| + |gd| nodes, and a second pass over the same
+    # pairs takes every step from the table
+    spec = GENERAL_DATA[name]
+    elements = enumerate_ball(4, spec).elements
+    rng = random.Random(61)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    for owner, attr, mutant in ((None, None, None),
+                                (_Builder, "push_t", _never_pinch_push_t),
+                                (bskit.haagerup, "nf_append",
+                                 _never_pinch_append),
+                                (bskit.haagerup, "nf_multiply", _appended_t)):
+        with monkeypatch.context() as patch:
+            if mutant is not None:
+                patch.setattr(owner, attr, mutant)
+            trie, verdicts = VertexTrie(), []
+            for g, d in pairs:
+                verdicts.append(cocycle_identity_check(g, d, spec, trie=trie))
+                assert mutant is not None or len(trie.parent) <= (
+                    1 + g.t_length + d.t_length
+                    + nf_multiply(g, d, spec).t_length)
+            assert verdicts == [cocycle_identity_check(g, d, spec)
+                                for g, d in pairs], (name, attr)
+            assert all(verdicts) == (mutant is None), (name, attr)
+            if mutant is None:
+                steps, tails = dict(trie.table), list(trie.tails)
+                assert verdicts == [cocycle_identity_check(
+                    g, d, spec, trie=trie) for g, d in pairs]
+                assert (trie.table, trie.tails) == (steps, tails)
+
+
 def test_cocycle_law_is_linear_in_the_t_length(bs23, monkeypatch):
     # one trie node per pair pushed, at most: |g| for g's path, |d| for d's
-    # path moved, |gd| for the left side's path; no vertex tuple and no
-    # tuple-keyed value is built, which made the law O(m^2) in the t-length
+    # path moved, |gd| for the left side's path, on a trie of its own or on
+    # one lent to every call; no vertex tuple and no tuple-keyed value is
+    # built, which made the law O(m^2) in the t-length
     d = britton_reduce([X((1,)), T(1)] * 2400, bs23)
     gs = random.Random(59).sample(enumerate_ball(3, bs23).elements, 5)
     add, adds = VertexTrie.add, [0]
@@ -293,11 +329,13 @@ def test_cocycle_law_is_linear_in_the_t_length(bs23, monkeypatch):
     monkeypatch.setattr(VertexTrie, "vertex", refused)
     monkeypatch.setattr(bskit.haagerup, "cocycle", refused)
     monkeypatch.setattr(bskit.haagerup, "translate_cocycle", refused)
+    lent = VertexTrie()
     for g in gs:
-        adds[0] = 0
-        assert cocycle_identity_check(g, d, bs23)
         gd = nf_multiply(g, d, bs23)
-        assert 0 < adds[0] <= g.t_length + d.t_length + gd.t_length
+        for trie in (None, lent):
+            adds[0] = 0
+            assert cocycle_identity_check(g, d, bs23, trie=trie)
+            assert 0 < adds[0] <= g.t_length + d.t_length + gd.t_length
 
 
 def test_cocycle_law_on_a_path_past_the_recursion_limit(bs23):

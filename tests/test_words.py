@@ -367,6 +367,34 @@ def test_a_t_run_appends_one_trie_node_per_letter(bs23):
             == britton_reduce([T(1)] * 20000, bs23))
 
 
+def test_dropped_nodes_leave_no_stale_vertex_or_text(bs23):
+    # drop_nodes keeps the base only: a node id made again by another pair
+    # reads its own vertex and text, not the dropped node's, while the
+    # tails, their ids and the step table stay, so earlier steps are hits
+    trie = VertexTrie()
+    one = trie.intern((0,))
+    key = nf_append(nf_append((0, one), T(1), bs23, trie), X((1,)), bs23,
+                    trie)
+    assert (trie.vertex(key[0]), trie.text(key)) == (((1, (0,)),), "t x^1")
+    tails, table = list(trie.tails), dict(trie.table)
+    trie.drop_nodes()
+    assert (trie.parent, trie.pair, trie.depth) == ([0], [(0, ())], [0])
+    again = nf_append(nf_append((0, one), T(-1), bs23, trie), X((1,)), bs23,
+                      trie)
+    assert again == key
+    assert (trie.vertex(key[0]), trie.text(key)) == (((-1, (0,)),),
+                                                     "t^-1 x^1")
+    assert trie.tails[:len(tails)] == tails
+    assert [trie.intern(tail) for tail in tails] == list(range(len(tails)))
+    assert table.items() <= trie.table.items()
+    trie.drop_nodes()
+    steps, ids = dict(trie.table), len(trie.tails)
+    assert nf_append(nf_append((0, one), T(1), bs23, trie), X((1,)), bs23,
+                     trie) == key
+    assert (trie.table, len(trie.tails)) == (steps, ids)
+    assert trie.text(key) == "t x^1"
+
+
 def test_wrong_size_x_letter_is_refused(bs23, asc2):
     # refused where the letter enters, not truncated or kept until a
     # t-letter; nf_append reads x-steps by (tail id, z) from its trie and
@@ -444,15 +472,27 @@ def test_products_of_wrong_size_forms_are_refused(bs23, asc2):
         with pytest.raises(ConfigurationError, match=wrong):
             call()
     for spec, good, bad in ((bs23, (0,), (1, 2)), (asc2, (0, 0), (3,))):
+        # the law and translation check gamma's tail and residues where they
+        # intern gamma, so a lent trie takes in no wrong-size tail
+        t, lent = britton_reduce([T(1)], spec), VertexTrie()
         for nf in (NormalForm((), bad), NormalForm(((1, good),), bad),
                    NormalForm(((1, bad),), good)):
             for call in (lambda: nf_multiply(NormalForm((), good), nf, spec),
                          lambda: nf_invert(nf, spec),
                          lambda: cocycle_identity_check(
-                             NormalForm((), good), nf, spec)):
+                             NormalForm((), good), nf, spec),
+                         lambda: cocycle_identity_check(
+                             NormalForm((), good), nf, spec, trie=lent),
+                         lambda: cocycle_identity_check(nf, t, spec),
+                         lambda: cocycle_identity_check(nf, t, spec,
+                                                        trie=lent),
+                         lambda: translate_cocycle(nf, cocycle(t, spec),
+                                                   spec)):
                 with pytest.raises(ConfigurationError,
                                    match="dimension mismatch"):
                     call()
+        assert all(len(z) == spec.n for z in lent.tails)
+        assert cocycle_identity_check(t, t, spec, trie=lent)
         # translation steps by each edge's residue, checked on a miss
         cv = cocycle(NormalForm(((1, good), (1, bad)), good), spec)
         for gamma in (NormalForm((), good), NormalForm(((-1, good),), good)):

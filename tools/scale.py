@@ -33,6 +33,7 @@ COMMANDS = [
     ["--bs", "2", "3", "cocycle-check", "-L", "12"],
     ["--bs", "2", "3", "inject-check", "-L", "12"],
     ["--bs", "2", "3", "cocycle-check", "-L", "8", "--pairs", "20000"],
+    ["--bs", "2", "3", "cocycle-check", "-L", "8", "--pairs", "100000"],
 ]
 
 
