@@ -21,7 +21,7 @@ from .affine import ball_image, scaled
 from .arith import _wrong_size
 from .presentation import GroupSpec
 from .embedding import _columns
-from .tree import BASE, Vertex, distance
+from .tree import BASE, Vertex, lcp_length
 from .words import T, VertexTrie, britton_reduce, nf_append, nf_multiply
 
 _T = {1: T(1), -1: T(-1)}  # the stable letters _step appends
@@ -183,11 +183,25 @@ def _check_sample(elements, s: float, spec: GroupSpec) -> list:
     return elements
 
 
+def _tree_distances(verts):
+    """Int64 |u| + |w| - 2 lcp(u, w) of vertex names by one sort: in sorted
+    order an lcp is the least adjacent lcp between (a running minimum)."""
+    import numpy as np
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    adj = [lcp_length(verts[a], verts[b]) for a, b in zip(order, order[1:])]
+    lens = np.array([len(verts[a]) for a in order], dtype=np.int64)
+    d = -2 * np.where(np.tri(lens.size, dtype=bool), lens[:, None], [0, *adj])
+    np.maximum.accumulate(d, axis=1, out=d)  # row u: -2 |u|, then -2 lcps
+    np.maximum(d, d.T, out=d)  # in place: at most two m x m arrays live
+    d += lens + lens[:, None]
+    rank = sorted(range(len(order)), key=order.__getitem__)  # to samples
+    return d[np.ix_(rank, rank)]
+
+
 def tree_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for K_ij = exp(-s d(g_i v, g_j v)) on the tree."""
     elements = _check_sample(elements, s, spec)
-    verts = [nf.vertex for nf in elements]
-    dm = [[distance(u, w) for w in verts] for u in verts]
+    dm = _tree_distances([nf.vertex for nf in elements])
     return _gram_report("tree", s, elements, dm)
 
 
@@ -284,10 +298,11 @@ def witness(gamma, s: float, spec: GroupSpec) -> float:
 def witness_gram(elements, s: float, spec: GroupSpec) -> GramReport:
     """PSD certificate for the product kernel tree x affine displacement."""
     elements = _check_sample(elements, s, spec)
-    verts = [nf.vertex for nf in elements]
-    affs = [scaled(nf, spec) for nf in elements]
-    dm = [[distance(u, w) + a for w, a in zip(verts, row)]
-          for u, row in zip(verts, affine_distances(affs, affs, spec))]
+    ps = _half_plane_points([scaled(nf, spec) for nf in elements], spec)
+    dm = _tree_distances([nf.vertex for nf in elements]).astype(float)
+    for i, p in enumerate(ps):  # d(p, q) is d(q, p) to the bit: j > i only
+        dm[i, i + 1:] += _distances_from(p, ps[i + 1:])
+        dm[i + 1:, i] = dm[i, i + 1:]
     return _gram_report("witness", s, elements, dm)
 
 

@@ -11,8 +11,9 @@ plain breadth-first search of a word-length ball, a breadth-first search
 of the affine model that never reduces a word, another over pairs
 (vertex, image) that never reduces one either, a renderer of normal forms
 and vertex names that formats every pair afresh, a per-element count of
-properness sublevel sets and the image column of a ball's spheres, which
-only the tests ask for, live here too.
+properness sublevel sets, the image column of a ball's spheres and the
+pairwise tree distances of a Gram sample, which only the tests ask for,
+live here too.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from bskit.affine import AffineElement, ball_image, j_affine
 from bskit.arith import vec_add, vec_neg, zero_vector
 from bskit.embedding import GroupBall, generator_letters
 from bskit.presentation import GroupSpec
-from bskit.tree import act
+from bskit.tree import act, distance
 from bskit.words import (NormalForm, T, VertexTrie, Word, X, britton_reduce,
                          nf_append)
 
@@ -93,6 +94,11 @@ def translate_reference(gamma, cv, spec: GroupSpec) -> tuple:
     return tuple(sorted(((e, c) for e, c in d.items() if c != 0),
                         key=lambda item: (len(item[0][1]), str(item[0][1]),
                                           str(item[0][0]))))
+
+
+def tree_distances(verts) -> list:
+    """The tree distances of vertex names, one ``tree.distance`` per pair."""
+    return [[distance(u, w) for w in verts] for u in verts]
 
 
 def sublevel_counts(ball, r_grid, spec: GroupSpec) -> dict:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import GENERAL_DATA, IMAGE_DATA
-from oracles import ball_images, scaled_image, translate_reference
+from oracles import (ball_images, scaled_image, translate_reference,
+                     tree_distances)
 
 import bskit
 import bskit.haagerup
@@ -22,10 +23,11 @@ from bskit.arith import IntMatrix
 from bskit.embedding import (CheckReport, PropernessProfile, check_stabilizer,
                              enumerate_ball, properness_profile)
 from bskit.haagerup import (CocycleVector, UnsupportedWitnessError,
-                            _gram_report, affine_distances, c0_profile,
-                            c0_profile_csv, cocycle, cocycle_identity_check,
-                            hyperbolic_distance, tree_gram,
-                            translate_cocycle, witness, witness_gram)
+                            _gram_report, _tree_distances, affine_distances,
+                            c0_profile, c0_profile_csv, cocycle,
+                            cocycle_identity_check, hyperbolic_distance,
+                            tree_gram, translate_cocycle, witness,
+                            witness_gram)
 from bskit.presentation import make_bs
 from bskit.tree import (BASE, ResourceBoundError, Vertex, act, distance,
                         geodesic, vertex_of)
@@ -419,6 +421,39 @@ def test_gram_report_json(bs23):
     data = json.loads(report.to_json())
     assert data["kernel"] == "tree" and data["psd"] is True
     assert data["dimension"] == 2
+
+
+@pytest.mark.parametrize("name", GENERAL_DATA)
+def test_gram_matrices_equal_the_pairwise_oracle(name):
+    # the sorted pass gives every tree distance of one tree.distance call
+    # per pair, also where elements share a vertex (x and x^2 at the base,
+    # and the repeated vertices of a 300-element sample); the witness Gram
+    # equals the full matrix of the half-plane distances, to the last bit
+    spec = GENERAL_DATA[name]
+    elements = enumerate_ball(5 if spec.n == 1 else 4, spec).elements
+    rng = random.Random(47)
+    xs = [britton_reduce([X((k,) + (0,) * (spec.n - 1))], spec)
+          for k in (1, 2)]
+    samples = [xs] + [rng.sample(elements, min(m, len(elements)))
+                      for m in (1, 2, 40, 300)]
+    assert len({g.vertex for g in samples[-1]}) < len(samples[-1])
+    for sample in samples:
+        verts = [g.vertex for g in sample]
+        ref = tree_distances(verts)
+        got = _tree_distances(verts)
+        assert got.dtype == np.int64 and got.tolist() == ref
+        for s in (0.5, 1.0):
+            assert np.array_equal(tree_gram(sample, s, spec).matrix,
+                                  np.exp(-s * np.array(ref, dtype=float)))
+            if spec.n != 1:
+                continue
+            images = [scaled(g, spec) for g in sample]
+            dm = [[d + a for d, a in zip(row, arow)] for row, arow in
+                  zip(ref, affine_distances(images, images, spec))]
+            want = _gram_report("witness", s, sample, dm)
+            report = witness_gram(sample, s, spec)
+            assert np.array_equal(report.matrix, want.matrix)
+            assert report.to_json() == want.to_json()
 
 
 def test_public_dataclass_annotations_resolve():

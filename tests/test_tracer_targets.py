@@ -6,6 +6,7 @@ read from its source here, without writing anything under ``bench/``.
 """
 
 import importlib
+import math
 import random
 import sys
 import types
@@ -181,6 +182,28 @@ def test_consumers_holding_forms_read_their_vertex_without_vertex_of(
     calls = count_calls(monkeypatch, bskit.tree.vertex_of)
     assert reports() == expected
     assert calls == []
+
+
+def test_gram_matrices_take_m_minus_1_lcps_and_each_half_plane_pair_once(
+        monkeypatch, bs12_ball10):
+    # a 300-element sample: no tree.distance call, one lcp_length per
+    # adjacent pair of sorted names, and one acosh per unordered pair of
+    # distinct half-plane points at most
+    spec, m = bs12_ball10.spec, 300
+    sample = random.Random(30).sample(bs12_ball10.elements, m)
+    expected = [gram(sample, 0.5, spec).matrix.tolist()
+                for gram in (tree_gram, witness_gram)]
+    dist, lcp = (count_calls(monkeypatch, original) for original in
+                 (bskit.tree.distance, bskit.tree.lcp_length))
+    acosh = []
+    monkeypatch.setattr(math, "acosh",
+                        lambda x, f=math.acosh: acosh.append(x) or f(x))
+    assert tree_gram(sample, 0.5, spec).matrix.tolist() == expected[0]
+    assert dist == [] and 0 < len(lcp) <= m - 1
+    del lcp[:]
+    assert witness_gram(sample, 0.5, spec).matrix.tolist() == expected[1]
+    assert dist == [] and 0 < len(lcp) <= m - 1
+    assert 0 < len(acosh) <= m * (m - 1) // 2
 
 
 def test_cocycles_and_orbit_read_the_form_without_vertex_of_or_geodesic(

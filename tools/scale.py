@@ -34,6 +34,9 @@ COMMANDS = [
     ["--bs", "2", "3", "inject-check", "-L", "12"],
     ["--bs", "2", "3", "cocycle-check", "-L", "8", "--pairs", "20000"],
     ["--bs", "2", "3", "cocycle-check", "-L", "8", "--pairs", "100000"],
+    ["--bs", "2", "3", "gram", "-L", "8", "--size", "1000"],
+    ["--bs", "2", "3", "gram", "-L", "8", "--size", "1000", "--kernel",
+     "witness"],
 ]
 
 
